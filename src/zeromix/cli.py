@@ -11,19 +11,20 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import _parse_pairs, load_config
 from .covariance import SufficientStats, ZeroPattern, icf_solve, objective
 from .exceptions import NumericalError, UsageError
 from .harness import (SimStudyConfig, fit_report, qq_data, run_simulation_study,
                       run_validation, write_json, write_qq_csv, write_table_csv,
                       write_trace_csv)
 from .inference import fisher_se, loglik_is, lr_test
-from .mcem import FitConfig, FitState, fit
+from .mcem import FitState, fit
 from .models import load_dataset, save_dataset, simulate_dataset
 from .covariance import SpdMatrix
 
@@ -49,13 +50,7 @@ def _cmd_fit(args):
         empty = ZeroPattern([], dim=cfg.model.q)
         init_u = FitState(m=cfg.init.m, sigma=SpdMatrix(cfg.init.sigma.values),
                           theta=cfg.init.theta)
-        cfg_u = FitConfig(
-            chain_length=cfg.fit.chain_length, burn_in=cfg.fit.burn_in,
-            schedule=cfg.fit.schedule, outer_tol=cfg.fit.outer_tol,
-            max_outer=cfg.fit.max_outer, window=cfg.fit.window,
-            icf_tol=cfg.fit.icf_tol, icf_max_sweeps=cfg.fit.icf_max_sweeps,
-            seed=_derived_seed(cfg.fit.seed, 1),
-        )
+        cfg_u = dataclasses.replace(cfg.fit, seed=_derived_seed(cfg.fit.seed, 1))
         result_u = fit(cfg.model, data, empty, init_u, cfg_u)
         su = result_u.state
         ll_u = loglik_is(cfg.model, data, su.m, su.sigma, su.theta,
@@ -136,18 +131,6 @@ def _cmd_study(args):
     return 0
 
 
-def _parse_cli_pairs(text):
-    cleaned = text.replace("(", " ").replace(")", " ").replace(",", " ")
-    tokens = cleaned.split()
-    if len(tokens) % 2 != 0:
-        raise UsageError(f"pattern must list index pairs, got {text!r}")
-    try:
-        flat = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise UsageError(f"pattern indices must be integers, got {text!r}") from exc
-    return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-
-
 def _cmd_icf(args):
     try:
         xtilde = np.loadtxt(args.xtilde, delimiter=",", ndmin=2)
@@ -156,7 +139,7 @@ def _cmd_icf(args):
     if xtilde.shape[0] != xtilde.shape[1]:
         raise UsageError(f"matrix must be square, got shape {xtilde.shape}")
     q = xtilde.shape[0]
-    pattern = ZeroPattern(_parse_cli_pairs(args.pattern) if args.pattern else [],
+    pattern = ZeroPattern(_parse_pairs(args.pattern, "--pattern") if args.pattern else [],
                           dim=q)
     stats = SufficientStats(xtilde, n=args.n)
     sol, diag = icf_solve(stats, pattern, tol=args.tol,

@@ -249,9 +249,7 @@ class SufficientStats:
     """Conditional second-moment aggregates consumed by the column solver.
 
     Holds the empirical conditional variance matrix X-tilde (already
-    divided by the sample count) together with the count n.  For any
-    pivot, the per-pivot cross aggregates are sub-blocks of n * X-tilde
-    and are derived on demand rather than stored.
+    divided by the sample count) together with the count n.
 
     Parameters
     ----------
@@ -278,20 +276,6 @@ class SufficientStats:
     @property
     def dim(self):
         return self.xtilde.shape[0]
-
-    def cross(self, j):
-        """Per-pivot aggregates (sum E[UU'], sum E[VU], sum E[V^2]) for 1-based pivot j.
-
-        U is the latent residual with component j removed and V its j-th
-        component; the sums run over individuals, so each block equals
-        n times the corresponding sub-block of X-tilde.
-        """
-        jj = j - 1
-        rest = [t for t in range(self.dim) if t != jj]
-        uu = self.n * self.xtilde[np.ix_(rest, rest)]
-        vu = self.n * self.xtilde[rest, jj]
-        vv = self.n * self.xtilde[jj, jj]
-        return uu, vu, vv
 
 
 @dataclass

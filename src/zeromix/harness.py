@@ -16,7 +16,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,17 +170,7 @@ def _run_replicate(cfg, model, replicate, attempt):
         if name not in cfg.estimators:
             continue
         pat = empty if name == "em" else pattern
-        fit_cfg = FitConfig(
-            chain_length=cfg.fit.chain_length,
-            burn_in=cfg.fit.burn_in,
-            schedule=cfg.fit.schedule,
-            outer_tol=cfg.fit.outer_tol,
-            max_outer=cfg.fit.max_outer,
-            window=cfg.fit.window,
-            icf_tol=cfg.fit.icf_tol,
-            icf_max_sweeps=cfg.fit.icf_max_sweeps,
-            seed=seeds[name],
-        )
+        fit_cfg = replace(cfg.fit, seed=seeds[name])
         res = fit(model, data, pat, _study_init(cfg, pat), fit_cfg)
         results[name] = res
         record["converged"][name] = bool(res.converged)

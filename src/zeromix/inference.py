@@ -27,7 +27,6 @@ from .covariance import (
     unpack_free_entries,
 )
 from .exceptions import DegenerateWeightError
-from .models import NlmeModel
 
 __all__ = [
     "LikelihoodEstimate",
@@ -113,7 +112,7 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_
         else:
             rng = np.random.default_rng(_individual_seed(seed, data.ids[i]))
         xs = m[None, :] + rng.standard_normal((n_samples, model.q)) @ chol.T
-        logw, _ = model.log_cond_density_many(data.y[i], xs, theta)
+        logw, _, _ = model.log_cond_density_pairs(data.y[i], xs, theta)
         lse1 = float(logsumexp(logw))
         if not np.isfinite(lse1):
             raise DegenerateWeightError(

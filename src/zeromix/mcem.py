@@ -38,7 +38,6 @@ __all__ = [
     "run_estep",
     "m_update",
     "xtilde_update",
-    "theta_update_cortisol",
     "saem_damp",
     "fit",
 ]
@@ -163,10 +162,11 @@ class EStepOutput:
 def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None):
     """Metropolis-Hastings E-step over a batch of individuals.
 
-    All proposals are drawn from N(m, Sigma) and scored up front; the
-    accept loop tracks, per individual, an integer pointer into the
-    proposal block.  Moments average the ``chain_length`` states after
-    ``burn_in``.
+    All proposals are drawn from N(m, Sigma) and scored up front, each
+    with its log density and theta statistic; the accept loop tracks,
+    per individual, an integer pointer into the proposal block.
+    Moments average the ``chain_length`` states after ``burn_in``, and
+    the theta statistic is gathered at the same pointers.
 
     Parameters
     ----------
@@ -201,9 +201,10 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
 
     flat = prop.reshape(n * (t_total + 1), q)
     ys_rep = np.repeat(ys, t_total + 1, axis=0)
-    logp_flat, ok_flat = model.log_cond_density_pairs(ys_rep, flat, theta)
+    logp_flat, ok_flat, stat_flat = model.log_cond_density_pairs(ys_rep, flat, theta)
     logp = logp_flat.reshape(n, t_total + 1)
     ok = ok_flat.reshape(n, t_total + 1)
+    stat = stat_flat.reshape(n, t_total + 1)
 
     ptr = np.zeros(n, dtype=np.int64)
     lp_cur = logp[:, 0].copy()
@@ -229,10 +230,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     states = np.take_along_axis(prop, ptr_ret[:, :, None], axis=1)
     ex = states.mean(axis=1)
     exx = np.einsum("nlq,nlr->nqr", states, states) / chain_length
-    stat_flat = model.theta_stat_pairs(
-        np.repeat(ys, chain_length, axis=0), states.reshape(n * chain_length, q)
-    )
-    tstat = stat_flat.reshape(n, chain_length).mean(axis=1)
+    tstat = np.take_along_axis(stat, ptr_ret, axis=1).mean(axis=1)
 
     return EStepOutput(
         ids=tuple(str(t) for t in ids),
@@ -296,16 +294,6 @@ def xtilde_update(estep, m_next):
 
 def _theta_aggregate(estep):
     return float(estep.tstat[_id_order(estep)].mean())
-
-
-def theta_update_cortisol(estep):
-    """Residual variance update for relative-error models.
-
-    Averages the squared relative residuals over chain states,
-    individuals and observation slots, so the result is the
-    per-observation squared coefficient of variation.
-    """
-    return _theta_aggregate(estep) / estep.n_obs
 
 
 def saem_damp(prev, raw, k, schedule):

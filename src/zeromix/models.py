@@ -1,10 +1,13 @@
 """Observation models and datasets for nonlinear mixed effects estimation.
 
-An observation model supplies the mean response F(x), the residual
-scale matrix g(x, theta), conditional densities of the observations
-given the latent individual effects, and the statistic driving the
-theta update.  The estimation engine owns everything else, so a new
-model only has to implement those hooks.
+An observation model supplies the mean response F(x) and the residual
+scale matrix g(x, theta) of one latent vector, which simulation uses,
+and one vectorized density pass, ``log_cond_density_pairs``, which
+scores many latent rows against their observations and returns each
+row's log conditional density, domain flag and theta statistic (the
+quantity whose conditional expectation drives the theta update).  The
+E-step and the importance-sampling likelihood both go through that
+pass; the estimation engine owns everything else.
 
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
@@ -60,9 +63,11 @@ class NlmeModel:
         Dimension of the residual parameter theta (scalar models only
         for now; theta is the residual variance).
 
-    Subclasses must implement ``mean``, ``scale`` and ``theta_stat``;
-    the batch methods have generic loop implementations they may
-    override with vectorized ones.
+    Subclasses implement ``mean`` and ``scale`` for one latent vector,
+    which simulation uses, and ``log_cond_density_pairs``, the one
+    density path: it scores many latent rows in a single vectorized
+    pass and returns each row's theta statistic alongside its log
+    density.  ``theta_update`` and ``draw_ok`` have defaults.
     """
 
     name = "base"
@@ -76,8 +81,6 @@ class NlmeModel:
         if self.design.shape != (self.n_obs,):
             raise ValueError("design must have shape (n_obs,)")
 
-    # -- hooks ---------------------------------------------------------
-
     def mean(self, x):
         """Mean response F(x) at every design point.
 
@@ -89,12 +92,29 @@ class NlmeModel:
         """Residual scale matrix g(x, theta), an (n_obs, n_obs) factor."""
         raise NotImplementedError
 
-    def theta_stat(self, y, x):
-        """Per-state statistic whose conditional expectation drives the theta update."""
+    def log_cond_density_pairs(self, ys, xs, theta):
+        """Log densities of observations given latent rows, with the theta statistic.
+
+        Parameters
+        ----------
+        ys : ndarray, shape (n, n_obs) or (n_obs,)
+            Observation rows paired with the rows of ``xs``, or one row
+            scored against every latent row.
+        xs : ndarray, shape (n, q)
+        theta : float
+
+        Returns
+        -------
+        (logp, ok, stat) : three (n,) arrays
+            ``logp`` is -inf and ``ok`` False on rows outside the model
+            domain.  ``stat`` is the per-row statistic whose conditional
+            expectation drives the theta update; it is meaningful on
+            ``ok`` rows only.
+        """
         raise NotImplementedError
 
     def theta_update(self, stat_mean):
-        """Map the across-individual mean of theta_stat to the new theta.
+        """Map the across-individual mean of the theta statistic to the new theta.
 
         The default divides by n_obs so that a variance theta lands on
         the per-observation scale.
@@ -105,77 +125,6 @@ class NlmeModel:
         """Whether a simulated latent vector keeps the model well defined."""
         return True
 
-    # -- densities -----------------------------------------------------
-
-    def log_cond_density(self, y, x, theta):
-        """Log density of Y given X = x.
-
-        Generic implementation through the scale matrix; subclasses
-        override with closed forms.
-        """
-        f = self.mean(x)
-        g = self.scale(x, theta)
-        sign, logdet = np.linalg.slogdet(g)
-        if sign == 0:
-            raise DomainError("residual scale matrix is singular")
-        z = np.linalg.solve(g, np.asarray(y, dtype=float) - f)
-        return -0.5 * self.n_obs * _LOG_2PI - logdet - 0.5 * float(z @ z)
-
-    # -- batch variants (hot path of the samplers) ----------------------
-
-    def mean_many(self, xs):
-        """Batch mean: (n, q) -> (values (n, n_obs), ok (n,) bool).
-
-        Rows outside the domain get ok = False and unspecified values.
-        """
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros((xs.shape[0], self.n_obs))
-        ok = np.ones(xs.shape[0], dtype=bool)
-        for t in range(xs.shape[0]):
-            try:
-                out[t] = self.mean(xs[t])
-            except DomainError:
-                ok[t] = False
-        return out, ok
-
-    def log_cond_density_pairs(self, ys, xs, theta):
-        """Row-paired log conditional densities: (ys[t], xs[t]) -> logp[t].
-
-        Returns (logp (n,), ok (n,) bool); rows outside the domain get
-        logp = -inf and ok = False.  Generic loop; subclasses override
-        with vectorized forms (this is the sampler's hot path).
-        """
-        ys = np.asarray(ys, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        logp = np.full(xs.shape[0], -np.inf)
-        ok = np.zeros(xs.shape[0], dtype=bool)
-        for t in range(xs.shape[0]):
-            try:
-                logp[t] = self.log_cond_density(ys[t], xs[t], theta)
-                ok[t] = bool(np.isfinite(logp[t]))
-            except DomainError:
-                pass
-        logp[~ok] = -np.inf
-        return logp, ok
-
-    def log_cond_density_many(self, y, xs, theta):
-        """Batch log conditional density of one y against many latent rows."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.broadcast_to(np.asarray(y, dtype=float), (xs.shape[0], self.n_obs))
-        return self.log_cond_density_pairs(ys, xs, theta)
-
-    def theta_stat_pairs(self, ys, xs):
-        """Row-paired theta_stat; states are assumed in-domain."""
-        ys = np.asarray(ys, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.theta_stat(ys[t], xs[t]) for t in range(xs.shape[0])])
-
-    def theta_stat_many(self, y, xs):
-        """Batch theta_stat of one y over chain states."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.broadcast_to(np.asarray(y, dtype=float), (xs.shape[0], self.n_obs))
-        return self.theta_stat_pairs(ys, xs)
-
 
 class CortisolModel(NlmeModel):
     """Sigmoid Emax dose-response with multiplicative residual noise.
@@ -184,7 +133,8 @@ class CortisolModel(NlmeModel):
     response x1, maximal increase x2, shape x3, half-effect dose x4.
     Residuals scale with the mean, g(x, sigma2) = sigma * diag(F(x)),
     so theta = sigma2 is the squared per-observation coefficient of
-    variation.
+    variation, and the theta statistic is the sum of squared relative
+    residuals (y - F(x)) / F(x).
 
     The domain requires x4 > 0 (the half-effect dose enters through
     x4^x3) and, for densities and simulation, F(x) bounded away from
@@ -203,15 +153,21 @@ class CortisolModel(NlmeModel):
     def doses(self):
         return self.design
 
+    def _emax(self, x1, x2, x3, x4):
+        # scalars give one row; (n, 1) columns give an (n, n_obs) block.
+        # Scalar and array powers may differ in the last bit, so one row
+        # stays on scalars.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            da = self.design ** x3
+            return x1 + x2 * da / (x4 ** x3 + da)
+
     def mean(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (4,) or not np.all(np.isfinite(x)):
             raise DomainError("latent vector must be a finite 4-vector")
         if x[3] <= 0.0:
             raise DomainError("half-effect dose x4 must be positive, got %r" % (x[3],))
-        with np.errstate(over="ignore", invalid="ignore"):
-            da = self.design ** x[2]
-            f = x[0] + x[1] * da / (x[3] ** x[2] + da)
+        f = self._emax(x[0], x[1], x[2], x[3])
         if not np.all(np.isfinite(f)):
             raise DomainError("mean response overflowed at x = %r" % (x,))
         return f
@@ -221,72 +177,32 @@ class CortisolModel(NlmeModel):
             raise DomainError("residual variance must be nonnegative")
         return np.sqrt(theta) * np.diag(self.mean(x))
 
-    def log_cond_density(self, y, x, theta):
-        f = self.mean(x)
-        if np.any(f == 0.0):
-            raise DomainError("mean response hits zero; residual scale is singular")
-        if theta <= 0.0:
-            raise DomainError("residual variance must be positive")
-        y = np.asarray(y, dtype=float)
-        r = (y - f) / f
-        return float(
-            -0.5 * self.n_obs * _LOG_2PI
-            - 0.5 * self.n_obs * np.log(theta)
-            - np.sum(np.log(np.abs(f)))
-            - 0.5 * np.sum(r * r) / theta
-        )
-
-    def theta_stat(self, y, x):
-        f = self.mean(x)
-        r = (np.asarray(y, dtype=float) - f) / f
-        return float(np.sum(r * r))
-
     def draw_ok(self, x):
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)) or x[3] <= 0.0:
+        try:
+            return bool(np.all(self.mean(x) > 0.0))
+        except DomainError:
             return False
-        with np.errstate(over="ignore", invalid="ignore"):
-            da = self.design ** x[2]
-            f = x[0] + x[1] * da / (x[3] ** x[2] + da)
-        return bool(np.all(np.isfinite(f)) and np.all(f > 0.0))
 
-    def _mean_block(self, xs):
-        # vectorized mean with validity mask; invalid rows carry garbage
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            da = self.design[None, :] ** xs[:, 2:3]
-            f = xs[:, 0:1] + xs[:, 1:2] * da / (xs[:, 3:4] ** xs[:, 2:3] + da)
+    def log_cond_density_pairs(self, ys, xs, theta):
+        xs = np.asarray(xs, dtype=float)
+        f = self._emax(xs[:, 0:1], xs[:, 1:2], xs[:, 2:3], xs[:, 3:4])
         ok = (
             np.all(np.isfinite(xs), axis=1)
             & (xs[:, 3] > 0.0)
             & np.all(np.isfinite(f), axis=1)
+            & np.all(f != 0.0, axis=1)
         )
-        return f, ok
-
-    def mean_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._mean_block(xs)
-
-    def log_cond_density_pairs(self, ys, xs, theta):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        f, ok = self._mean_block(xs)
-        ok = ok & np.all(f != 0.0, axis=1)
         safe = np.where(f == 0.0, 1.0, f)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            r = (ys - safe) / safe
+            r = (np.asarray(ys, dtype=float) - safe) / safe
+            stat = np.sum(r * r, axis=1)
             logp = (
                 -0.5 * self.n_obs * (_LOG_2PI + np.log(theta))
                 - np.sum(np.log(np.abs(safe)), axis=1)
-                - 0.5 * np.sum(r * r, axis=1) / theta
+                - 0.5 * stat / theta
             )
         ok = ok & np.isfinite(logp)
-        return np.where(ok, logp, -np.inf), ok
-
-    def theta_stat_pairs(self, ys, xs):
-        xs = np.asarray(xs, dtype=float)
-        f, _ = self._mean_block(xs)
-        r = (np.asarray(ys, dtype=float) - f) / f
-        return np.sum(r * r, axis=1)
+        return np.where(ok, logp, -np.inf), ok, stat
 
 
 class LinearGaussianModel(NlmeModel):
@@ -296,6 +212,7 @@ class LinearGaussianModel(NlmeModel):
     makes this model the oracle for testing the stochastic E-step and
     the importance-sampling likelihood: marginally Y ~ N(m, Sigma +
     sigma2 I), and the posterior of X given Y is the conjugate normal.
+    The theta statistic is the sum of squared residuals y - x.
     """
 
     name = "linear_gaussian"
@@ -314,31 +231,12 @@ class LinearGaussianModel(NlmeModel):
             raise DomainError("residual variance must be nonnegative")
         return np.sqrt(theta) * np.eye(self.n_obs)
 
-    def log_cond_density(self, y, x, theta):
-        if theta <= 0.0:
-            raise DomainError("residual variance must be positive")
-        r = np.asarray(y, dtype=float) - self.mean(x)
-        return float(
-            -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * np.sum(r * r) / theta
-        )
-
-    def theta_stat(self, y, x):
-        r = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return float(np.sum(r * r))
-
     def log_cond_density_pairs(self, ys, xs, theta):
-        xs = np.asarray(xs, dtype=float)
-        r = np.asarray(ys, dtype=float) - xs
-        logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * np.sum(
-            r * r, axis=1
-        ) / theta
+        r = np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)
+        stat = np.sum(r * r, axis=1)
+        logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * stat / theta
         ok = np.isfinite(logp)
-        return np.where(ok, logp, -np.inf), ok
-
-    def theta_stat_pairs(self, ys, xs):
-        xs = np.asarray(xs, dtype=float)
-        r = np.asarray(ys, dtype=float) - xs
-        return np.sum(r * r, axis=1)
+        return np.where(ok, logp, -np.inf), ok, stat
 
     # -- closed forms used as oracles -----------------------------------
 

@@ -1,12 +1,16 @@
 """Command-line interface: subcommand plumbing and exit codes."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeromix
 from zeromix.cli import main
 from zeromix.harness import example_paths
 from zeromix.models import load_dataset
@@ -48,9 +52,29 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 
 
 def test_console_entry_point_is_installed():
-    out = subprocess.run(["zeromix", "--help"], capture_output=True, text=True)
+    # run the package as a module from the source tree the tests import
+    src = os.path.dirname(os.path.dirname(zeromix.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "zeromix", "--help"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "fit" in out.stdout
+    # the installed console script points at the same function
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["zeromix"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
+@pytest.mark.parametrize("pattern", ["(1,x)", "(1,2,3)"])
+def test_icf_rejects_a_malformed_pattern(tmp_path, capsys, pattern):
+    mat = tmp_path / "xt.csv"
+    mat.write_text("4,-3,3\n-3,4,-3\n3,-3,4\n")
+    assert main(["icf", "--xtilde", str(mat), "--pattern", pattern]) == 1
+    assert "--pattern" in capsys.readouterr().err
 
 
 def test_validate_passes(capsys):

@@ -75,7 +75,7 @@ def test_all_zero_weights_raise():
     class NoDomain(LinearGaussianModel):
         def log_cond_density_pairs(self, ys, xs, theta):
             n = np.asarray(xs).shape[0]
-            return np.full(n, -np.inf), np.zeros(n, dtype=bool)
+            return np.full(n, -np.inf), np.zeros(n, dtype=bool), np.zeros(n)
 
     model, data, m, sigma, theta = _linear_setup(n=2)
     bad = NoDomain(2)

@@ -12,8 +12,7 @@ import pytest
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateDrawError, ScheduleError
 from zeromix.mcem import (FitConfig, FitState, GammaSchedule, fit, m_update,
-                          mh_chain, run_estep, saem_damp, theta_update_cortisol,
-                          xtilde_update)
+                          mh_chain, run_estep, saem_damp, xtilde_update)
 from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 
@@ -144,7 +143,7 @@ def test_estep_raises_when_an_individual_never_enters_the_domain():
     class NoDomain(LinearGaussianModel):
         def log_cond_density_pairs(self, ys, xs, theta):
             n = np.asarray(xs).shape[0]
-            return np.full(n, -np.inf), np.zeros(n, dtype=bool)
+            return np.full(n, -np.inf), np.zeros(n, dtype=bool), np.zeros(n)
 
     model = NoDomain(2)
     state = FitState(m=np.zeros(2), sigma=SpdMatrix(np.eye(2)), theta=1.0)
@@ -176,9 +175,26 @@ def test_update_formulas_recompute_from_estep_arrays():
     assert np.allclose(stats.xtilde, direct, atol=1e-12)
     assert stats.n == 5
 
-    theta_next = theta_update_cortisol(estep)
+    theta_next = model.theta_update(estep.tstat.mean())
     assert theta_next == pytest.approx(estep.tstat.mean() / estep.n_obs,
                                        abs=1e-12)
+
+
+def test_estep_theta_statistic_is_gathered_at_the_retained_states():
+    # for Y = X + eps the chain average of |y - x|^2 expands into the
+    # chain moments, so a statistic read at the wrong pointer shows
+    model = LinearGaussianModel(3)
+    sigma = SpdMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 0.8, -0.2],
+                                [0.0, -0.2, 1.2]]))
+    state = FitState(m=np.array([0.5, -0.5, 1.0]), sigma=sigma, theta=0.4)
+    ys = np.random.default_rng(21).normal(0.0, 1.5, (4, 3))
+    estep = run_estep(model, ys, ("a", "b", "c", "d"), state.m, state.sigma,
+                      state.theta, 120, 10, [5, 6, 7, 8])
+    assert np.all(estep.accept_rate < 1.0)
+    for i in range(4):
+        y = ys[i]
+        expected = y @ y - 2.0 * y @ estep.ex[i] + np.trace(estep.exx[i])
+        assert estep.tstat[i] == pytest.approx(expected, rel=1e-10)
 
 
 def test_exact_em_increases_the_marginal_likelihood():

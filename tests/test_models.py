@@ -65,10 +65,12 @@ def test_conditional_density_matches_scipy():
     theta = 0.02
     f = model.mean(x)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        y = f * (1.0 + 0.1 * rng.standard_normal(7))
-        expected = multivariate_normal(mean=f, cov=theta * np.diag(f * f)).logpdf(y)
-        assert model.log_cond_density(y, x, theta) == pytest.approx(expected, abs=1e-10)
+    ys = f * (1.0 + 0.1 * rng.standard_normal((5, 7)))
+    logp, ok, _ = model.log_cond_density_pairs(ys, np.tile(x, (5, 1)), theta)
+    assert np.all(ok)
+    for i in range(5):
+        expected = multivariate_normal(mean=f, cov=theta * np.diag(f * f)).logpdf(ys[i])
+        assert logp[i] == pytest.approx(expected, abs=1e-10)
 
 
 def test_conditional_density_handles_negative_means():
@@ -79,7 +81,9 @@ def test_conditional_density_handles_negative_means():
     assert np.any(f < 0.0) and np.all(f != 0.0)
     y = np.array([-0.4, -1.5])
     expected = multivariate_normal(mean=f, cov=0.05 * np.diag(f * f)).logpdf(y)
-    assert model.log_cond_density(y, x, 0.05) == pytest.approx(expected, abs=1e-10)
+    logp, ok, _ = model.log_cond_density_pairs(y, x[None, :], 0.05)
+    assert ok[0]
+    assert logp[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_theta_stat_sums_squared_relative_residuals():
@@ -87,10 +91,12 @@ def test_theta_stat_sums_squared_relative_residuals():
     x = np.array([50.0, 70.0, 1.0, 0.1])
     f = model.mean(x)
     y = f * 1.1
-    assert model.theta_stat(y, x) == pytest.approx(7 * 0.01, abs=1e-12)
+    _, ok, stat = model.log_cond_density_pairs(y, x[None, :], 0.03)
+    assert ok[0]
+    assert stat[0] == pytest.approx(7 * 0.01, abs=1e-12)
 
 
-def test_batch_density_agrees_with_scalar_loop():
+def test_paired_density_agrees_with_one_row_calls():
     model = CortisolModel()
     theta = 0.03
     rng = np.random.default_rng(4)
@@ -99,18 +105,23 @@ def test_batch_density_agrees_with_scalar_loop():
         rng.normal(1.2, 0.2, 8), rng.normal(0.1, 0.02, 8),
     ])
     xs[3, 3] = -0.01  # off-domain row
+    xs[5, :2] = 0.0  # zero mean response: singular residual scale
     ys = rng.normal(80, 5, (8, 7))
-    logp, ok = model.log_cond_density_pairs(ys, xs, theta)
+    logp, ok, stat = model.log_cond_density_pairs(ys, xs, theta)
+    assert not ok[3] and not ok[5]
     for i in range(8):
+        logp_i, ok_i, stat_i = model.log_cond_density_pairs(ys[i], xs[i:i + 1], theta)
+        assert ok_i[0] == ok[i]
         if ok[i]:
-            assert logp[i] == pytest.approx(
-                model.log_cond_density(ys[i], xs[i], theta), abs=1e-10)
+            f = model.mean(xs[i])
+            expected = multivariate_normal(mean=f, cov=theta * np.diag(f * f)).logpdf(ys[i])
+            assert logp[i] == pytest.approx(expected, abs=1e-10)
+            assert logp_i[0] == logp[i]
+            r = (ys[i] - f) / f
+            assert stat[i] == pytest.approx(float(r @ r), abs=1e-10)
+            assert stat_i[0] == stat[i]
         else:
-            assert logp[i] == -np.inf
-    assert not ok[3]
-    stat = model.theta_stat_pairs(ys[ok], xs[ok])
-    for k, i in enumerate(np.flatnonzero(ok)):
-        assert stat[k] == pytest.approx(model.theta_stat(ys[i], xs[i]), abs=1e-10)
+            assert logp[i] == -np.inf and logp_i[0] == -np.inf
 
 
 def test_draw_ok_requires_positive_response():

@@ -10,8 +10,10 @@ maximum-likelihood problem is
 over that cone.  The solver sweeps the columns of Sigma cyclically:
 with the complementary principal block held fixed, the optimal column
 is a least-squares solve in which the zero-constrained coordinates are
-dropped, and positive definiteness is preserved automatically through
-the Schur complement of the fixed block.
+dropped, and positive definiteness is preserved through the Schur
+complement of the fixed block, which each column update checks.  The
+sweep runs on one plain array; the solver validates its inputs once
+and its result once, as an SpdMatrix.
 """
 
 from __future__ import annotations
@@ -370,15 +372,9 @@ def schur_split(sigma, j):
 
 def objective(sigma, stats):
     """Evaluate tr(X-tilde Sigma^-1) + log det Sigma."""
-    if isinstance(sigma, SpdMatrix):
-        return float(sigma.solve(stats.xtilde).trace()) + sigma.logdet()
-    m = np.asarray(sigma, dtype=float)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("objective requires a positive definite matrix") from None
-    tr = float(scipy.linalg.cho_solve((chol, True), stats.xtilde).trace())
-    return tr + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if not isinstance(sigma, SpdMatrix):
+        sigma = SpdMatrix(sigma)
+    return float(sigma.solve(stats.xtilde).trace()) + sigma.logdet()
 
 
 def kkt_residual(sigma, stats, pattern):
@@ -393,8 +389,54 @@ def kkt_residual(sigma, stats, pattern):
     _require_order(pattern, sigma.dim)
     inv = sigma.inv()
     grad = inv - inv @ stats.xtilde @ inv
-    free = ~pattern.mask() if pattern.pairs else np.ones((sigma.dim, sigma.dim), dtype=bool)
-    return float(np.max(np.abs(grad[free])))
+    return float(np.max(np.abs(grad[~pattern.mask()])))
+
+
+def _pivot(xt, pattern, j):
+    """Index sets and X-tilde blocks of pivot column j, fixed during a solve."""
+    jj = j - 1
+    rest = [t for t in range(xt.shape[0]) if t != jj]
+    # free coordinates of the column: positions (r+1, j) not constrained
+    free = [t for t, r in enumerate(rest) if (r + 1, j) not in pattern]
+    ix = np.ix_(rest, rest)
+    return j, rest, ix, free, np.ix_(free, free), xt[ix], xt[rest, jj], float(xt[jj, jj])
+
+
+def _update_column(cur, pivot):
+    # in place on the plain symmetric array ``cur``; see icf_column_update
+    j, rest, ix, free, ix_free, m_uu, h_vu, v_vv = pivot
+    try:
+        chol_a = np.linalg.cholesky(cur[ix])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "complementary block at pivot %d is not positive definite" % j
+        ) from None
+
+    b_opt = np.zeros(len(rest))
+    if free:
+        # normal equations in the free coordinates, with A^-1 folded in:
+        # [P' A^-1 M A^-1 P] b = P' A^-1 h   (sample count cancels)
+        ainv_m = scipy.linalg.cho_solve((chol_a, True), m_uu)
+        g_full = scipy.linalg.cho_solve((chol_a, True), ainv_m.T)
+        g_full = 0.5 * (g_full + g_full.T)
+        h_full = scipy.linalg.cho_solve((chol_a, True), h_vu)
+        try:
+            chol_g = np.linalg.cholesky(g_full[ix_free])
+        except np.linalg.LinAlgError:
+            raise SingularNormalEquationsError(
+                "free-coordinate Gram matrix at pivot %d is singular; "
+                "the moment matrix is degenerate" % j
+            ) from None
+        b_opt[free] = scipy.linalg.cho_solve((chol_g, True), h_full[free])
+
+    beta = scipy.linalg.cho_solve((chol_a, True), b_opt)  # A^-1 b_opt
+    s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
+    # s_opt is the new Schur complement: A being PD, so is the update iff s_opt > 0
+    if not s_opt > 0.0:
+        raise NotPositiveDefiniteError("new Schur complement at pivot %d is not positive" % j)
+    cur[rest, j - 1] = b_opt
+    cur[j - 1, rest] = b_opt
+    cur[j - 1, j - 1] = s_opt + float(b_opt @ beta)
 
 
 def icf_column_update(sigma, stats, j, pattern):
@@ -427,66 +469,18 @@ def icf_column_update(sigma, stats, j, pattern):
     Raises
     ------
     NotPositiveDefiniteError
-        If the complementary block (or the updated matrix) fails to factorize.
+        If the complementary block fails to factorize or the new Schur
+        complement s_opt is not positive.
     SingularNormalEquationsError
         If the free-coordinate Gram matrix is singular (degenerate stats).
     """
-    m = _as_array(sigma)
-    q = m.shape[0]
+    cur = np.array(_as_array(sigma), dtype=float)
+    q = cur.shape[0]
     _require_order(pattern, q)
     if not (1 <= j <= q):
         raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
-    jj = j - 1
-    rest = [t for t in range(q) if t != jj]
-
-    a = m[np.ix_(rest, rest)]
-    try:
-        chol_a = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "complementary block at pivot %d is not positive definite" % j
-        ) from None
-
-    xt = stats.xtilde
-    m_uu = xt[np.ix_(rest, rest)]
-    h_vu = xt[rest, jj]
-    v_vv = float(xt[jj, jj])
-
-    # free coordinates of the column: positions (r+1, j) not constrained
-    free = [t for t, r in enumerate(rest) if (r + 1, j) not in pattern]
-
-    b_opt = np.zeros(q - 1)
-    if free:
-        # normal equations in the free coordinates, with A^-1 folded in:
-        # [P' A^-1 M A^-1 P] b = P' A^-1 h   (sample count cancels)
-        ainv_m = scipy.linalg.cho_solve((chol_a, True), m_uu)
-        g_full = scipy.linalg.cho_solve((chol_a, True), ainv_m.T)
-        g_full = 0.5 * (g_full + g_full.T)
-        h_full = scipy.linalg.cho_solve((chol_a, True), h_vu)
-        gram = g_full[np.ix_(free, free)]
-        rhs = h_full[free]
-        try:
-            chol_g = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise SingularNormalEquationsError(
-                "free-coordinate Gram matrix at pivot %d is singular; "
-                "the moment matrix is degenerate" % j
-            ) from None
-        b_opt[free] = scipy.linalg.cho_solve((chol_g, True), rhs)
-
-    beta = scipy.linalg.cho_solve((chol_a, True), b_opt)  # A^-1 b_opt
-    s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
-    new_diag = s_opt + float(b_opt @ beta)
-
-    out = np.array(m)  # complementary block kept bitwise
-    out[rest, jj] = b_opt
-    out[jj, rest] = b_opt
-    out[jj, jj] = new_diag
-    return SpdMatrix(out, pattern=pattern)
-
-
-def _default_init(stats, pattern):
-    return SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pattern)
+    _update_column(cur, _pivot(stats.xtilde, pattern, j))
+    return SpdMatrix(cur, pattern=pattern)
 
 
 def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
@@ -494,10 +488,12 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
 
     Sweeps pivots 1..q until the relative Frobenius change over one
     full sweep drops below ``tol`` or ``max_sweeps`` is reached (the
-    latter is flagged in the diagnostics, not raised).  Two shortcuts
-    need no iteration: the empty pattern returns X-tilde itself, and
-    for q = 2 with the single pair constrained the zero-forced X-tilde
-    is already optimal.
+    latter is flagged in the diagnostics, not raised).  The empty
+    pattern needs no iteration and returns X-tilde itself.
+
+    Inputs are validated once, here.  The sweep updates one plain array
+    in place, each column update checking that its new Schur complement
+    s_opt is positive, and the result is validated once, as an SpdMatrix.
 
     A singular X-tilde is ridged by 1e-10 * tr(X-tilde)/q on the
     diagonal before solving, and the diagnostics flag it.
@@ -543,30 +539,24 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     if pattern.is_empty():
         sig = SpdMatrix(stats.xtilde)
         return sig, _diag(sig, 0, True)
-    if q == 2 and len(pattern) == 1:
-        sig = SpdMatrix(zero_forced(stats.xtilde, pattern), pattern=pattern)
-        return sig, _diag(sig, 0, True)
 
     if init is None:
-        sigma = _default_init(stats, pattern)
-    else:
-        if not isinstance(init, SpdMatrix):
-            init = SpdMatrix(init, pattern=pattern)
-        elif not pattern.conforms(init.values):
-            raise PatternViolationError("init violates the zero pattern")
-        sigma = init
+        init = np.diag(np.diag(stats.xtilde))
+    cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
+    pivots = [_pivot(stats.xtilde, pattern, j) for j in range(1, q + 1)]
 
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
-        prev = sigma.values
-        for j in range(1, q + 1):
-            sigma = icf_column_update(sigma, stats, j, pattern)
+        prev = cur.copy()
+        for p in pivots:
+            _update_column(cur, p)
         sweeps += 1
         denom = max(float(np.linalg.norm(prev)), np.finfo(float).tiny)
-        if float(np.linalg.norm(sigma.values - prev)) / denom < tol:
+        if float(np.linalg.norm(cur - prev)) / denom < tol:
             converged = True
             break
+    sigma = SpdMatrix(cur, pattern=pattern)
     return sigma, _diag(sigma, sweeps, converged)
 
 

@@ -26,7 +26,7 @@ from .covariance import (
     pack_free_entries,
     unpack_free_entries,
 )
-from .exceptions import DegenerateWeightError
+from .exceptions import DegenerateWeightError, NumericalError
 
 __all__ = [
     "LikelihoodEstimate",
@@ -162,9 +162,10 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     objective cancels through the difference stencil.  Steps are
     per-coordinate, ``step_scale * max(|v_i|, 1e-6)``.
 
-    When the Hessian is not positive definite, coordinates that cannot
-    be covered by a positive definite principal submatrix are reported
-    absent and the result is flagged.
+    When a likelihood evaluation raises a NumericalError (a step that
+    leaves Sigma indefinite, say) or the Hessian is not positive definite,
+    coordinates that cannot be covered by a positive definite principal
+    submatrix are reported absent and the result is flagged.
     """
     v0 = _pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
@@ -196,7 +197,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     for i in range(p):
         try:
             hess[i, i] = (f({i: 1}) - 2.0 * f0 + f({i: -1})) / steps[i] ** 2
-        except Exception:
+        except NumericalError:
             bad[i] = True
     for i in range(p):
         for j in range(i):
@@ -206,7 +207,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
                 hess[i, j] = hess[j, i] = (
                     f({i: 1, j: 1}) - f({i: 1, j: -1}) - f({i: -1, j: 1}) + f({i: -1, j: -1})
                 ) / (4.0 * steps[i] * steps[j])
-            except Exception:
+            except NumericalError:
                 bad[i] = bad[j] = True
 
     se = np.full(p, np.nan)

@@ -154,9 +154,6 @@ class EStepOutput:
     accept_rate: np.ndarray
     domain_rejects: np.ndarray
     last_states: np.ndarray
-    chain_length: int
-    burn_in: int
-    n_obs: int
 
 
 def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None):
@@ -240,9 +237,6 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
         accept_rate=acc / float(t_total),
         domain_rejects=np.sum(~ok[:, 1:], axis=1),
         last_states=states[:, -1, :].copy(),
-        chain_length=chain_length,
-        burn_in=burn_in,
-        n_obs=model.n_obs,
     )
 
 
@@ -347,9 +341,6 @@ def _exact_estep(model, data, state):
         accept_rate=np.ones(n),
         domain_rejects=np.zeros(n, dtype=np.int64),
         last_states=ex.copy(),
-        chain_length=0,
-        burn_in=0,
-        n_obs=model.n_obs,
     )
 
 

@@ -59,9 +59,6 @@ class NlmeModel:
         Observations per individual.
     design : ndarray, shape (n_obs,)
         Per-observation design value (dose for the Emax model).
-    theta_dim : int
-        Dimension of the residual parameter theta (scalar models only
-        for now; theta is the residual variance).
 
     Subclasses implement ``mean`` and ``scale`` for one latent vector,
     which simulation uses, and ``log_cond_density_pairs``, the one
@@ -77,7 +74,6 @@ class NlmeModel:
         self.n_obs = int(n_obs)
         self.design = np.asarray(design, dtype=float)
         self.design.setflags(write=False)
-        self.theta_dim = 1
         if self.design.shape != (self.n_obs,):
             raise ValueError("design must have shape (n_obs,)")
 

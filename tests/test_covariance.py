@@ -260,7 +260,7 @@ def test_two_by_two_single_pair_short_circuits():
     xt = np.array([[2.0, 0.7], [0.7, 1.5]])
     sol, diag = icf_solve(SufficientStats(xt, n=10), ZeroPattern([(1, 2)], dim=2))
     assert np.array_equal(sol.values, np.diag([2.0, 1.5]))
-    assert diag.sweeps == 0
+    assert diag.sweeps == 1 and diag.converged
 
 
 def test_singular_scatter_takes_the_ridge_path():
@@ -271,6 +271,19 @@ def test_singular_scatter_takes_the_ridge_path():
     assert diag.ridged
     np.linalg.cholesky(sol.values)
     assert sol.values[0, 2] == 0.0
+
+
+def test_indefinite_moments_fail_the_schur_check():
+    # updating column 2 of the identity against [[1, 2], [2, 1]] gives
+    # b = 2 and a new Schur complement 1 - 2*2*2 + 2*2 = -3
+    xt = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotPositiveDefiniteError):
+        icf_column_update(SpdMatrix(np.eye(2)), SufficientStats(xt, n=5), 2,
+                          ZeroPattern([], dim=2))
+    embedded = np.eye(3)
+    embedded[:2, :2] = xt
+    with pytest.raises(NotPositiveDefiniteError):
+        icf_solve(SufficientStats(embedded, n=5), PAT13)
 
 
 def test_solve_rejects_pattern_of_wrong_order():

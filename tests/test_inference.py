@@ -102,6 +102,32 @@ def test_standard_errors_track_the_sampling_variance_of_the_mean():
         assert res.se[label] == pytest.approx(theory[i], rel=0.35)
 
 
+def test_a_step_out_of_the_cone_flags_its_coordinate():
+    # with rho = 0.95 a 10% step on the covariance entry leaves Sigma
+    # indefinite; the mean coordinates keep their standard errors
+    model, data, m, _, theta = _linear_setup(n=40, seed=4)
+    sigma = SpdMatrix(np.array([[1.0, 0.95], [0.95, 1.0]]))
+    res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
+                    n_samples=200, seed=1, step_scale=0.1)
+    assert res.flagged
+    assert "sigma_2_1" not in res.se
+    assert "m1" in res.se and "m2" in res.se
+
+
+def test_a_programming_error_in_the_model_propagates():
+    model, data, m, sigma, theta = _linear_setup(n=5)
+
+    class BrokenOffCentre(LinearGaussianModel):
+        def log_cond_density_pairs(self, ys, xs, th):
+            if th != theta:
+                raise RuntimeError("model bug")
+            return super().log_cond_density_pairs(ys, xs, th)
+
+    with pytest.raises(RuntimeError, match="model bug"):
+        fisher_se(BrokenOffCentre(2), data, m, sigma, theta, ZeroPattern([], dim=2),
+                  n_samples=50, seed=1)
+
+
 def test_lr_statistic_and_pvalue_on_pinned_inputs():
     pat = ZeroPattern([(1, 4), (3, 4)], dim=4)
     res = lr_test(-754.23, -750.25, pat)

@@ -176,7 +176,7 @@ def test_update_formulas_recompute_from_estep_arrays():
     assert stats.n == 5
 
     theta_next = model.theta_update(estep.tstat.mean())
-    assert theta_next == pytest.approx(estep.tstat.mean() / estep.n_obs,
+    assert theta_next == pytest.approx(estep.tstat.mean() / model.n_obs,
                                        abs=1e-12)
 
 

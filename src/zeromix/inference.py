@@ -4,10 +4,13 @@ The marginal likelihood integrates the latent effects out of each
 individual's conditional density; here the integral is estimated by
 importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
-underflowing.  Standard errors come from a central finite-difference
-Hessian of the negative log likelihood evaluated with common random
-numbers, and the prescribed zero pattern is tested by a chi-square
-likelihood ratio with one degree of freedom per constrained pair.
+underflowing.  Individuals are scored in blocks of rows, one density
+call and one log-sum-exp per block.  Standard errors come from a
+central finite-difference Hessian of the negative log likelihood; its
+standard-normal draws are made once and reused at every stencil point
+(common random numbers).  The prescribed zero pattern is tested by a
+chi-square likelihood ratio with one degree of freedom per constrained
+pair.
 """
 
 from __future__ import annotations
@@ -77,16 +80,81 @@ def _individual_seed(seed, ident):
     return np.random.SeedSequence((int(seed), zlib.crc32(str(ident).encode("utf-8"))))
 
 
+# Rows (individuals x samples) scored per density call.  Small blocks
+# pay per-call overhead, large ones outgrow the CPU caches: on a 2-core
+# Xeon VM a 1000-sample likelihood of the 30-individual example took
+# 14.8 ms at 8192 rows, 18.4 ms at 2048 and 20.4 ms at 32768, and the
+# cortisol density ~250 ns/row at 16k rows against ~410 at 60k.
+_BLOCK_ROWS = 8192
+
+
+def _draw_blocks(model, data, n_samples, seed, individual_seeds):
+    """Common random numbers for ``_score_blocks``, one block at a time.
+
+    Yields ``(start, ys, z)``: the block's first individual (dataset
+    order), its observation rows repeated ``n_samples`` times, and the
+    standard-normal draws, ``n_samples`` rows per individual from the
+    individual's own id-keyed stream.
+    """
+    per_block = max(1, _BLOCK_ROWS // n_samples)
+    for start in range(0, data.n, per_block):
+        stop = min(start + per_block, data.n)
+        z = np.empty((stop - start, n_samples, model.q))
+        for j, ident in enumerate(data.ids[start:stop]):
+            if individual_seeds is not None:
+                rng = np.random.default_rng(individual_seeds[ident])
+            else:
+                rng = np.random.default_rng(_individual_seed(seed, ident))
+            rng.standard_normal(out=z[j])
+        ys = np.repeat(data.y[start:stop], n_samples, axis=0)
+        yield start, ys, z.reshape(-1, model.q)
+
+
+def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
+    """Log likelihood and its MC standard error at (m, sigma, theta).
+
+    Each block's latent draws m + z L' are scored in one density call;
+    per individual, log-sum-exp of the log weights gives the log mean
+    weight and, for the delta-method variance, of their doubles the log
+    mean squared weight.  Per-individual terms are summed in id-sorted
+    order, so the estimate does not depend on dataset order.
+    """
+    m = np.asarray(m, dtype=float)
+    chol = sigma.chol_lower
+    log_mean = np.empty(data.n)
+    var = np.zeros(data.n)
+    for start, ys, z in blocks:
+        logw, _, _ = model.log_cond_density_pairs(ys, m + z @ chol.T, theta)
+        logw = logw.reshape(-1, n_samples)
+        lse1 = logsumexp(logw, axis=1)
+        if not np.all(np.isfinite(lse1)):
+            raise DegenerateWeightError(
+                "all %d importance weights underflowed for individual %s"
+                % (n_samples, data.ids[start + int(np.argmin(np.isfinite(lse1)))])
+            )
+        stop = start + logw.shape[0]
+        log_mean[start:stop] = lse1 - np.log(n_samples)
+        if n_samples > 1:
+            # delta method: var(log W-bar) ~ sample_var(w) / (S * w-bar^2)
+            log_mean_sq = logsumexp(2.0 * logw, axis=1) - np.log(n_samples)
+            ratio = np.exp(log_mean_sq - 2.0 * log_mean[start:stop])
+            var[start:stop] = np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
+    order = np.argsort(np.asarray(data.ids))
+    return float(np.sum(log_mean[order])), float(np.sqrt(np.sum(var[order])))
+
+
 def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_seeds=None):
     """Observed-data log likelihood by prior-proposal importance sampling.
 
     Per individual, draws latent vectors from N(m, Sigma) and averages
     the conditional densities of the observations; the log of that
     average is the individual's contribution.  Off-domain draws carry
-    zero weight.  Substreams are keyed by individual id, so the result
-    is bitwise deterministic given the seed and unchanged by dataset
+    zero weight.  Substreams are keyed by individual id and the
+    contributions are summed in id-sorted order, so the result is
+    bitwise deterministic given the seed and unchanged by dataset
     reordering; ``individual_seeds`` (a mapping id -> seed) overrides
-    the derivation.
+    the derivation.  Individuals are scored in blocks of about 8k rows,
+    one density call per block.
 
     Returns
     -------
@@ -102,33 +170,9 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_
         sigma = SpdMatrix(sigma)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    m = np.asarray(m, dtype=float)
-    chol = sigma.chol_lower
-    total = 0.0
-    var_total = 0.0
-    for i in range(data.n):
-        if individual_seeds is not None:
-            rng = np.random.default_rng(individual_seeds[data.ids[i]])
-        else:
-            rng = np.random.default_rng(_individual_seed(seed, data.ids[i]))
-        xs = m[None, :] + rng.standard_normal((n_samples, model.q)) @ chol.T
-        logw, _, _ = model.log_cond_density_pairs(data.y[i], xs, theta)
-        lse1 = float(logsumexp(logw))
-        if not np.isfinite(lse1):
-            raise DegenerateWeightError(
-                "all %d importance weights underflowed for individual %s"
-                % (n_samples, data.ids[i])
-            )
-        log_mean = lse1 - np.log(n_samples)
-        total += log_mean
-        if n_samples > 1:
-            # delta method: var(log W-bar) ~ sample_var(w) / (S * w-bar^2)
-            log_mean_sq = float(logsumexp(2.0 * logw)) - np.log(n_samples)
-            ratio = np.exp(log_mean_sq - 2.0 * log_mean)
-            var_total += max(ratio - 1.0, 0.0) / (n_samples - 1)
-    return LikelihoodEstimate(
-        loglik=total, mc_se=float(np.sqrt(var_total)), n_samples=n_samples, seed=int(seed)
-    )
+    blocks = _draw_blocks(model, data, n_samples, seed, individual_seeds)
+    loglik, mc_se = _score_blocks(model, data, blocks, m, sigma, theta, n_samples)
+    return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
 
 
 def free_param_labels(pattern):
@@ -157,9 +201,11 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     """Standard errors from a finite-difference Hessian of -loglik.
 
     The free parameter vector stacks m, the unconstrained lower-triangle
-    entries of Sigma, and theta.  Every likelihood evaluation reuses the
-    same seed (common random numbers), so the stochastic part of the
-    objective cancels through the difference stencil.  Steps are
+    entries of Sigma, and theta.  The standard-normal draws of
+    ``loglik_is`` at ``seed`` are made once and every stencil point is
+    scored on them (common random numbers), so the stochastic part of
+    the objective cancels through the difference stencil; each point's
+    value equals ``loglik_is`` there with that seed.  Steps are
     per-coordinate, ``step_scale * max(|v_i|, 1e-6)``.
 
     When a likelihood evaluation raises a NumericalError (a step that
@@ -172,13 +218,16 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     p = v0.shape[0]
     steps = step_scale * np.maximum(np.abs(v0), 1e-6)
 
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    blocks = list(_draw_blocks(model, data, n_samples, seed, None))
+
     def neg_loglik(v):
         mm, sig_vals, th = _unpack_params(v, pattern)
-        est = loglik_is(
-            model, data, mm, SpdMatrix(sig_vals, pattern=pattern), th,
-            n_samples=n_samples, seed=seed,
+        loglik, _ = _score_blocks(
+            model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
         )
-        return -est.loglik
+        return -loglik
 
     evals = {}
 

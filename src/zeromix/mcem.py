@@ -10,10 +10,13 @@ approximation) updates stabilize the iteration: full replacement
 during a warm-up phase, then a decaying gain a / (k - k0)^b.
 
 Chains are pre-generated: every proposal of an iteration is drawn and
-scored in one vectorized pass, after which the sequential accept loop
-only moves integer pointers.  Randomness is keyed by (master seed,
-outer iteration, individual id), and cross-individual reductions run
-in id-sorted order, so results do not depend on dataset ordering.
+scored in one vectorized pass.  The sequential accept loop then runs
+time-major over all chains at once, three in-place ufuncs per step
+that only record accept decisions; each chain's pointer into its
+proposal block is recovered afterwards as the running maximum of its
+accepted step indices.  Randomness is keyed by (master seed, outer
+iteration, individual id), and cross-individual reductions run in
+id-sorted order, so results do not depend on dataset ordering.
 """
 
 from __future__ import annotations
@@ -156,12 +159,43 @@ class EStepOutput:
     last_states: np.ndarray
 
 
+def _accept_pointers(logp, logu, burn_in):
+    """Independence-sampler accept loop over a batch of pre-scored chains.
+
+    ``logp`` (n, t_total + 1) holds each chain's start (column 0) and
+    proposal log densities, ``logu`` (n, t_total) its log uniforms.  At
+    step t a chain moves to proposal t when logu[t - 1] is below logp[t]
+    minus the log density of its current state; a NaN difference (both
+    -inf) rejects.  Returns the pointers of the states after ``burn_in``,
+    a C-ordered (n, t_total - burn_in) array, and the accept counts (n,).
+    """
+    t_total = logu.shape[1]
+    # time-major: three in-place ufuncs per step on contiguous rows;
+    # accepted[t - 1] records the decisions at step t
+    logp_t = np.ascontiguousarray(logp.T)
+    logu_t = np.ascontiguousarray(logu.T)
+    lp_cur = logp_t[0].copy()
+    diff = np.empty(logp.shape[0])
+    accepted = np.empty(logu_t.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for t in range(1, t_total + 1):
+            np.subtract(logp_t[t], lp_cur, out=diff)
+            np.less(logu_t[t - 1], diff, out=accepted[t - 1])
+            np.copyto(lp_cur, logp_t[t], where=accepted[t - 1])
+    # a chain's pointer is its last accepted step so far (0 before any)
+    ptr = np.maximum.accumulate(np.arange(1, t_total + 1)[:, None] * accepted, axis=0)
+    return np.ascontiguousarray(ptr[burn_in:].T), accepted.sum(axis=0)
+
+
 def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None):
     """Metropolis-Hastings E-step over a batch of individuals.
 
     All proposals are drawn from N(m, Sigma) and scored up front, each
-    with its log density and theta statistic; the accept loop tracks,
-    per individual, an integer pointer into the proposal block.
+    with its log density and theta statistic; each individual's normals
+    and uniforms come from its own seed.  The accept loop steps all
+    chains together and records, per step and individual, whether the
+    proposal was accepted; a chain's state at step t is the proposal of
+    its last accepted step up to t (its start, index 0, before any).
     Moments average the ``chain_length`` states after ``burn_in``, and
     the theta statistic is gathered at the same pointers.
 
@@ -186,36 +220,25 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     t_total = burn_in + chain_length
     chol = sigma.chol_lower
 
-    prop = np.empty((n, t_total + 1, q))
-    logu = np.empty((n, t_total))
+    z = np.empty((n, t_total + 1, q))
+    u = np.empty((n, t_total))
     for i in range(n):
         rng = np.random.default_rng(seeds[i])
-        z = rng.standard_normal((t_total + 1, q))
-        prop[i] = m[None, :] + z @ chol.T
-        logu[i] = np.log(rng.random(t_total))
+        rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
+    prop = (m + z.reshape(-1, q) @ chol.T).reshape(n, t_total + 1, q)
     if x0 is not None:
         prop[:, 0, :] = x0
 
-    flat = prop.reshape(n * (t_total + 1), q)
     ys_rep = np.repeat(ys, t_total + 1, axis=0)
-    logp_flat, ok_flat, stat_flat = model.log_cond_density_pairs(ys_rep, flat, theta)
+    logp_flat, ok_flat, stat_flat = model.log_cond_density_pairs(
+        ys_rep, prop.reshape(-1, q), theta
+    )
     logp = logp_flat.reshape(n, t_total + 1)
     ok = ok_flat.reshape(n, t_total + 1)
     stat = stat_flat.reshape(n, t_total + 1)
 
-    ptr = np.zeros(n, dtype=np.int64)
-    lp_cur = logp[:, 0].copy()
-    acc = np.zeros(n, dtype=np.int64)
-    ptr_hist = np.empty((n, t_total), dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        for t in range(1, t_total + 1):
-            accept = logu[:, t - 1] < (logp[:, t] - lp_cur)
-            ptr[accept] = t
-            lp_cur[accept] = logp[accept, t]
-            acc += accept
-            ptr_hist[:, t - 1] = ptr
-
-    ptr_ret = ptr_hist[:, burn_in:]
+    ptr_ret, accepts = _accept_pointers(logp, np.log(u), burn_in)
     lp_ret = np.take_along_axis(logp, ptr_ret, axis=1)
     if np.any(lp_ret == -np.inf):
         bad = [ids[i] for i in np.nonzero(np.any(lp_ret == -np.inf, axis=1))[0]]
@@ -234,7 +257,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
         ex=ex,
         exx=exx,
         tstat=tstat,
-        accept_rate=acc / float(t_total),
+        accept_rate=accepts / float(t_total),
         domain_rejects=np.sum(~ok[:, 1:], axis=1),
         last_states=states[:, -1, :].copy(),
     )

@@ -135,6 +135,12 @@ class CortisolModel(NlmeModel):
     The domain requires x4 > 0 (the half-effect dose enters through
     x4^x3) and, for densities and simulation, F(x) bounded away from
     zero so the scale matrix stays invertible.
+
+    ``log_cond_density_pairs`` works observation-major: the latent rows
+    are transposed to (q, n), and means, residuals and log scales are
+    (n_obs, n) blocks, so each per-row sum over the observations is a
+    chain of n_obs - 1 vector adds.  ``mean`` (one row, used by
+    simulation) evaluates the same formula on scalars.
     """
 
     name = "cortisol"
@@ -149,12 +155,13 @@ class CortisolModel(NlmeModel):
     def doses(self):
         return self.design
 
-    def _emax(self, x1, x2, x3, x4):
-        # scalars give one row; (n, 1) columns give an (n, n_obs) block.
-        # Scalar and array powers may differ in the last bit, so one row
-        # stays on scalars.
+    def _emax(self, d, x1, x2, x3, x4):
+        # scalars with d = design give one row; (n,) rows with d the
+        # (n_obs, 1) design column give an observation-major (n_obs, n)
+        # block.  Scalar and array powers may differ in the last bit, so
+        # one row stays on scalars.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            da = self.design ** x3
+            da = d ** x3
             return x1 + x2 * da / (x4 ** x3 + da)
 
     def mean(self, x):
@@ -163,7 +170,7 @@ class CortisolModel(NlmeModel):
             raise DomainError("latent vector must be a finite 4-vector")
         if x[3] <= 0.0:
             raise DomainError("half-effect dose x4 must be positive, got %r" % (x[3],))
-        f = self._emax(x[0], x[1], x[2], x[3])
+        f = self._emax(self.design, x[0], x[1], x[2], x[3])
         if not np.all(np.isfinite(f)):
             raise DomainError("mean response overflowed at x = %r" % (x,))
         return f
@@ -180,24 +187,23 @@ class CortisolModel(NlmeModel):
             return False
 
     def log_cond_density_pairs(self, ys, xs, theta):
-        xs = np.asarray(xs, dtype=float)
-        f = self._emax(xs[:, 0:1], xs[:, 1:2], xs[:, 2:3], xs[:, 3:4])
-        ok = (
-            np.all(np.isfinite(xs), axis=1)
-            & (xs[:, 3] > 0.0)
-            & np.all(np.isfinite(f), axis=1)
-            & np.all(f != 0.0, axis=1)
-        )
+        xt = np.ascontiguousarray(np.asarray(xs, dtype=float).T)
+        f = self._emax(self.design[:, None], xt[0], xt[1], xt[2], xt[3])
+        # a non-finite mean makes logp non-finite, which the last test catches
+        ok = np.all(np.isfinite(xt), axis=0) & (xt[3] > 0.0) & np.all(f != 0.0, axis=0)
         safe = np.where(f == 0.0, 1.0, f)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            r = (np.asarray(ys, dtype=float) - safe) / safe
-            stat = np.sum(r * r, axis=1)
+            r = np.atleast_2d(np.asarray(ys, dtype=float)).T - safe
+            r /= safe
+            r *= r
+            stat = np.sum(r, axis=0)
+            log_f = np.log(np.abs(safe, out=safe), out=safe)
             logp = (
                 -0.5 * self.n_obs * (_LOG_2PI + np.log(theta))
-                - np.sum(np.log(np.abs(safe)), axis=1)
+                - np.sum(log_f, axis=0)
                 - 0.5 * stat / theta
             )
-        ok = ok & np.isfinite(logp)
+        ok &= np.isfinite(logp)
         return np.where(ok, logp, -np.inf), ok, stat
 
 

@@ -83,7 +83,7 @@ def solver_battery():
     """400 constrained solves checked two ways at once.
 
     For each problem the columnwise solver runs to convergence and is
-    compared against an independent derivative-free minimizer; the
+    compared against an independent quasi-Newton minimizer; the
     identical update sequence is then replayed one column at a time,
     checking descent, positive definiteness and exact zeros after
     every single update.
@@ -149,7 +149,7 @@ def solver_battery():
 def test_constrained_solver_matches_brute_force_oracle(solver_battery):
     """Across 3 single-pair patterns at order 3 and 5 random patterns at
     order 4, 50 problems each: objective within 1e-8 of a restarted
-    Nelder-Mead oracle, stationarity residual below 1e-6, within 2 min."""
+    quasi-Newton oracle, stationarity residual below 1e-6, within 2 min."""
     b = solver_battery
     ok = b["max_gap"] < 1e-8 and b["max_kkt"] < 1e-6 and b["elapsed"] < 120.0
     _line("PASS" if ok else "FAIL", "columnwise solver vs brute force",

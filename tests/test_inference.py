@@ -13,6 +13,7 @@ import pytest
 
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateWeightError
+from zeromix.harness import cortisol_example
 from zeromix.inference import (fisher_se, free_param_labels, loglik_is,
                                lr_test)
 from zeromix.models import LinearGaussianModel, simulate_dataset
@@ -46,6 +47,35 @@ def test_importance_sampler_is_deterministic_and_order_free():
     shuffled = Dataset([data.ids[i] for i in perm], data.y[perm], data.design)
     c = loglik_is(model, shuffled, m, sigma, theta, n_samples=500, seed=5)
     assert c.loglik == a.loglik
+
+    # the 30-individual cortisol example, whose per-individual terms
+    # round differently when summed in another order
+    data, cfg = cortisol_example()
+    st = cfg.init
+    ref = loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=200, seed=5)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        perm = rng.permutation(data.n)
+        shuffled = Dataset([data.ids[i] for i in perm], data.y[perm], data.design)
+        est = loglik_is(cfg.model, shuffled, st.m, st.sigma, st.theta, n_samples=200, seed=5)
+        assert est.loglik == ref.loglik and est.mc_se == ref.mc_se
+
+
+@pytest.mark.parametrize("n_samples", [1000, 5000])
+def test_estimate_is_the_id_ordered_sum_of_one_individual_estimates(n_samples):
+    # 1000 samples put several individuals in one density call, 5000 one
+    from zeromix.models import Dataset
+    data, cfg = cortisol_example()
+    st = cfg.init
+    est = loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=n_samples, seed=2)
+    total, var = 0.0, 0.0
+    for i in np.argsort(data.ids):
+        one = Dataset([data.ids[i]], data.y[i:i + 1], data.design)
+        part = loglik_is(cfg.model, one, st.m, st.sigma, st.theta, n_samples=n_samples, seed=2)
+        total += part.loglik
+        var += part.mc_se ** 2
+    assert est.loglik == pytest.approx(total, rel=1e-12)
+    assert est.mc_se == pytest.approx(np.sqrt(var), rel=1e-12)
 
 
 def test_duplicated_individuals_double_the_result_exactly():
@@ -100,6 +130,39 @@ def test_standard_errors_track_the_sampling_variance_of_the_mean():
     for i, label in enumerate(("m1", "m2")):
         assert label in res.se
         assert res.se[label] == pytest.approx(theory[i], rel=0.35)
+
+
+def test_standard_errors_equal_a_stencil_through_loglik_is():
+    model, data, m, sigma, theta = _linear_setup(n=60, seed=2)
+    res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
+                    n_samples=300, seed=4)
+
+    v0 = np.array([m[0], m[1], sigma.values[0, 0], sigma.values[1, 0],
+                   sigma.values[1, 1], theta])
+    steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
+
+    def f(offsets):
+        v = v0.copy()
+        for idx, mult in offsets.items():
+            v[idx] += mult * steps[idx]
+        s = SpdMatrix(np.array([[v[2], v[3]], [v[3], v[4]]]))
+        return -loglik_is(model, data, v[:2], s, v[5], n_samples=300, seed=4).loglik
+
+    f0 = f({})
+    hess = np.zeros((6, 6))
+    for i in range(6):
+        hess[i, i] = (f({i: 1}) - 2.0 * f0 + f({i: -1})) / steps[i] ** 2
+        for j in range(i):
+            hess[i, j] = hess[j, i] = (
+                f({i: 1, j: 1}) - f({i: 1, j: -1}) - f({i: -1, j: 1}) + f({i: -1, j: -1})
+            ) / (4.0 * steps[i] * steps[j])
+    # the SEs present come from the Hessian block of their coordinates
+    assert res.labels == ["m1", "m2", "sigma_1_1", "sigma_2_1", "sigma_2_2", "theta"]
+    keep = [k for k, label in enumerate(res.labels) if label in res.se]
+    assert {"m1", "m2"} <= set(res.se)
+    se_ref = np.sqrt(np.diag(np.linalg.inv(hess[np.ix_(keep, keep)])))
+    for k, ref in zip(keep, se_ref):
+        assert res.se[res.labels[k]] == pytest.approx(ref, rel=1e-9)
 
 
 def test_a_step_out_of_the_cone_flags_its_coordinate():

@@ -1,6 +1,7 @@
 """Run configuration files.
 
-A run is described by an INI file with up to five sections:
+A run is described by an INI file with up to five sections; these are
+all the keys each section accepts:
 
 ``[model]``
     ``name`` is ``cortisol`` or ``linear_gaussian``.  The cortisol model
@@ -17,13 +18,20 @@ A run is described by an INI file with up to five sections:
     rows), and ``theta``.
 
 ``[mcem]``
-    Optional sampler and stopping controls mirroring
-    :class:`zeromix.mcem.FitConfig`; unset keys keep their defaults.
+    Optional sampler and stopping controls of
+    :class:`zeromix.mcem.FitConfig`: ``chain_length``, ``burn_in``,
+    ``outer_tol``, ``max_outer``, ``seed``, and the damping schedule's
+    ``gamma_a``, ``gamma_b`` and ``warmup`` (its ``a``, ``b``, ``k0``);
+    unset keys keep their defaults.
 
 ``[study]``
     Optional simulation-study block: ``replicates``, ``individuals``,
     ``master_seed``, and the generating truth (``truth_m``,
     ``truth_sigma`` as rows, ``truth_theta``).
+
+Any other section or key, including keys under ``[DEFAULT]``, is a
+:class:`~zeromix.exceptions.ConfigError`, so a misspelt name fails
+instead of leaving a default in place.
 """
 
 from __future__ import annotations
@@ -95,105 +103,128 @@ def _parse_pairs(text, key):
     return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 
-def _get(section, key, default=None):
-    if key in section:
-        return section[key].strip()
-    return default
+def _number(kind):
+    def parse(text, key):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: invalid value {text!r}") from exc
+    return parse
 
 
-def _get_typed(section, key, cast, default):
-    raw = _get(section, key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: invalid value {raw!r}") from exc
+def _text(text, key):
+    return text
 
 
-def _build_model(section):
-    name = _get(section, "name")
+_INT = _number(int)
+_FLOAT = _number(float)
+
+# The accepted keys of each section with their parsers.  ``_check_names``
+# rejects every section and key not listed here; ``_read`` parses a
+# section's values through its table.
+_SECTIONS = {
+    "model": {"name": _text, "doses": _parse_floats, "q": _INT},
+    "pattern": {"pairs": _parse_pairs},
+    "init": {"m": _parse_floats, "sigma_diag": _parse_floats, "sigma": _parse_matrix,
+             "theta": _FLOAT},
+    "mcem": {"chain_length": _INT, "burn_in": _INT, "gamma_a": _FLOAT, "gamma_b": _FLOAT,
+             "warmup": _INT, "outer_tol": _FLOAT, "max_outer": _INT, "seed": _INT},
+    "study": {"replicates": _INT, "individuals": _INT, "master_seed": _INT,
+              "truth_m": _parse_floats, "truth_sigma": _parse_matrix, "truth_theta": _FLOAT},
+}
+# [mcem] keys of the damping schedule, with their GammaSchedule fields
+_SCHEDULE_FIELDS = {"gamma_a": "a", "gamma_b": "b", "warmup": "k0"}
+# [study] sizes with their defaults, and the truth it must give
+_STUDY_SIZES = {"replicates": 20, "individuals": 30, "master_seed": 0}
+_STUDY_TRUTH = ("truth_m", "truth_sigma", "truth_theta")
+
+
+def _check_names(parser):
+    if parser.defaults():
+        raise ConfigError("unknown section [%s] (keys %s); every key belongs to one of %s"
+                          % (parser.default_section, ", ".join(map(repr, parser.defaults())),
+                             ", ".join(f"[{name}]" for name in _SECTIONS)))
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError("unknown section [%s]; expected %s"
+                              % (name, ", ".join(f"[{s}]" for s in _SECTIONS)))
+        for key in parser[name]:
+            if key not in _SECTIONS[name]:
+                raise ConfigError("unknown key %r in [%s]; accepted keys: %s"
+                                  % (key, name, ", ".join(_SECTIONS[name])))
+
+
+def _read(parser, name):
+    """Parsed values of the keys set in section ``name`` (empty if absent)."""
+    if name not in parser:
+        return {}
+    table = _SECTIONS[name]
+    return {key: table[key](raw.strip(), key) for key, raw in parser[name].items()}
+
+
+def _build_model(values):
+    name = values.get("name")
     if name is None:
         raise ConfigError("[model] section needs a 'name' key")
     if name == "cortisol":
-        doses_raw = _get(section, "doses")
-        if doses_raw is None:
+        if "doses" not in values:
             return CortisolModel()
-        return CortisolModel(doses=tuple(_parse_floats(doses_raw, "doses")))
+        return CortisolModel(doses=tuple(values["doses"]))
     if name == "linear_gaussian":
-        q = _get_typed(section, "q", int, None)
-        if q is None:
+        if "q" not in values:
             raise ConfigError("linear_gaussian model needs a 'q' key")
-        return LinearGaussianModel(q)
+        return LinearGaussianModel(values["q"])
     raise ConfigError(f"unknown model name {name!r}")
 
 
-def _build_init(section, q, pattern):
-    m_raw = _get(section, "m")
-    theta_raw = _get(section, "theta")
-    if m_raw is None or theta_raw is None:
+def _build_init(values, q, pattern):
+    if "m" not in values or "theta" not in values:
         raise ConfigError("[init] section needs 'm' and 'theta' keys")
-    m = _parse_floats(m_raw, "m")
+    m = values["m"]
     if len(m) != q:
         raise ConfigError(f"m: expected {q} entries, got {len(m)}")
-    theta = _get_typed(section, "theta", float, None)
-    diag_raw = _get(section, "sigma_diag")
-    full_raw = _get(section, "sigma")
-    if (diag_raw is None) == (full_raw is None):
+    if ("sigma_diag" in values) == ("sigma" in values):
         raise ConfigError("[init] needs exactly one of 'sigma_diag' or 'sigma'")
-    if diag_raw is not None:
-        diag = _parse_floats(diag_raw, "sigma_diag")
+    if "sigma_diag" in values:
+        diag = values["sigma_diag"]
         if len(diag) != q:
             raise ConfigError(f"sigma_diag: expected {q} entries, got {len(diag)}")
         entries = np.diag(diag)
     else:
-        entries = _parse_matrix(full_raw, "sigma")
+        entries = values["sigma"]
         if entries.shape != (q, q):
             raise ConfigError(f"sigma: expected a {q}x{q} matrix")
     sigma = SpdMatrix(entries, pattern=pattern if not pattern.is_empty() else None)
-    return FitState(m=m, sigma=sigma, theta=theta)
+    return FitState(m=m, sigma=sigma, theta=values["theta"])
 
 
-def _build_fit(section):
-    defaults = FitConfig()
-    sched = GammaSchedule(
-        a=_get_typed(section, "gamma_a", float, defaults.schedule.a),
-        b=_get_typed(section, "gamma_b", float, defaults.schedule.b),
-        k0=_get_typed(section, "warmup", int, defaults.schedule.k0),
-    )
-    return FitConfig(
-        chain_length=_get_typed(section, "chain_length", int, defaults.chain_length),
-        burn_in=_get_typed(section, "burn_in", int, defaults.burn_in),
-        schedule=sched,
-        outer_tol=_get_typed(section, "outer_tol", float, defaults.outer_tol),
-        max_outer=_get_typed(section, "max_outer", int, defaults.max_outer),
-        window=_get_typed(section, "window", int, defaults.window),
-        icf_tol=_get_typed(section, "icf_tol", float, defaults.icf_tol),
-        icf_max_sweeps=_get_typed(section, "icf_max_sweeps", int, defaults.icf_max_sweeps),
-        seed=_get_typed(section, "seed", int, defaults.seed),
-    )
+def _build_fit(values):
+    schedule = GammaSchedule(**{field: values.pop(key)
+                                for key, field in _SCHEDULE_FIELDS.items() if key in values})
+    return FitConfig(schedule=schedule, **values)
 
 
-def _build_study(section, q):
-    for key in ("truth_m", "truth_sigma", "truth_theta"):
-        if _get(section, key) is None:
+def _build_study(values, q):
+    for key in _STUDY_TRUTH:
+        if key not in values:
             raise ConfigError(f"[study] section needs a {key!r} key")
-    truth_m = _parse_floats(_get(section, "truth_m"), "truth_m")
-    truth_sigma = _parse_matrix(_get(section, "truth_sigma"), "truth_sigma")
+    truth_m, truth_sigma, truth_theta = (values[key] for key in _STUDY_TRUTH)
     if len(truth_m) != q or truth_sigma.shape != (q, q):
         raise ConfigError("study truth does not match the model dimension")
-    return StudySettings(
-        replicates=_get_typed(section, "replicates", int, 20),
-        individuals=_get_typed(section, "individuals", int, 30),
-        master_seed=_get_typed(section, "master_seed", int, 0),
-        truth_m=truth_m,
-        truth_sigma=truth_sigma,
-        truth_theta=_get_typed(section, "truth_theta", float, None),
-    )
+    sizes = {key: values.get(key, default) for key, default in _STUDY_SIZES.items()}
+    return StudySettings(**sizes, truth_m=truth_m, truth_sigma=truth_sigma,
+                         truth_theta=truth_theta)
 
 
 def load_config(path):
-    """Parse an INI run configuration into a :class:`RunConfig`."""
+    """Parse an INI run configuration into a :class:`RunConfig`.
+
+    Raises
+    ------
+    ConfigError
+        If the file cannot be read or parsed, names a section or key
+        outside the documented set, or holds an invalid value.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -202,75 +233,15 @@ def load_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    _check_names(parser)
 
     if "model" not in parser:
         raise ConfigError("config file needs a [model] section")
-    model = _build_model(parser["model"])
-
-    pairs = []
-    if "pattern" in parser:
-        pairs_raw = _get(parser["pattern"], "pairs", "")
-        if pairs_raw:
-            pairs = _parse_pairs(pairs_raw, "pairs")
-    pattern = ZeroPattern(pairs, dim=model.q)
-
+    model = _build_model(_read(parser, "model"))
+    pattern = ZeroPattern(_read(parser, "pattern").get("pairs", []), dim=model.q)
     if "init" not in parser:
         raise ConfigError("config file needs an [init] section")
-    init = _build_init(parser["init"], model.q, pattern)
-
-    fit = _build_fit(parser["mcem"]) if "mcem" in parser else FitConfig()
-    study = _build_study(parser["study"], model.q) if "study" in parser else None
+    init = _build_init(_read(parser, "init"), model.q, pattern)
+    fit = _build_fit(_read(parser, "mcem"))
+    study = _build_study(_read(parser, "study"), model.q) if "study" in parser else None
     return RunConfig(model=model, pattern=pattern, init=init, fit=fit, study=study)
-
-
-def _format_matrix(values):
-    return "; ".join(" ".join(repr(float(v)) for v in row) for row in np.asarray(values))
-
-
-def save_config(cfg, path):
-    """Write a :class:`RunConfig` back out as an INI file."""
-    parser = configparser.ConfigParser()
-    model = cfg.model
-    if isinstance(model, CortisolModel):
-        parser["model"] = {
-            "name": "cortisol",
-            "doses": ", ".join(repr(float(d)) for d in model.doses),
-        }
-    elif isinstance(model, LinearGaussianModel):
-        parser["model"] = {"name": "linear_gaussian", "q": str(model.q)}
-    else:
-        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    parser["pattern"] = {
-        "pairs": ", ".join(f"({i},{j})" for i, j in cfg.pattern.pairs),
-    }
-    parser["init"] = {
-        "m": ", ".join(repr(float(v)) for v in cfg.init.m),
-        "sigma": _format_matrix(cfg.init.sigma.values),
-        "theta": repr(float(cfg.init.theta)),
-    }
-    fit = cfg.fit
-    parser["mcem"] = {
-        "chain_length": str(fit.chain_length),
-        "burn_in": str(fit.burn_in),
-        "gamma_a": repr(fit.schedule.a),
-        "gamma_b": repr(fit.schedule.b),
-        "warmup": str(fit.schedule.k0),
-        "outer_tol": repr(fit.outer_tol),
-        "max_outer": str(fit.max_outer),
-        "window": str(fit.window),
-        "icf_tol": repr(fit.icf_tol),
-        "icf_max_sweeps": str(fit.icf_max_sweeps),
-        "seed": str(fit.seed),
-    }
-    if cfg.study is not None:
-        st = cfg.study
-        parser["study"] = {
-            "replicates": str(st.replicates),
-            "individuals": str(st.individuals),
-            "master_seed": str(st.master_seed),
-            "truth_m": ", ".join(repr(float(v)) for v in st.truth_m),
-            "truth_sigma": _format_matrix(st.truth_sigma),
-            "truth_theta": repr(float(st.truth_theta)),
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

@@ -31,6 +31,9 @@ ESTIMATOR_NAMES = ("em", "em_icf", "zero_forced")
 # Column prefixes used in aggregate rows and the table CSV.
 _PREFIX = {"em": "em", "em_icf": "icf", "zero_forced": "zf"}
 
+# Importance samples per log likelihood of the LR test in each replicate.
+_LR_SAMPLES = 1000
+
 _TRUTH_M = (50.0, 70.0, 1.5, 0.08)
 _TRUTH_SIGMA = (
     (20.0, -4.5, -0.3, 0.0),
@@ -74,22 +77,15 @@ class SimStudyConfig:
     truth_sigma: tuple = _TRUTH_SIGMA
     truth_theta: float = _TRUTH_THETA
     pattern_pairs: tuple = ((1, 4), (3, 4))
-    estimators: tuple = ESTIMATOR_NAMES
     master_seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
     init_m: tuple = (50.0, 70.0, 1.0, 0.1)
     init_sigma_diag: tuple = (25.0, 49.0, 0.25, 1.6e-3)
     init_theta: float = 0.04
-    lr_samples: int = 1000
 
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if "zero_forced" in self.estimators and "em" not in self.estimators:
-            raise ValueError("zero_forced is derived from em; include em")
         # The truth must be a valid constrained covariance.
         SpdMatrix(np.asarray(self.truth_sigma, dtype=float), pattern=self.pattern)
 
@@ -108,7 +104,6 @@ class SimStudyReport:
 
     n_replicates: int
     n_used: int
-    estimators: tuple
     rows: list
     loglik_row: dict
     p_values: list
@@ -122,7 +117,7 @@ class SimStudyReport:
         return {
             "n_replicates": self.n_replicates,
             "n_used": self.n_used,
-            "estimators": list(self.estimators),
+            "estimators": list(ESTIMATOR_NAMES),
             "rows": self.rows,
             "loglik": self.loglik_row,
             "lr": {"df": self.lr_df, "p_values": self.p_values},
@@ -167,8 +162,6 @@ def _run_replicate(cfg, model, replicate, attempt):
     empty = ZeroPattern([], dim=cfg.q)
     results = {}
     for name in ("em", "em_icf"):
-        if name not in cfg.estimators:
-            continue
         pat = empty if name == "em" else pattern
         fit_cfg = replace(cfg.fit, seed=seeds[name])
         res = fit(model, data, pat, _study_init(cfg, pat), fit_cfg)
@@ -181,30 +174,28 @@ def _run_replicate(cfg, model, replicate, attempt):
             "theta": float(res.state.theta),
         }
 
-    if "zero_forced" in cfg.estimators:
-        em_state = results["em"].state
-        zf = zero_forced(em_state.sigma.values, pattern)
-        lam_min = float(np.linalg.eigvalsh(zf)[0])
-        repaired = min_eig_repair(zf, cfg.n_individuals)
-        record["estimates"]["zero_forced"] = {
-            "m": [float(v) for v in em_state.m],
-            "sigma": [[float(v) for v in row] for row in repaired.values],
-            "theta": float(em_state.theta),
-            "min_eig_before_repair": lam_min,
-        }
+    em_state = results["em"].state
+    zf = zero_forced(em_state.sigma.values, pattern)
+    lam_min = float(np.linalg.eigvalsh(zf)[0])
+    repaired = min_eig_repair(zf, cfg.n_individuals)
+    record["estimates"]["zero_forced"] = {
+        "m": [float(v) for v in em_state.m],
+        "sigma": [[float(v) for v in row] for row in repaired.values],
+        "theta": float(em_state.theta),
+        "min_eig_before_repair": lam_min,
+    }
 
-    if "em" in results and "em_icf" in results:
-        lls = {}
-        for name in ("em", "em_icf"):
-            st = results[name].state
-            lls[name] = loglik_is(model, data, st.m, st.sigma, st.theta,
-                                  n_samples=cfg.lr_samples, seed=seeds["loglik"])
-        lr = lr_test(lls["em_icf"].loglik, lls["em"].loglik, pattern)
-        record["loglik"] = {
-            "em": lls["em"].loglik, "em_mc_se": lls["em"].mc_se,
-            "em_icf": lls["em_icf"].loglik, "em_icf_mc_se": lls["em_icf"].mc_se,
-        }
-        record["lr"] = {"stat": lr.stat, "df": lr.df, "p": lr.p_value}
+    lls = {}
+    for name in ("em", "em_icf"):
+        st = results[name].state
+        lls[name] = loglik_is(model, data, st.m, st.sigma, st.theta,
+                              n_samples=_LR_SAMPLES, seed=seeds["loglik"])
+    lr = lr_test(lls["em_icf"].loglik, lls["em"].loglik, pattern)
+    record["loglik"] = {
+        "em": lls["em"].loglik, "em_mc_se": lls["em"].mc_se,
+        "em_icf": lls["em_icf"].loglik, "em_icf_mc_se": lls["em_icf"].mc_se,
+    }
+    record["lr"] = {"stat": lr.stat, "df": lr.df, "p": lr.p_value}
 
     failed = [n for n, ok in record["converged"].items() if not ok]
     return record, failed
@@ -264,9 +255,9 @@ def run_simulation_study(cfg):
     rows = []
     loglik_row = {}
     p_values = []
-    if records and cfg.estimators:
+    if records:
         per_est = {}
-        for name in cfg.estimators:
+        for name in ESTIMATOR_NAMES:
             vecs = [_param_vector(np.asarray(rec["estimates"][name]["m"]),
                                   np.asarray(rec["estimates"][name]["sigma"]),
                                   rec["estimates"][name]["theta"])
@@ -274,25 +265,23 @@ def run_simulation_study(cfg):
             per_est[name] = _aggregate(vecs, truth)
         for idx, label in enumerate(labels):
             row = {"param": label, "true": float(truth[idx])}
-            for name in cfg.estimators:
+            for name in ESTIMATOR_NAMES:
                 mean, se, rmqe = per_est[name]
                 pfx = _PREFIX[name]
                 row[f"{pfx}_mean"] = float(mean[idx])
                 row[f"{pfx}_se"] = float(se[idx])
                 row[f"{pfx}_rmqe"] = float(rmqe[idx])
             rows.append(row)
-        if all("lr" in rec for rec in records):
-            for name in ("em", "em_icf"):
-                vals = np.array([rec["loglik"][name] for rec in records])
-                pfx = _PREFIX[name]
-                loglik_row[f"{pfx}_mean"] = float(vals.mean())
-                loglik_row[f"{pfx}_se"] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-            p_values = [rec["lr"]["p"] for rec in records]
+        for name in ("em", "em_icf"):
+            vals = np.array([rec["loglik"][name] for rec in records])
+            pfx = _PREFIX[name]
+            loglik_row[f"{pfx}_mean"] = float(vals.mean())
+            loglik_row[f"{pfx}_se"] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+        p_values = [rec["lr"]["p"] for rec in records]
 
     return SimStudyReport(
         n_replicates=cfg.n_replicates,
         n_used=len(records),
-        estimators=tuple(cfg.estimators),
         rows=rows,
         loglik_row=loglik_row,
         p_values=p_values,
@@ -378,8 +367,7 @@ def write_table_csv(report, path):
             cells = [row["param"], repr(row["true"])]
             for pfx in ("em", "icf"):
                 for stat in ("mean", "se", "rmqe"):
-                    key = f"{pfx}_{stat}"
-                    cells.append(repr(row[key]) if key in row else "")
+                    cells.append(repr(row[f"{pfx}_{stat}"]))
             fh.write(",".join(cells) + "\n")
         cells = ["loglik", ""]
         for pfx in ("em", "icf"):
@@ -470,7 +458,7 @@ def run_validation(out=print):
     """
     from .covariance import (SufficientStats, icf_column_update, icf_solve,
                              kkt_residual, objective, schur_split)
-    from .mcem import mh_chain, FitState as _FS
+    from .mcem import run_estep
     from .models import LinearGaussianModel
 
     failures = 0
@@ -557,10 +545,10 @@ def run_validation(out=print):
 
     # Sampler determinism.
     lin = LinearGaussianModel(3)
-    state = _FS(m=np.zeros(3), sigma=SpdMatrix(np.eye(3)), theta=0.5)
-    y = np.array([0.3, -0.2, 0.9])
-    c1 = mh_chain(lin, y, state, chain_length=200, burn_in=50, seed=42)
-    c2 = mh_chain(lin, y, state, chain_length=200, burn_in=50, seed=42)
+    y = np.array([[0.3, -0.2, 0.9]])
+    c1, c2 = (run_estep(lin, y, ("0",), np.zeros(3), SpdMatrix(np.eye(3)), 0.5,
+                        chain_length=200, burn_in=50, seeds=[42])
+              for _ in range(2))
     check("sampler is bitwise deterministic",
           np.array_equal(c1.ex, c2.ex)
           and np.array_equal(c1.last_states, c2.last_states))

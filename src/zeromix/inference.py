@@ -88,7 +88,7 @@ def _individual_seed(seed, ident):
 _BLOCK_ROWS = 8192
 
 
-def _draw_blocks(model, data, n_samples, seed, individual_seeds):
+def _draw_blocks(model, data, n_samples, seed):
     """Common random numbers for ``_score_blocks``, one block at a time.
 
     Yields ``(start, ys, z)``: the block's first individual (dataset
@@ -101,10 +101,7 @@ def _draw_blocks(model, data, n_samples, seed, individual_seeds):
         stop = min(start + per_block, data.n)
         z = np.empty((stop - start, n_samples, model.q))
         for j, ident in enumerate(data.ids[start:stop]):
-            if individual_seeds is not None:
-                rng = np.random.default_rng(individual_seeds[ident])
-            else:
-                rng = np.random.default_rng(_individual_seed(seed, ident))
+            rng = np.random.default_rng(_individual_seed(seed, ident))
             rng.standard_normal(out=z[j])
         ys = np.repeat(data.y[start:stop], n_samples, axis=0)
         yield start, ys, z.reshape(-1, model.q)
@@ -143,7 +140,7 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
     return float(np.sum(log_mean[order])), float(np.sqrt(np.sum(var[order])))
 
 
-def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_seeds=None):
+def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     """Observed-data log likelihood by prior-proposal importance sampling.
 
     Per individual, draws latent vectors from N(m, Sigma) and averages
@@ -152,9 +149,8 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_
     zero weight.  Substreams are keyed by individual id and the
     contributions are summed in id-sorted order, so the result is
     bitwise deterministic given the seed and unchanged by dataset
-    reordering; ``individual_seeds`` (a mapping id -> seed) overrides
-    the derivation.  Individuals are scored in blocks of about 8k rows,
-    one density call per block.
+    reordering.  Individuals are scored in blocks of about 8k rows, one
+    density call per block.
 
     Returns
     -------
@@ -170,7 +166,7 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0, individual_
         sigma = SpdMatrix(sigma)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    blocks = _draw_blocks(model, data, n_samples, seed, individual_seeds)
+    blocks = _draw_blocks(model, data, n_samples, seed)
     loglik, mc_se = _score_blocks(model, data, blocks, m, sigma, theta, n_samples)
     return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
 
@@ -197,7 +193,7 @@ def _unpack_params(v, pattern):
     return m, sigma_vals, theta
 
 
-def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, step_scale=1e-3):
+def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """Standard errors from a finite-difference Hessian of -loglik.
 
     The free parameter vector stacks m, the unconstrained lower-triangle
@@ -206,7 +202,8 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     scored on them (common random numbers), so the stochastic part of
     the objective cancels through the difference stencil; each point's
     value equals ``loglik_is`` there with that seed.  Steps are
-    per-coordinate, ``step_scale * max(|v_i|, 1e-6)``.
+    per-coordinate, ``1e-3 * max(|v_i|, 1e-6)``; each of the
+    1 + 2p + 2p(p - 1) stencil points is a distinct vector, scored once.
 
     When a likelihood evaluation raises a NumericalError (a step that
     leaves Sigma indefinite, say) or the Hessian is not positive definite,
@@ -216,29 +213,22 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0, ste
     v0 = _pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
     p = v0.shape[0]
-    steps = step_scale * np.maximum(np.abs(v0), 1e-6)
+    steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    blocks = list(_draw_blocks(model, data, n_samples, seed, None))
+    blocks = list(_draw_blocks(model, data, n_samples, seed))
 
-    def neg_loglik(v):
+    def f(offsets):
+        # -loglik at v0 moved by mult steps along each coordinate idx
+        v = v0.copy()
+        for idx, mult in offsets.items():
+            v[idx] += mult * steps[idx]
         mm, sig_vals, th = _unpack_params(v, pattern)
         loglik, _ = _score_blocks(
             model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
         )
         return -loglik
-
-    evals = {}
-
-    def f(offsets):
-        key = tuple(sorted(offsets.items()))
-        if key not in evals:
-            v = v0.copy()
-            for idx, mult in offsets.items():
-                v[idx] += mult * steps[idx]
-            evals[key] = neg_loglik(v)
-        return evals[key]
 
     f0 = f({})
     hess = np.zeros((p, p))

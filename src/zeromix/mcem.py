@@ -37,7 +37,6 @@ __all__ = [
     "TraceRow",
     "FitResult",
     "EStepOutput",
-    "mh_chain",
     "run_estep",
     "m_update",
     "xtilde_update",
@@ -68,6 +67,11 @@ class GammaSchedule:
         return min(1.0, self.a / float(k - self.k0) ** self.b)
 
 
+# Trailing outer iterations whose relative changes must all stay below
+# ``FitConfig.outer_tol`` before ``fit`` stops.
+_WINDOW = 10
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Outer-loop configuration for ``fit``.
@@ -75,7 +79,8 @@ class FitConfig:
     The stopping tolerance is matched to the damping schedule: with
     gamma decaying like (k - k0)^-0.8 and chains of a few hundred
     draws, per-iteration relative changes settle near 1e-3, so a much
-    tighter tolerance would never be reached.
+    tighter tolerance would never be reached.  The M-step runs
+    ``icf_solve`` at its own tolerance and sweep cap.
     """
 
     chain_length: int = 500
@@ -83,9 +88,6 @@ class FitConfig:
     schedule: GammaSchedule = field(default_factory=GammaSchedule)
     outer_tol: float = 2e-3
     max_outer: int = 400
-    window: int = 10
-    icf_tol: float = 1e-8
-    icf_max_sweeps: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -93,7 +95,7 @@ class FitConfig:
             raise ValueError("chain_length must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.outer_tol <= 0.0 or self.max_outer < 1 or self.window < 1:
+        if self.outer_tol <= 0.0 or self.max_outer < 1:
             raise ValueError("invalid outer-loop configuration")
 
 
@@ -263,27 +265,6 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     )
 
 
-def mh_chain(model, y_i, state, chain_length=500, burn_in=100, seed=0, x0=None):
-    """Single-individual Metropolis-Hastings chain; see ``run_estep``.
-
-    Deterministic given the seed.  Returns an EStepOutput whose arrays
-    have one row.
-    """
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)[None, :]
-    return run_estep(
-        model,
-        np.asarray(y_i, dtype=float)[None, :],
-        ("0",),
-        state.m,
-        state.sigma,
-        state.theta,
-        chain_length,
-        burn_in,
-        [seed],
-        x0=x0,
-    )
-
-
 def _id_order(estep):
     return np.argsort(np.asarray(estep.ids))
 
@@ -343,30 +324,6 @@ def _relative_delta(prev, new):
     return max(d_m, d_s, d_t)
 
 
-def _exact_estep(model, data, state):
-    """Closed-form E-step for models exposing exact posterior moments."""
-    n = data.n
-    q = model.q
-    ex = np.zeros((n, q))
-    exx = np.zeros((n, q, q))
-    tstat = np.zeros(n)
-    for i in range(n):
-        mean, cov = model.posterior_moments(data.y[i], state.m, state.sigma, state.theta)
-        ex[i] = mean
-        exx[i] = cov + np.outer(mean, mean)
-        r = data.y[i] - mean
-        tstat[i] = float(r @ r) + float(np.trace(cov))
-    return EStepOutput(
-        ids=data.ids,
-        ex=ex,
-        exx=exx,
-        tstat=tstat,
-        accept_rate=np.ones(n),
-        domain_rejects=np.zeros(n, dtype=np.int64),
-        last_states=ex.copy(),
-    )
-
-
 def _iteration_seeds(master_seed, k, ids):
     seeds = []
     for ident in ids:
@@ -375,7 +332,7 @@ def _iteration_seeds(master_seed, k, ids):
     return seeds
 
 
-def fit(model, data, pattern, init, config=None, estep_mode="mh"):
+def fit(model, data, pattern, init, config=None):
     """Maximum-likelihood fit by stochastic EM with a constrained covariance.
 
     One outer iteration runs the E-step at the current state, then the
@@ -383,7 +340,7 @@ def fit(model, data, pattern, init, config=None, estep_mode="mh"):
     variance matrix, the zero-constrained covariance solve (seeded
     from the current covariance), and finally the damped combination.
     Iteration stops when the block-scaled relative parameter change
-    stays below ``config.outer_tol`` across a trailing window, or at
+    stays below ``config.outer_tol`` across the last 10 iterations, or at
     ``config.max_outer`` (flagged, not raised).
 
     Parameters
@@ -397,9 +354,6 @@ def fit(model, data, pattern, init, config=None, estep_mode="mh"):
     init : FitState
         Starting point; its covariance must conform to ``pattern``.
     config : FitConfig, optional
-    estep_mode : {"mh", "exact"}
-        "exact" substitutes closed-form posterior moments (validation
-        models only) for the sampler.
 
     Returns
     -------
@@ -416,10 +370,6 @@ def fit(model, data, pattern, init, config=None, estep_mode="mh"):
         )
     if not np.array_equal(data.design, model.design):
         raise ValueError("dataset design grid differs from the model design")
-    if estep_mode not in ("mh", "exact"):
-        raise ValueError("estep_mode must be 'mh' or 'exact'")
-    if estep_mode == "exact" and not hasattr(model, "posterior_moments"):
-        raise ValueError("model does not expose exact posterior moments")
 
     sigma0 = init.sigma
     if sigma0.pattern != pattern:
@@ -434,33 +384,26 @@ def fit(model, data, pattern, init, config=None, estep_mode="mh"):
     rejects_total = 0
 
     for k in range(1, config.max_outer + 1):
-        if estep_mode == "exact":
-            estep = _exact_estep(model, data, state)
-        else:
-            seeds = _iteration_seeds(config.seed, k, data.ids)
-            estep = run_estep(
-                model,
-                data.y,
-                data.ids,
-                state.m,
-                state.sigma,
-                state.theta,
-                config.chain_length,
-                config.burn_in,
-                seeds,
-                x0=x_last,
-            )
-            x_last = estep.last_states
+        seeds = _iteration_seeds(config.seed, k, data.ids)
+        estep = run_estep(
+            model,
+            data.y,
+            data.ids,
+            state.m,
+            state.sigma,
+            state.theta,
+            config.chain_length,
+            config.burn_in,
+            seeds,
+            x0=x_last,
+        )
+        x_last = estep.last_states
 
         m_next = m_update(estep)
         theta_next = model.theta_update(_theta_aggregate(estep))
         stats = xtilde_update(estep, m_next)
         sigma_next, _ = icf_solve(
-            stats,
-            pattern,
-            init=None if pattern.is_empty() else state.sigma,
-            tol=config.icf_tol,
-            max_sweeps=config.icf_max_sweeps,
+            stats, pattern, init=None if pattern.is_empty() else state.sigma
         )
 
         new_state = saem_damp(state, (m_next, sigma_next, theta_next), k, config.schedule)
@@ -479,7 +422,7 @@ def fit(model, data, pattern, init, config=None, estep_mode="mh"):
                 delta=delta,
             )
         )
-        if len(deltas) >= config.window and max(deltas[-config.window :]) < config.outer_tol:
+        if len(deltas) >= _WINDOW and max(deltas[-_WINDOW:]) < config.outer_tol:
             converged = True
             break
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import SpdMatrix
 from .exceptions import (
@@ -36,7 +35,6 @@ __all__ = [
     "LinearGaussianModel",
     "Dataset",
     "DEFAULT_DOSES",
-    "log_prior_density",
     "simulate_individual",
     "simulate_dataset",
     "load_dataset",
@@ -267,15 +265,6 @@ class LinearGaussianModel(NlmeModel):
         return float(
             np.sum(-0.5 * self.q * _LOG_2PI - 0.5 * marg.logdet() - 0.5 * quad)
         )
-
-
-def log_prior_density(x, m, sigma):
-    """Multivariate normal log density of x under N(m, Sigma)."""
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
-    z = np.asarray(x, dtype=float) - np.asarray(m, dtype=float)
-    w = scipy.linalg.solve_triangular(sigma.chol_lower, z, lower=True)
-    return float(-0.5 * sigma.dim * _LOG_2PI - 0.5 * sigma.logdet() - 0.5 * (w @ w))
 
 
 def _as_generator(rng_seed):

@@ -1,5 +1,6 @@
-"""Shared test utilities: random problem generators and an independent
-brute-force oracle for the constrained covariance solve.
+"""Shared test utilities: random problem generators, an independent
+brute-force oracle for the constrained covariance solve, and the exact
+E-step of models with closed-form posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from zeromix.covariance import ZeroPattern, free_entry_indices
+from zeromix.mcem import EStepOutput
 
 
 def random_spd(rng, q, dof_extra=5):
@@ -81,3 +83,31 @@ def oracle_starts(xtilde, pattern):
     zf = zero_forced(xtilde, pattern)
     repaired = min_eig_repair(zf, 100).values
     return [diag_start, pack_raw(repaired, pattern)]
+
+
+def exact_estep(model, ys, ids, m, sigma, theta, *sampler_args, **sampler_kwargs):
+    """Closed-form E-step for models exposing exact posterior moments.
+
+    Takes ``run_estep``'s arguments and ignores the sampler's ones
+    (chain length, burn-in, seeds, warm starts), so it can stand in for
+    the sampler inside ``fit``.
+    """
+    n = len(ys)
+    ex = np.zeros((n, model.q))
+    exx = np.zeros((n, model.q, model.q))
+    tstat = np.zeros(n)
+    for i in range(n):
+        mean, cov = model.posterior_moments(ys[i], m, sigma, theta)
+        ex[i] = mean
+        exx[i] = cov + np.outer(mean, mean)
+        r = ys[i] - mean
+        tstat[i] = float(r @ r) + float(np.trace(cov))
+    return EStepOutput(
+        ids=tuple(ids),
+        ex=ex,
+        exx=exx,
+        tstat=tstat,
+        accept_rate=np.ones(n),
+        domain_rejects=np.zeros(n, dtype=np.int64),
+        last_states=ex.copy(),
+    )

@@ -146,6 +146,7 @@ def solver_battery():
     }
 
 
+@pytest.mark.slow
 def test_constrained_solver_matches_brute_force_oracle(solver_battery):
     """Across 3 single-pair patterns at order 3 and 5 random patterns at
     order 4, 50 problems each: objective within 1e-8 of a restarted
@@ -160,6 +161,7 @@ def test_constrained_solver_matches_brute_force_oracle(solver_battery):
     assert b["elapsed"] < 120.0
 
 
+@pytest.mark.slow
 def test_every_column_update_descends_and_preserves_structure(solver_battery):
     """Replaying every column update of the battery: the objective never
     increases and every iterate is positive definite with exact zeros."""
@@ -238,6 +240,7 @@ def test_linear_gaussian_end_to_end_recovery():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_cortisol_fit_keeps_exact_zeros_across_seeds():
     """Fitting the bundled dose-response dataset with the corner and
     steepness-versus-half-dose entries constrained: for 5 sampler seeds
@@ -265,6 +268,7 @@ def test_cortisol_fit_keeps_exact_zeros_across_seeds():
     assert not bad
 
 
+@pytest.mark.slow
 def test_study_constrained_estimator_beats_unconstrained():
     """20-replicate simulation study at the documented truth: the
     constrained estimator's rows for the two constrained entries are

@@ -68,10 +68,6 @@ def test_aggregate_single_replicate_has_zero_spread():
 def test_study_config_validation():
     with pytest.raises(ValueError):
         SimStudyConfig(n_replicates=0)
-    with pytest.raises(ValueError):
-        SimStudyConfig(estimators=("em", "bogus"))
-    with pytest.raises(ValueError):
-        SimStudyConfig(estimators=("zero_forced",))
     with pytest.raises(Exception):
         # truth with a nonzero entry at a constrained position
         SimStudyConfig(truth_sigma=(
@@ -100,7 +96,7 @@ def _fake_report():
             "icf_mean": 0.9, "icf_se": 0.4, "icf_rmqe": 1.0,
         })
     return SimStudyReport(
-        n_replicates=2, n_used=2, estimators=("em", "em_icf"), rows=rows,
+        n_replicates=2, n_used=2, rows=rows,
         loglik_row={"em_mean": -800.0, "em_se": 3.0,
                     "icf_mean": -801.0, "icf_se": 3.1},
         p_values=[0.3, 0.8], lr_df=2, records=[], excluded=[], retried=[],

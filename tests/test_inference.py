@@ -78,21 +78,6 @@ def test_estimate_is_the_id_ordered_sum_of_one_individual_estimates(n_samples):
     assert est.mc_se == pytest.approx(np.sqrt(var), rel=1e-12)
 
 
-def test_duplicated_individuals_double_the_result_exactly():
-    from zeromix.models import Dataset
-    model, data, m, sigma, theta = _linear_setup(n=3)
-    base = loglik_is(model, data, m, sigma, theta, n_samples=400,
-                     individual_seeds={i: int(k) for k, i in enumerate(data.ids)})
-    doubled = Dataset(
-        list(data.ids) + [f"{i}x" for i in data.ids],
-        np.vstack([data.y, data.y]), data.design)
-    seeds = {i: int(k) for k, i in enumerate(data.ids)}
-    seeds.update({f"{i}x": int(k) for k, i in enumerate(data.ids)})
-    est = loglik_is(model, doubled, m, sigma, theta, n_samples=400,
-                    individual_seeds=seeds)
-    assert est.loglik == pytest.approx(2.0 * base.loglik, abs=1e-9)
-
-
 def test_monte_carlo_error_shrinks_with_sample_size():
     model, data, m, sigma, theta = _linear_setup(n=20)
     small = loglik_is(model, data, m, sigma, theta, n_samples=500, seed=2)
@@ -166,12 +151,13 @@ def test_standard_errors_equal_a_stencil_through_loglik_is():
 
 
 def test_a_step_out_of_the_cone_flags_its_coordinate():
-    # with rho = 0.95 a 10% step on the covariance entry leaves Sigma
-    # indefinite; the mean coordinates keep their standard errors
+    # with rho = 0.9995 the default 0.1% steps on the covariance entries
+    # leave Sigma indefinite; the mean coordinates keep their standard
+    # errors
     model, data, m, _, theta = _linear_setup(n=40, seed=4)
-    sigma = SpdMatrix(np.array([[1.0, 0.95], [0.95, 1.0]]))
+    sigma = SpdMatrix(np.array([[1.0, 0.9995], [0.9995, 1.0]]))
     res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
-                    n_samples=200, seed=1, step_scale=0.1)
+                    n_samples=200, seed=1)
     assert res.flagged
     assert "sigma_2_1" not in res.se
     assert "m1" in res.se and "m2" in res.se

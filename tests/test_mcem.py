@@ -9,10 +9,12 @@ E-step arrays; the driver against EM monotonicity with exact moments.
 import numpy as np
 import pytest
 
+from helpers import exact_estep
+from zeromix import mcem
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateDrawError, ScheduleError
 from zeromix.mcem import (FitConfig, FitState, GammaSchedule, fit, m_update,
-                          mh_chain, run_estep, saem_damp, xtilde_update)
+                          run_estep, saem_damp, xtilde_update)
 from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 
@@ -102,8 +104,8 @@ def test_chain_averages_match_the_conjugate_posterior():
     m = np.array([0.5, -0.5])
     theta = 0.5
     y = np.array([1.5, 0.3])
-    state = FitState(m=m, sigma=SpdMatrix(sigma), theta=theta)
-    est = mh_chain(model, y, state, chain_length=20000, burn_in=2000, seed=7)
+    est = run_estep(model, y[None, :], ("0",), m, SpdMatrix(sigma), theta,
+                    chain_length=20000, burn_in=2000, seeds=[7])
     mean, cov = _conjugate_posterior(y, m, sigma, theta)
     assert np.all(np.abs(est.ex[0] - mean) < 0.03)
     var_chain = np.diag(est.exx[0] - np.outer(est.ex[0], est.ex[0]))
@@ -113,10 +115,10 @@ def test_chain_averages_match_the_conjugate_posterior():
 
 def test_chain_is_bitwise_deterministic():
     model = LinearGaussianModel(2)
-    state = FitState(m=np.zeros(2), sigma=SpdMatrix(np.eye(2)), theta=1.0)
-    y = np.array([0.7, -0.2])
-    a = mh_chain(model, y, state, chain_length=300, burn_in=30, seed=123)
-    b = mh_chain(model, y, state, chain_length=300, burn_in=30, seed=123)
+    y = np.array([[0.7, -0.2]])
+    a, b = (run_estep(model, y, ("0",), np.zeros(2), SpdMatrix(np.eye(2)), 1.0,
+                      chain_length=300, burn_in=30, seeds=[123])
+            for _ in range(2))
     assert np.array_equal(a.ex, b.ex)
     assert np.array_equal(a.exx, b.exx)
     assert np.array_equal(a.last_states, b.last_states)
@@ -197,7 +199,8 @@ def test_estep_theta_statistic_is_gathered_at_the_retained_states():
         assert estep.tstat[i] == pytest.approx(expected, rel=1e-10)
 
 
-def test_exact_em_increases_the_marginal_likelihood():
+def test_exact_em_increases_the_marginal_likelihood(monkeypatch):
+    monkeypatch.setattr(mcem, "run_estep", exact_estep)
     model = LinearGaussianModel(3)
     truth_sigma = SpdMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.5, -0.2],
                                       [0.0, -0.2, 0.8]]))
@@ -206,8 +209,7 @@ def test_exact_em_increases_the_marginal_likelihood():
     init = FitState(m=np.zeros(3), sigma=SpdMatrix(np.eye(3)), theta=1.0)
     cfg = FitConfig(schedule=GammaSchedule(k0=1000), outer_tol=1e-12,
                     max_outer=100, seed=0)
-    res = fit(model, data, ZeroPattern([], dim=3), init, cfg,
-              estep_mode="exact")
+    res = fit(model, data, ZeroPattern([], dim=3), init, cfg)
     lls = [model.marginal_loglik(data.y, row.m, SpdMatrix(row.sigma), row.theta)
            for row in res.trace]
     diffs = np.diff(lls)

@@ -13,8 +13,7 @@ from zeromix.covariance import SpdMatrix
 from zeromix.exceptions import (DataFormatError, DegenerateDrawError,
                                 DomainError)
 from zeromix.models import (DEFAULT_DOSES, CortisolModel, Dataset,
-                            LinearGaussianModel, load_dataset,
-                            log_prior_density, save_dataset,
+                            LinearGaussianModel, load_dataset, save_dataset,
                             simulate_dataset, simulate_individual)
 
 
@@ -158,16 +157,6 @@ def test_linear_gaussian_marginal_matches_scipy():
         mean=m, cov=sigma.values + theta * np.eye(2)).logpdf(ys).sum()
     assert model.marginal_loglik(ys, m, sigma, theta) == pytest.approx(
         expected, abs=1e-10)
-
-
-def test_prior_density_matches_scipy():
-    rng = np.random.default_rng(21)
-    sigma = SpdMatrix(np.array([[1.5, -0.2], [-0.2, 0.8]]))
-    m = np.array([0.5, -1.0])
-    for _ in range(3):
-        x = rng.standard_normal(2)
-        expected = multivariate_normal(mean=m, cov=sigma.values).logpdf(x)
-        assert log_prior_density(x, m, sigma) == pytest.approx(expected, abs=1e-12)
 
 
 def test_simulate_individual_is_deterministic():

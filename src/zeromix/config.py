@@ -6,6 +6,7 @@ all the keys each section accepts:
 ``[model]``
     ``name`` is ``cortisol`` or ``linear_gaussian``.  The cortisol model
     accepts an optional ``doses`` list; the linear model takes ``q``.
+    Either model's key under the other name is an error.
 
 ``[pattern]``
     ``pairs`` lists the prescribed zeros as 1-based index pairs, e.g.
@@ -132,6 +133,8 @@ _SECTIONS = {
     "study": {"replicates": _INT, "individuals": _INT, "master_seed": _INT,
               "truth_m": _parse_floats, "truth_sigma": _parse_matrix, "truth_theta": _FLOAT},
 }
+# [model] key each model name takes besides ``name``
+_MODEL_KEYS = {"cortisol": "doses", "linear_gaussian": "q"}
 # [mcem] keys of the damping schedule, with their GammaSchedule fields
 _SCHEDULE_FIELDS = {"gamma_a": "a", "gamma_b": "b", "warmup": "k0"}
 # [study] sizes with their defaults, and the truth it must give
@@ -166,15 +169,19 @@ def _build_model(values):
     name = values.get("name")
     if name is None:
         raise ConfigError("[model] section needs a 'name' key")
+    if name not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model name {name!r}")
+    for key in values:
+        if key != "name" and key != _MODEL_KEYS[name]:
+            raise ConfigError(f"[model] key {key!r} does not apply to the {name} model, "
+                              f"which takes {_MODEL_KEYS[name]!r}")
     if name == "cortisol":
         if "doses" not in values:
             return CortisolModel()
         return CortisolModel(doses=tuple(values["doses"]))
-    if name == "linear_gaussian":
-        if "q" not in values:
-            raise ConfigError("linear_gaussian model needs a 'q' key")
-        return LinearGaussianModel(values["q"])
-    raise ConfigError(f"unknown model name {name!r}")
+    if "q" not in values:
+        raise ConfigError("linear_gaussian model needs a 'q' key")
+    return LinearGaussianModel(values["q"])
 
 
 def _build_init(values, q, pattern):

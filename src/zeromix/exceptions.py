@@ -63,8 +63,9 @@ class ScheduleError(UsageError):
     """Damping schedule parameters outside their valid range."""
 
 
-class ValueOutOfRangeError(UsageError):
-    """A probability-like input falls outside [0, 1]."""
+class ValueOutOfRangeError(UsageError, ValueError):
+    """A numeric input falls outside its valid range: a probability
+    outside [0, 1], a count or length below its minimum."""
 
 
 class DataFormatError(UsageError):

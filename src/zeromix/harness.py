@@ -10,13 +10,19 @@ ratio p-values feed a QQ-plot data file.
 
 Everything is keyed off a single master seed: replicate r derives all
 of its randomness from (master seed, r, attempt), so reports are
-byte-identical across runs.
+byte-identical across runs.  Replicates run in min(usable CPUs,
+replicates) processes; the report is the same bytes as from one
+process, because no replicate reads another's state and the parent
+assembles the results in replicate order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,7 +91,8 @@ class SimStudyConfig:
 
     def __post_init__(self):
         if self.n_replicates < 1:
-            raise ValueError("n_replicates must be >= 1")
+            raise ValueOutOfRangeError("n_replicates must be >= 1, got %r"
+                                       % (self.n_replicates,))
         # The truth must be a valid constrained covariance.
         SpdMatrix(np.asarray(self.truth_sigma, dtype=float), pattern=self.pattern)
 
@@ -214,33 +221,63 @@ def _aggregate(vectors, truth):
     return mean, se, rmqe
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _replicate_attempts(cfg, r):
+    """Replicate ``r`` with its retry: ``(kept record or None, failed attempts)``.
+
+    Attempt 0 runs first; if it raises a numerical error or does not
+    converge, attempt 1 runs with its own derived seeds.  Each failed
+    attempt is listed with its reason.
+    """
+    model = CortisolModel()
+    attempts = []
+    for attempt in (0, 1):
+        try:
+            record, failed = _run_replicate(cfg, model, r, attempt)
+        except NumericalError as exc:
+            attempts.append({"attempt": attempt, "error": str(exc)})
+            continue
+        if failed:
+            attempts.append({"attempt": attempt,
+                             "error": f"not converged: {', '.join(failed)}"})
+            continue
+        return record, attempts
+    return None, attempts
+
+
 def run_simulation_study(cfg):
     """Run the full study; deterministic given the master seed.
 
     A replicate whose fit raises a numerical error or fails to converge
     is re-run once with a fresh derived seed; if the second attempt
     also fails, the replicate is excluded from the aggregates and
-    counted in the report.
+    counted in the report.  Replicates run in a pool of
+    min(usable CPUs, replicates) processes, or in this process when
+    that is one; the report does not depend on the count.
     """
-    model = CortisolModel()
+    workers = min(_usable_cpus(), cfg.n_replicates)
+    replicates = range(cfg.n_replicates)
+    if workers == 1:
+        outcomes = [_replicate_attempts(cfg, r) for r in replicates]
+    else:
+        # The platform's default start method; on Linux before Python
+        # 3.14 that is fork, whose workers need not import numpy again.
+        # concurrent.futures imports its process pool (and multiprocessing)
+        # on first use, so runs that never pool do not load it.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(partial(_replicate_attempts, cfg), replicates))
     records = []
     excluded = []
     retried = []
-    for r in range(cfg.n_replicates):
-        kept = None
-        attempts = []
-        for attempt in (0, 1):
-            try:
-                record, failed = _run_replicate(cfg, model, r, attempt)
-            except NumericalError as exc:
-                attempts.append({"attempt": attempt, "error": str(exc)})
-                continue
-            if failed:
-                attempts.append({"attempt": attempt,
-                                 "error": f"not converged: {', '.join(failed)}"})
-                continue
-            kept = record
-            break
+    for r, (kept, attempts) in enumerate(outcomes):
         if kept is None:
             excluded.append({"replicate": r, "attempts": attempts})
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import DegenerateDrawError, ScheduleError
+from .exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
 from .models import NlmeModel
 
 __all__ = [
@@ -92,11 +92,13 @@ class FitConfig:
 
     def __post_init__(self):
         if self.chain_length < 1:
-            raise ValueError("chain_length must be >= 1")
+            raise ValueOutOfRangeError("chain_length must be >= 1, got %r" % (self.chain_length,))
         if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.outer_tol <= 0.0 or self.max_outer < 1:
-            raise ValueError("invalid outer-loop configuration")
+            raise ValueOutOfRangeError("burn_in must be >= 0, got %r" % (self.burn_in,))
+        if self.outer_tol <= 0.0:
+            raise ValueOutOfRangeError("outer_tol must be > 0, got %r" % (self.outer_tol,))
+        if self.max_outer < 1:
+            raise ValueOutOfRangeError("max_outer must be >= 1, got %r" % (self.max_outer,))
 
 
 @dataclass

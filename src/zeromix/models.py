@@ -27,6 +27,7 @@ from .exceptions import (
     DataFormatError,
     DegenerateDrawError,
     DomainError,
+    ValueOutOfRangeError,
 )
 
 __all__ = [
@@ -146,7 +147,7 @@ class CortisolModel(NlmeModel):
     def __init__(self, doses=DEFAULT_DOSES):
         doses = np.asarray(doses, dtype=float)
         if np.any(doses <= 0.0):
-            raise ValueError("doses must be positive")
+            raise ValueOutOfRangeError("doses must be positive")
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
 
     @property

@@ -117,6 +117,24 @@ def test_fit_rejects_missing_and_malformed_inputs(tmp_path, capsys):
     assert "row 2" in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("[study]", "[mcem]\nchain_length = 0\n\n[study]", "chain_length must be >= 1"),
+    ("name = cortisol", "name = cortisol\ndoses = 1, -2", "doses must be positive"),
+])
+def test_fit_rejects_out_of_range_settings(tmp_path, capsys, old, new, message):
+    csv_path, _ = example_paths()
+    ini = tmp_path / "range.ini"
+    ini.write_text(STUDY_INI.replace(old, new))
+    assert main(["fit", "--data", csv_path, "--config", str(ini),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_study_rejects_zero_replicates(tmp_path, capsys):
+    assert main(["study", "--replicates", "0", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: n_replicates must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_writes_a_loadable_dataset(tmp_path, capsys):
     ini = tmp_path / "study.ini"
     ini.write_text(STUDY_INI)

@@ -93,6 +93,8 @@ def test_inline_comments_are_stripped(tmp_path):
     ("[init]\nm = 1\ntheta = 1\n", "[model] section"),
     ("[model]\nname = bogus\n", "unknown model"),
     ("[model]\nname = linear_gaussian\n", "needs a 'q'"),
+    ("[model]\nname = cortisol\nq = 4\n", "key 'q' does not apply"),
+    ("[model]\nname = linear_gaussian\nq = 2\ndoses = 1, 2\n", "key 'doses' does not apply"),
     ("[model]\nname = cortisol\n", "needs an [init]"),
     ("[model]\nname = cortisol\n[init]\nm = 1,2,3,4\ntheta = 1\n",
      "exactly one of"),
@@ -140,11 +142,13 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path, extra, section, key):
 
 def test_every_documented_key_is_accepted(tmp_path):
     # FULL sets every [pattern], [mcem] and [study] key; the [model] and
-    # [init] keys it leaves out are set here
-    full = FULL.replace("name = cortisol", "name = cortisol\ndoses = 1, 2, 10\nq = 4")
+    # [init] keys it leaves out are set here, each model key under its model
+    full = FULL.replace("name = cortisol", "name = cortisol\ndoses = 1, 2, 10")
     assert load_config(_write(tmp_path, full)).model.n_obs == 3
-    text = MINIMAL.replace("sigma_diag = 1,1,1,1", "sigma = 1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1")
-    assert load_config(_write(tmp_path, text)).init.sigma.dim == 4
+    text = MINIMAL.replace("name = cortisol", "name = linear_gaussian\nq = 4").replace(
+        "sigma_diag = 1,1,1,1", "sigma = 1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1")
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.model.q == 4 and cfg.init.sigma.dim == 4
 
 
 def test_missing_file_is_a_config_error(tmp_path):

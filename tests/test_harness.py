@@ -1,18 +1,21 @@
 """Study harness: aggregation, QQ data, report writers, and the
 bundled example."""
 
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 
-from zeromix.exceptions import ValueOutOfRangeError
-from zeromix.harness import (SimStudyConfig, SimStudyReport, _aggregate,
-                             _replicate_seeds, cortisol_example, fit_report,
-                             qq_data, table_param_labels, write_example_bundle,
+from zeromix import harness
+from zeromix.exceptions import DomainError, ValueOutOfRangeError
+from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
+                             _aggregate, _replicate_seeds, cortisol_example,
+                             fit_report, qq_data, run_simulation_study,
+                             table_param_labels, write_example_bundle,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
-from zeromix.mcem import FitResult, FitState, TraceRow
+from zeromix.mcem import FitConfig, FitResult, FitState, GammaSchedule, TraceRow
 from zeromix.covariance import SpdMatrix
 
 
@@ -66,7 +69,7 @@ def test_aggregate_single_replicate_has_zero_spread():
 
 
 def test_study_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueOutOfRangeError):
         SimStudyConfig(n_replicates=0)
     with pytest.raises(Exception):
         # truth with a nonzero entry at a constrained position
@@ -84,6 +87,80 @@ def test_replicate_seeds_differ_across_replicates_and_attempts():
     c = _replicate_seeds(0, 0, 1)
     assert set(a) == {"data", "em", "em_icf", "loglik"}
     assert a != b and a != c and b != c
+
+
+def _stub_record(cfg, replicate, attempt):
+    est = {"m": list(cfg.truth_m), "sigma": [list(row) for row in cfg.truth_sigma],
+           "theta": cfg.truth_theta}
+    return {"replicate": replicate, "attempt": attempt,
+            "estimates": {name: est for name in ESTIMATOR_NAMES},
+            "loglik": {"em": -1.0, "em_icf": -1.0}, "lr": {"p": 0.5}}
+
+
+def test_retries_and_exclusions_are_kept_in_replicate_order(monkeypatch):
+    # (replicate, attempt) -> outcome; every pair not listed succeeds
+    plan = {(1, 0): "raise", (2, 0): ["em"], (2, 1): "raise", (3, 0): ["em_icf"]}
+    calls = []
+
+    def stub(cfg, model, replicate, attempt):
+        calls.append((replicate, attempt))
+        outcome = plan.get((replicate, attempt), [])
+        if outcome == "raise":
+            raise DomainError(f"stub failure {replicate}/{attempt}")
+        return _stub_record(cfg, replicate, attempt), outcome
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker must not start a process pool")
+
+    monkeypatch.setattr(harness, "_run_replicate", stub)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    report = run_simulation_study(SimStudyConfig(n_replicates=4))
+
+    assert calls == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+    assert [(rec["replicate"], rec["attempt"]) for rec in report.records] == [
+        (0, 0), (1, 1), (3, 1)]
+    assert report.n_used == 3 and report.n_replicates == 4
+    assert report.retried == [
+        {"replicate": 1, "attempts": [{"attempt": 0, "error": "stub failure 1/0"}]},
+        {"replicate": 3, "attempts": [{"attempt": 0, "error": "not converged: em_icf"}]},
+    ]
+    assert report.excluded == [
+        {"replicate": 2, "attempts": [{"attempt": 0, "error": "not converged: em"},
+                                      {"attempt": 1, "error": "stub failure 2/1"}]},
+    ]
+    assert report.p_values == [0.5, 0.5, 0.5]
+
+
+def test_pooled_study_matches_the_in_process_study(monkeypatch):
+    # Short chains and a cap near the iteration counts these datasets
+    # need: replicate 0 is excluded, replicate 1 kept on its retry and
+    # replicate 2 kept at once, so every kind of record crosses the
+    # process boundary.  Three replicates on two workers load them unevenly.
+    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=17, outer_tol=0.05,
+                        schedule=GammaSchedule(k0=3, b=1.0))
+    cfg = SimStudyConfig(n_replicates=3, n_individuals=8, master_seed=0, fit=fit_cfg)
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    serial = run_simulation_study(cfg)
+    assert pools == []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    pooled = run_simulation_study(cfg)
+    assert pools == [2]
+
+    assert [x["replicate"] for x in serial.excluded] == [0]
+    assert [x["replicate"] for x in serial.retried] == [1]
+    assert [(rec["replicate"], rec["attempt"]) for rec in serial.records] == [(1, 1), (2, 0)]
+    as_bytes = [json.dumps(rep.to_dict(), indent=2, sort_keys=True).encode()
+                for rep in (serial, pooled)]
+    assert as_bytes[0] == as_bytes[1]
 
 
 def _fake_report():

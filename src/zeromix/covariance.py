@@ -14,6 +14,13 @@ dropped, and positive definiteness is preserved through the Schur
 complement of the fixed block, which each column update checks.  The
 sweep runs on one plain array; the solver validates its inputs once
 and its result once, as an SpdMatrix.
+
+Factorizations use numpy's Cholesky; every solve against a factor is
+one direct LAPACK ``potrs`` call (``_cho_solve``), bitwise equal to
+scipy's ``cho_solve`` without its per-call finiteness scan.  Finiteness
+is checked where data enters instead: SufficientStats and SpdMatrix
+reject non-finite entries, and a NaN arising inside a sweep fails the
+column update's Schur test.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs as _dpotrs
 
 from .exceptions import (
     DiagonalZeroError,
@@ -219,8 +226,18 @@ class SpdMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     def solve(self, rhs):
-        """Solve Sigma x = rhs using the cached factorization."""
-        return scipy.linalg.cho_solve((self._chol, True), rhs)
+        """Solve Sigma x = rhs using the cached factorization.
+
+        ``rhs`` is a vector or a matrix of right-hand sides with ``dim``
+        rows.  Its finiteness is not checked: a non-finite entry gives
+        non-finite solution entries.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
+            raise ValueError(
+                "right-hand side of shape %r does not fit order %d" % (rhs.shape, self.dim)
+            )
+        return _cho_solve(self._chol, rhs)
 
     def inv(self):
         return self.solve(np.eye(self.dim))
@@ -289,6 +306,15 @@ class IcfDiagnostics:
     kkt: float
     converged: bool
     ridged: bool
+
+
+def _cho_solve(chol_lower, rhs):
+    # Solve L L' x = rhs for a lower Cholesky factor L by one potrs call,
+    # bitwise equal to scipy.linalg.cho_solve((L, True), rhs); no
+    # finiteness or shape check (see the module docstring)
+    if not chol_lower.shape[0]:
+        return np.array(rhs, dtype=float)  # LAPACK rejects order 0
+    return _dpotrs(chol_lower, rhs, lower=1)[0]
 
 
 def _as_array(sigma):
@@ -366,7 +392,7 @@ def schur_split(sigma, j):
         raise NotPositiveDefiniteError(
             "complementary block at pivot %d is not positive definite" % j
         ) from None
-    s = c - float(b @ scipy.linalg.cho_solve((chol_a, True), b))
+    s = c - float(b @ _cho_solve(chol_a, b))
     return SchurSplit(j=j, a=a, b=b, c=c, s=s)
 
 
@@ -416,10 +442,10 @@ def _update_column(cur, pivot):
     if free:
         # normal equations in the free coordinates, with A^-1 folded in:
         # [P' A^-1 M A^-1 P] b = P' A^-1 h   (sample count cancels)
-        ainv_m = scipy.linalg.cho_solve((chol_a, True), m_uu)
-        g_full = scipy.linalg.cho_solve((chol_a, True), ainv_m.T)
+        ainv_m = _cho_solve(chol_a, m_uu)
+        g_full = _cho_solve(chol_a, ainv_m.T)
         g_full = 0.5 * (g_full + g_full.T)
-        h_full = scipy.linalg.cho_solve((chol_a, True), h_vu)
+        h_full = _cho_solve(chol_a, h_vu)
         try:
             chol_g = np.linalg.cholesky(g_full[ix_free])
         except np.linalg.LinAlgError:
@@ -427,9 +453,9 @@ def _update_column(cur, pivot):
                 "free-coordinate Gram matrix at pivot %d is singular; "
                 "the moment matrix is degenerate" % j
             ) from None
-        b_opt[free] = scipy.linalg.cho_solve((chol_g, True), h_full[free])
+        b_opt[free] = _cho_solve(chol_g, h_full[free])
 
-    beta = scipy.linalg.cho_solve((chol_a, True), b_opt)  # A^-1 b_opt
+    beta = _cho_solve(chol_a, b_opt)  # A^-1 b_opt
     s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
     # s_opt is the new Schur complement: A being PD, so is the update iff s_opt > 0
     if not s_opt > 0.0:
@@ -451,8 +477,8 @@ def icf_column_update(sigma, stats, j, pattern):
 
     Parameters
     ----------
-    sigma : SpdMatrix
-        Current iterate, pattern-conformant.
+    sigma : SpdMatrix or array_like
+        Current iterate; validated here as ``SpdMatrix(sigma, pattern)``.
     stats : SufficientStats
         Moment aggregates; the sample count cancels in the solve.
     j : int
@@ -469,12 +495,14 @@ def icf_column_update(sigma, stats, j, pattern):
     Raises
     ------
     NotPositiveDefiniteError
-        If the complementary block fails to factorize or the new Schur
-        complement s_opt is not positive.
+        If ``sigma`` is not positive definite or has non-finite entries,
+        or the new Schur complement s_opt is not positive.
+    PatternViolationError
+        If ``sigma`` has a nonzero entry at a constrained position.
     SingularNormalEquationsError
         If the free-coordinate Gram matrix is singular (degenerate stats).
     """
-    cur = np.array(_as_array(sigma), dtype=float)
+    cur = np.array(SpdMatrix(_as_array(sigma), pattern=pattern).values)
     q = cur.shape[0]
     _require_order(pattern, q)
     if not (1 <= j <= q):
@@ -552,8 +580,12 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
         for p in pivots:
             _update_column(cur, p)
         sweeps += 1
-        denom = max(float(np.linalg.norm(prev)), np.finfo(float).tiny)
-        if float(np.linalg.norm(cur - prev)) / denom < tol:
+        # both norms scaled by one power of two, 2^-e with max|prev| in
+        # [2^(e-1), 2^e): exact, so the ratio is the plain one wherever
+        # that is finite, and nothing over- or underflows at extreme scales
+        e = int(np.frexp(np.max(np.abs(prev)))[1])
+        change = float(np.linalg.norm(np.ldexp(cur - prev, -e)))
+        if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
             converged = True
             break
     sigma = SpdMatrix(cur, pattern=pattern)

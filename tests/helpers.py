@@ -1,6 +1,7 @@
 """Shared test utilities: random problem generators, an independent
-brute-force oracle for the constrained covariance solve, and the exact
-E-step of models with closed-form posterior moments.
+brute-force oracle for the constrained covariance solve, a reference
+column update, and the exact E-step of models with closed-form
+posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -10,6 +11,7 @@ entry packing order.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from zeromix.covariance import ZeroPattern, free_entry_indices
@@ -83,6 +85,52 @@ def oracle_starts(xtilde, pattern):
     zf = zero_forced(xtilde, pattern)
     repaired = min_eig_repair(zf, 100).values
     return [diag_start, pack_raw(repaired, pattern)]
+
+
+def reference_column_update(sigma, xtilde, j, pattern):
+    """One ICF column update by the original call sequence.
+
+    Factors with ``np.linalg.cholesky`` and solves with scipy's checked
+    ``cho_solve``, in the order the package's kernel solves, so a kernel
+    whose arithmetic drifts by one bit no longer replays through it.
+    Returns the updated plain array.
+    """
+    cur = np.array(sigma, dtype=float)
+    jj = j - 1
+    rest = [t for t in range(cur.shape[0]) if t != jj]
+    free = [t for t, r in enumerate(rest) if (r + 1, j) not in pattern]
+    ix = np.ix_(rest, rest)
+    m_uu, h_vu, v_vv = xtilde[ix], xtilde[rest, jj], float(xtilde[jj, jj])
+    chol_a = np.linalg.cholesky(cur[ix])
+    b_opt = np.zeros(len(rest))
+    if free:
+        ainv_m = cho_solve((chol_a, True), m_uu)
+        g_full = cho_solve((chol_a, True), ainv_m.T)
+        g_full = 0.5 * (g_full + g_full.T)
+        h_full = cho_solve((chol_a, True), h_vu)
+        chol_g = np.linalg.cholesky(g_full[np.ix_(free, free)])
+        b_opt[free] = cho_solve((chol_g, True), h_full[free])
+    beta = cho_solve((chol_a, True), b_opt)
+    s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
+    cur[rest, jj] = b_opt
+    cur[jj, rest] = b_opt
+    cur[jj, jj] = s_opt + float(b_opt @ beta)
+    return cur
+
+
+def reference_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500):
+    """Cold-start sweeps of ``reference_column_update`` until the relative
+    Frobenius change of a sweep drops below ``tol``; returns the plain
+    array and the sweep count.
+    """
+    cur = np.diag(np.diag(xtilde))
+    for sweeps in range(1, max_sweeps + 1):
+        prev = cur
+        for j in range(1, pattern.dim + 1):
+            cur = reference_column_update(cur, xtilde, j, pattern)
+        if np.linalg.norm(cur - prev) / np.linalg.norm(prev) < tol:
+            break
+    return cur, sweeps
 
 
 def exact_estep(model, ys, ids, m, sigma, theta, *sampler_args, **sampler_kwargs):

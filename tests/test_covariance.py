@@ -286,6 +286,48 @@ def test_indefinite_moments_fail_the_schur_check():
         icf_solve(SufficientStats(embedded, n=5), PAT13)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_solve_is_equivariant_under_extreme_scales(scale):
+    # the solution for c X-tilde is c Sigma-hat, reached in as many
+    # sweeps: the convergence test neither over- nor underflows
+    pat = ZeroPattern([(1, 3), (2, 4)], dim=4)
+    xt = random_spd(np.random.default_rng(11), 4, dof_extra=5)
+    ref, ref_diag = icf_solve(SufficientStats(xt, n=10), pat)
+    sol, diag = icf_solve(SufficientStats(scale * xt, n=10), pat)
+    assert ref_diag.converged and diag.converged
+    assert diag.sweeps == ref_diag.sweeps
+    assert np.allclose(sol.values / scale, ref.values, rtol=1e-12, atol=0.0)
+
+
+def test_column_update_validates_array_input():
+    stats = SufficientStats(XT3, n=10)
+    for bad in (np.nan, np.inf):
+        sigma = np.eye(3)
+        sigma[1, 0] = sigma[0, 1] = bad
+        with pytest.raises(NotPositiveDefiniteError):
+            icf_column_update(sigma, stats, 3, PAT13)
+    off_pattern = np.eye(3)
+    off_pattern[2, 0] = off_pattern[0, 2] = 0.1
+    with pytest.raises(PatternViolationError):
+        icf_column_update(off_pattern, stats, 2, PAT13)
+
+
+def test_order_one_update_and_split_solve_the_empty_block():
+    # the complementary block of a 1 x 1 matrix is empty: nothing to solve
+    sigma = SpdMatrix(np.array([[2.0]]))
+    out = icf_column_update(sigma, SufficientStats(np.array([[3.0]]), n=5), 1,
+                            ZeroPattern([], dim=1))
+    assert out.values.tolist() == [[3.0]]
+    assert schur_split(sigma, 1).s == 2.0
+
+
+def test_spd_matrix_solve_rejects_mismatched_right_hand_sides():
+    spd = SpdMatrix(XT3 + 10.0 * np.eye(3))
+    for rhs in (np.ones(2), np.ones((4, 2)), np.ones((2, 3, 3)), 1.0):
+        with pytest.raises(ValueError):
+            spd.solve(rhs)
+
+
 def test_solve_rejects_pattern_of_wrong_order():
     stats = SufficientStats(XT3, n=10)
     with pytest.raises(ValueError):

@@ -1,0 +1,52 @@
+"""Independent tasks on the CPUs this process may use.
+
+The study's replicates, ``zeromix fit``'s free fit and the shares of
+the SE stencil do not read each other's state.  ``run_tasks`` runs such
+tasks in min(usable CPUs, tasks) processes, or all in this process, in
+order, when that is one; either way it returns the results in task
+order, so callers produce the same bytes whatever the count.  Tasks
+sent to a worker are pickled, so they must be module-level functions of
+picklable arguments.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+
+
+def usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def processes(tasks):
+    """How many processes ``run_tasks`` uses for ``tasks`` tasks."""
+    return min(usable_cpus(), tasks)
+
+
+def run_tasks(fn, arg_tuples, here_first=False):
+    """``[fn(*args) for args in arg_tuples]`` on ``processes(len(arg_tuples))`` processes.
+
+    With one process no pool is made.  Otherwise a pool of that many
+    worker processes runs the calls; with ``here_first`` this process
+    runs the first call itself, while a pool of one process fewer runs
+    the rest.  An exception raised by a call propagates.
+    """
+    arg_tuples = list(arg_tuples)
+    count = processes(len(arg_tuples))
+    if count <= 1:
+        return [fn(*args) for args in arg_tuples]
+    first = 1 if here_first else 0
+    # The platform's default start method; on Linux before Python 3.14
+    # that is fork, whose workers need not import numpy again.
+    # concurrent.futures imports its process pool (and multiprocessing)
+    # on first use, so runs that never pool do not load it.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=count - first) as pool:
+        futures = [pool.submit(fn, *args) for args in arg_tuples[first:]]
+        head = [fn(*args) for args in arg_tuples[:first]]
+        return head + [future.result() for future in futures]

@@ -5,6 +5,14 @@ Subcommands: ``fit`` (dataset + config to report and trace), ``simulate``
 table CSV, QQ CSV), ``icf`` (conditional variance matrix + pattern to
 the constrained optimum), ``validate`` (built-in oracle checks).
 
+``fit`` runs its independent stages on min(usable CPUs, tasks)
+processes: with a non-empty pattern the free fit of the LR test and its
+log likelihood run in a worker process while this process runs the
+constrained fit and its log likelihood, and the SE stencil is scored in
+shares (see ``inference.fisher_se``).  The output files are the same
+bytes for any process count.  Sample counts are checked before any fit
+starts.
+
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
@@ -17,48 +25,60 @@ import sys
 
 import numpy as np
 
+from ._pool import run_tasks
 from .config import _parse_pairs, load_config
-from .covariance import SufficientStats, ZeroPattern, icf_solve, objective
-from .exceptions import NumericalError, UsageError
+from .covariance import SpdMatrix, SufficientStats, ZeroPattern, icf_solve, objective
+from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
 from .harness import (SimStudyConfig, fit_report, qq_data, run_simulation_study,
                       run_validation, write_json, write_qq_csv, write_table_csv,
                       write_trace_csv)
 from .inference import fisher_se, loglik_is, lr_test
 from .mcem import FitState, fit
 from .models import load_dataset, save_dataset, simulate_dataset
-from .covariance import SpdMatrix
 
 
 def _derived_seed(base, tag):
     return int(np.random.SeedSequence((base, tag)).generate_state(1)[0])
 
 
+def _fit_scored(model, data, pattern, init, fit_cfg, n_samples, ll_seed):
+    """One fit and the importance-sampled log likelihood at its estimate."""
+    result = fit(model, data, pattern, init, fit_cfg)
+    st = result.state
+    return result, loglik_is(model, data, st.m, st.sigma, st.theta,
+                             n_samples=n_samples, seed=ll_seed)
+
+
 def _cmd_fit(args):
+    for flag, value in (("--loglik-samples", args.loglik_samples),
+                        ("--se-samples", args.se_samples)):
+        if value < 1:
+            raise ValueOutOfRangeError(f"{flag} must be >= 1, got {value}")
     cfg = load_config(args.config)
     data = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    result = fit(cfg.model, data, cfg.pattern, cfg.init, cfg.fit)
-    state = result.state
-
+    # The constrained fit runs here; the free fit of the LR test shares
+    # nothing with it and runs beside it in a worker process.
     ll_seed = _derived_seed(cfg.fit.seed, 2)
-    ll = loglik_is(cfg.model, data, state.m, state.sigma, state.theta,
-                   n_samples=args.loglik_samples, seed=ll_seed)
-
-    lr = None
+    tasks = [(cfg.model, data, cfg.pattern, cfg.init, cfg.fit,
+              args.loglik_samples, ll_seed)]
     if not cfg.pattern.is_empty():
-        empty = ZeroPattern([], dim=cfg.model.q)
         init_u = FitState(m=cfg.init.m, sigma=SpdMatrix(cfg.init.sigma.values),
                           theta=cfg.init.theta)
         cfg_u = dataclasses.replace(cfg.fit, seed=_derived_seed(cfg.fit.seed, 1))
-        result_u = fit(cfg.model, data, empty, init_u, cfg_u)
-        su = result_u.state
-        ll_u = loglik_is(cfg.model, data, su.m, su.sigma, su.theta,
-                         n_samples=args.loglik_samples, seed=ll_seed)
-        lr = lr_test(ll.loglik, ll_u.loglik, cfg.pattern)
+        tasks.append((cfg.model, data, ZeroPattern([], dim=cfg.model.q), init_u,
+                      cfg_u, args.loglik_samples, ll_seed))
+    scored = run_tasks(_fit_scored, tasks, here_first=True)
+    result, ll = scored[0]
+
+    lr = None
+    if len(scored) > 1:
+        lr = lr_test(ll.loglik, scored[1][1].loglik, cfg.pattern)
 
     se = None
     if not args.no_se:
+        state = result.state
         se = fisher_se(cfg.model, data, state.m, state.sigma, state.theta,
                        cfg.pattern, n_samples=args.se_samples,
                        seed=_derived_seed(cfg.fit.seed, 3))

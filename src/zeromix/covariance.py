@@ -37,6 +37,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     PatternViolationError,
     SingularNormalEquationsError,
+    ValueOutOfRangeError,
 )
 
 __all__ = [
@@ -290,7 +291,7 @@ class SufficientStats:
         self.xtilde = m
         self.n = int(n)
         if self.n < 1:
-            raise ValueError("sample count must be >= 1, got %d" % self.n)
+            raise ValueOutOfRangeError("sample count must be >= 1, got %d" % self.n)
 
     @property
     def dim(self):
@@ -533,15 +534,18 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     init : SpdMatrix, optional
         Starting point; defaults to the diagonal of X-tilde.
     tol : float
-        Relative Frobenius sweep-change threshold.
+        Relative Frobenius sweep-change threshold; finite and > 0.
     max_sweeps : int
+        At least 1.
 
     Returns
     -------
     (SpdMatrix, IcfDiagnostics)
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueOutOfRangeError("tol must be finite and > 0, got %r" % (tol,))
+    if max_sweeps < 1:
+        raise ValueOutOfRangeError("max_sweeps must be >= 1, got %r" % (max_sweeps,))
     q = stats.dim
     _require_order(pattern, q)
 

@@ -11,21 +11,22 @@ ratio p-values feed a QQ-plot data file.
 Everything is keyed off a single master seed: replicate r derives all
 of its randomness from (master seed, r, attempt), so reports are
 byte-identical across runs.  Replicates run in min(usable CPUs,
-replicates) processes; the report is the same bytes as from one
-process, because no replicate reads another's state and the parent
-assembles the results in replicate order.
+replicates) worker processes through the package's one pool helper
+(``_pool.run_tasks``, which ``zeromix fit`` and ``fisher_se`` share);
+the report is the same bytes as from one process, because no replicate
+reads another's state and the parent assembles the results in
+replicate order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
+from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from .exceptions import NumericalError, ValueOutOfRangeError
 from .inference import loglik_is, lr_test
@@ -221,15 +222,6 @@ def _aggregate(vectors, truth):
     return mean, se, rmqe
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "process_cpu_count"):
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _replicate_attempts(cfg, r):
     """Replicate ``r`` with its retry: ``(kept record or None, failed attempts)``.
 
@@ -263,17 +255,8 @@ def run_simulation_study(cfg):
     min(usable CPUs, replicates) processes, or in this process when
     that is one; the report does not depend on the count.
     """
-    workers = min(_usable_cpus(), cfg.n_replicates)
-    replicates = range(cfg.n_replicates)
-    if workers == 1:
-        outcomes = [_replicate_attempts(cfg, r) for r in replicates]
-    else:
-        # The platform's default start method; on Linux before Python
-        # 3.14 that is fork, whose workers need not import numpy again.
-        # concurrent.futures imports its process pool (and multiprocessing)
-        # on first use, so runs that never pool do not load it.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(partial(_replicate_attempts, cfg), replicates))
+    outcomes = run_tasks(_replicate_attempts,
+                         [(cfg, r) for r in range(cfg.n_replicates)])
     records = []
     excluded = []
     retried = []
@@ -464,7 +447,6 @@ def write_example_bundle(directory):
     data, _ = simulate_dataset(model, np.asarray(_EXAMPLE_M),
                                np.asarray(_EXAMPLE_SIGMA), _EXAMPLE_THETA,
                                _EXAMPLE_N, _EXAMPLE_SEED)
-    import os
     csv_path = os.path.join(str(directory), "cortisol_example.csv")
     ini_path = os.path.join(str(directory), "cortisol_example.ini")
     save_dataset(data, csv_path)

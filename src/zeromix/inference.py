@@ -6,9 +6,11 @@ importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
 underflowing.  Individuals are scored in blocks of rows, one density
 call and one log-sum-exp per block.  Standard errors come from a
-central finite-difference Hessian of the negative log likelihood; its
-standard-normal draws are made once and reused at every stencil point
-(common random numbers).  The prescribed zero pattern is tested by a
+central finite-difference Hessian of the negative log likelihood; every
+stencil point is scored on the same standard-normal draws (common
+random numbers), and the points are scored in contiguous shares on
+min(usable CPUs, points) processes, each share drawing those numbers
+itself.  The prescribed zero pattern is tested by a
 chi-square likelihood ratio with one degree of freedom per constrained
 pair.
 """
@@ -23,13 +25,14 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
+from . import _pool
 from .covariance import (
     SpdMatrix,
     free_entry_indices,
     pack_free_entries,
     unpack_free_entries,
 )
-from .exceptions import DegenerateWeightError, NumericalError
+from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
 
 __all__ = [
     "LikelihoodEstimate",
@@ -140,6 +143,11 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
     return float(np.sum(log_mean[order])), float(np.sqrt(np.sum(var[order])))
 
 
+def _check_samples(n_samples):
+    if n_samples < 1:
+        raise ValueOutOfRangeError("n_samples must be >= 1, got %r" % (n_samples,))
+
+
 def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     """Observed-data log likelihood by prior-proposal importance sampling.
 
@@ -164,8 +172,7 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     """
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_samples(n_samples)
     blocks = _draw_blocks(model, data, n_samples, seed)
     loglik, mc_se = _score_blocks(model, data, blocks, m, sigma, theta, n_samples)
     return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
@@ -193,49 +200,96 @@ def _unpack_params(v, pattern):
     return m, sigma_vals, theta
 
 
+def _stencil(p):
+    """The 1 + 2p + 2p(p - 1) stencil points of ``fisher_se``, in its order.
+
+    Each point is a tuple of ``(coordinate, steps)`` moves away from v0.
+    """
+    points = [()]
+    for i in range(p):
+        points += [((i, 1),), ((i, -1),)]
+    for i in range(p):
+        for j in range(i):
+            points += [((i, 1), (j, 1)), ((i, 1), (j, -1)),
+                       ((i, -1), (j, 1)), ((i, -1), (j, -1))]
+    return points
+
+
+def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
+    """-loglik at each stencil point of one share, on the common random
+    numbers of ``seed``; a point whose evaluation raises a NumericalError
+    gets that error as its value."""
+    blocks = list(_draw_blocks(model, data, n_samples, seed))
+    values = []
+    for point in points:
+        v = v0.copy()
+        for idx, mult in point:
+            v[idx] += mult * steps[idx]
+        mm, sig_vals, th = _unpack_params(v, pattern)
+        try:
+            loglik, _ = _score_blocks(
+                model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
+            )
+        except NumericalError as exc:
+            values.append(exc.with_traceback(None))
+        else:
+            values.append(-loglik)
+    return values
+
+
 def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """Standard errors from a finite-difference Hessian of -loglik.
 
     The free parameter vector stacks m, the unconstrained lower-triangle
-    entries of Sigma, and theta.  The standard-normal draws of
-    ``loglik_is`` at ``seed`` are made once and every stencil point is
-    scored on them (common random numbers), so the stochastic part of
-    the objective cancels through the difference stencil; each point's
-    value equals ``loglik_is`` there with that seed.  Steps are
-    per-coordinate, ``1e-3 * max(|v_i|, 1e-6)``; each of the
-    1 + 2p + 2p(p - 1) stencil points is a distinct vector, scored once.
+    entries of Sigma, and theta.  Every stencil point is scored on the
+    standard-normal draws of ``loglik_is`` at ``seed`` (common random
+    numbers), so the stochastic part of the objective cancels through
+    the difference stencil; each point's value equals ``loglik_is``
+    there with that seed.  Steps are per-coordinate,
+    ``1e-3 * max(|v_i|, 1e-6)``; each of the 1 + 2p + 2p(p - 1) stencil
+    points is a distinct vector, scored once.
+
+    The points are split into contiguous shares, one per process of
+    min(usable CPUs, points); this process scores the first share and
+    worker processes the others, each share drawing the same common
+    random numbers.  The Hessian is then assembled from the stored
+    values, so the result does not depend on the process count.  The
+    model and data are pickled to the workers, so the model must be
+    picklable (a module-level class).
 
     When a likelihood evaluation raises a NumericalError (a step that
     leaves Sigma indefinite, say) or the Hessian is not positive definite,
     coordinates that cannot be covered by a positive definite principal
     submatrix are reported absent and the result is flagged.
     """
+    _check_samples(n_samples)
     v0 = _pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
 
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    blocks = list(_draw_blocks(model, data, n_samples, seed))
+    points = _stencil(p)
+    size = -(-len(points) // _pool.processes(len(points)))
+    shares = _pool.run_tasks(
+        _score_share,
+        [(model, data, v0, steps, pattern, n_samples, seed, points[start:start + size])
+         for start in range(0, len(points), size)],
+        here_first=True,
+    )
+    values = dict(zip(points, (value for share in shares for value in share)))
 
-    def f(offsets):
-        # -loglik at v0 moved by mult steps along each coordinate idx
-        v = v0.copy()
-        for idx, mult in offsets.items():
-            v[idx] += mult * steps[idx]
-        mm, sig_vals, th = _unpack_params(v, pattern)
-        loglik, _ = _score_blocks(
-            model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
-        )
-        return -loglik
+    def f(*point):
+        value = values[point]
+        if isinstance(value, NumericalError):
+            raise value
+        return value
 
-    f0 = f({})
+    f0 = f()
     hess = np.zeros((p, p))
     bad = np.zeros(p, dtype=bool)
     for i in range(p):
         try:
-            hess[i, i] = (f({i: 1}) - 2.0 * f0 + f({i: -1})) / steps[i] ** 2
+            hess[i, i] = (f((i, 1)) - 2.0 * f0 + f((i, -1))) / steps[i] ** 2
         except NumericalError:
             bad[i] = True
     for i in range(p):
@@ -244,7 +298,8 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
                 continue
             try:
                 hess[i, j] = hess[j, i] = (
-                    f({i: 1, j: 1}) - f({i: 1, j: -1}) - f({i: -1, j: 1}) + f({i: -1, j: -1})
+                    f((i, 1), (j, 1)) - f((i, 1), (j, -1))
+                    - f((i, -1), (j, 1)) + f((i, -1), (j, -1))
                 ) / (4.0 * steps[i] * steps[j])
             except NumericalError:
                 bad[i] = bad[j] = True

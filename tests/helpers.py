@@ -1,6 +1,6 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
-column update, and the exact E-step of models with closed-form
+column update, a process-pool recorder, and the exact E-step of models with closed-form
 posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
@@ -10,12 +10,27 @@ barrier.  It shares no code path with the columnwise solver beyond the
 entry packing order.
 """
 
+import concurrent.futures
+
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from zeromix.covariance import ZeroPattern, free_entry_indices
 from zeromix.mcem import EStepOutput
+
+
+def record_pools(monkeypatch):
+    """List the ``max_workers`` of every process pool started from now on."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
 
 
 def random_spd(rng, q, dof_extra=5):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import zeromix
+from helpers import record_pools
+from zeromix import _pool, cli
 from zeromix.cli import main
 from zeromix.harness import example_paths
 from zeromix.models import load_dataset
@@ -33,6 +35,27 @@ master_seed = 1
 truth_m = 50, 70, 1.5, 0.08
 truth_sigma = 20 -4.5 -0.3 0; -4.5 2.5 -0.1 -0.002; -0.3 -0.1 0.05 0; 0 -0.002 0 1e-5
 truth_theta = 0.015
+"""
+
+# A fit short enough for the quick loop: 12 outer iterations of short chains.
+QUICK_INI = """[model]
+name = cortisol
+
+[pattern]
+pairs = (1,4), (3,4)
+
+[init]
+m = 50, 70, 1, 0.1
+sigma_diag = 25, 49, 0.25, 0.0016
+theta = 0.04
+
+[mcem]
+chain_length = 80
+burn_in = 10
+warmup = 5
+outer_tol = 1e-12
+max_outer = 12
+seed = 3
 """
 
 
@@ -156,25 +179,7 @@ def test_simulate_requires_the_truth_section(tmp_path, capsys):
 def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
     csv_path, _ = example_paths()
     ini = tmp_path / "quick.ini"
-    ini.write_text("""[model]
-name = cortisol
-
-[pattern]
-pairs = (1,4), (3,4)
-
-[init]
-m = 50, 70, 1, 0.1
-sigma_diag = 25, 49, 0.25, 0.0016
-theta = 0.04
-
-[mcem]
-chain_length = 80
-burn_in = 10
-warmup = 5
-outer_tol = 1e-12
-max_outer = 12
-seed = 3
-""")
+    ini.write_text(QUICK_INI)
     out_dir = tmp_path / "out"
     assert main(["fit", "--data", csv_path, "--config", str(ini),
                  "--out-dir", str(out_dir), "--no-se",
@@ -203,3 +208,58 @@ def test_study_one_replicate_emits_all_outputs(tmp_path, capsys):
     table = (out_dir / "table1.csv").read_text().splitlines()
     assert len(table) == 1 + 15 + 1
     assert (out_dir / "qq.csv").read_text().startswith("u,p")
+
+
+@pytest.mark.parametrize("flag", ["--loglik-samples", "--se-samples"])
+def test_fit_rejects_a_sample_count_below_one_before_fitting(tmp_path, monkeypatch,
+                                                             capsys, flag):
+    calls = []
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: calls.append(args))
+    pools = record_pools(monkeypatch)
+    csv_path, ini_path = example_paths()
+    assert main(["fit", "--data", csv_path, "--config", ini_path,
+                 "--out-dir", str(tmp_path / "out"), flag, "0"]) == 1
+    assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == [] and pools == []
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--n", "0", "sample count must be >= 1"),
+    ("--tol", "0", "tol must be finite and > 0"),
+    ("--tol", "nan", "tol must be finite and > 0"),
+    ("--max-sweeps", "0", "max_sweeps must be >= 1"),
+])
+def test_icf_rejects_out_of_range_settings(tmp_path, capsys, option, value, message):
+    mat = tmp_path / "xt.csv"
+    mat.write_text("4,-3,3\n-3,4,-3\n3,-3,4\n")
+    assert main(["icf", "--xtilde", str(mat), "--pattern", "(1,3)",
+                 option, value]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("se_options", [["--no-se"], ["--se-samples", "60"]])
+def test_fit_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, capsys,
+                                                       se_options):
+    csv_path, _ = example_paths()
+    ini = tmp_path / "quick.ini"
+    ini.write_text(QUICK_INI)
+    pools = record_pools(monkeypatch)
+    # one CPU starts no pool; two run the free fit in one worker, and
+    # the SE stencil's second share in another
+    expected_pools = {1: [], 2: [1] if "--no-se" in se_options else [1, 1]}
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        assert main(["fit", "--data", csv_path, "--config", str(ini),
+                     "--out-dir", str(out_dir), "--loglik-samples", "300",
+                     *se_options]) == 0
+        outputs[cpus] = [(out_dir / name).read_bytes()
+                         for name in ("report.json", "trace.csv")]
+        assert pools == expected_pools[cpus]
+    capsys.readouterr()
+    assert outputs[1] == outputs[2]
+    report = json.loads(outputs[2][0])
+    assert report["lr"]["df"] == 2
+    assert (report["se"] is None) == ("--no-se" in se_options)

@@ -34,6 +34,7 @@ from zeromix.exceptions import (
     IndexOutOfRangeError,
     NotPositiveDefiniteError,
     PatternViolationError,
+    ValueOutOfRangeError,
 )
 
 # Running example: a 3x3 scatter matrix whose zero-forced version is
@@ -178,7 +179,7 @@ def test_min_eig_repair_barely_touches_pd_input():
 def test_sufficient_stats_validation():
     st = SufficientStats(XT3, n=5)
     assert st.dim == 3 and st.n == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueOutOfRangeError):
         SufficientStats(XT3, n=0)
     with pytest.raises(ValueError):
         SufficientStats(np.array([[np.inf, 0.0], [0.0, 1.0]]), n=3)
@@ -332,6 +333,14 @@ def test_solve_rejects_pattern_of_wrong_order():
     stats = SufficientStats(XT3, n=10)
     with pytest.raises(ValueError):
         icf_solve(stats, ZeroPattern([(1, 3)], dim=4))
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan}, {"tol": np.inf}, {"max_sweeps": 0},
+])
+def test_solve_rejects_out_of_range_settings(setting):
+    with pytest.raises(ValueOutOfRangeError):
+        icf_solve(SufficientStats(XT3, n=10), PAT13, **setting)
 
 
 def test_kkt_residual_vanishes_only_at_the_optimum():

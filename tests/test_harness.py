@@ -1,13 +1,13 @@
 """Study harness: aggregation, QQ data, report writers, and the
 bundled example."""
 
-import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 
-from zeromix import harness
+from helpers import record_pools
+from zeromix import _pool, harness
 from zeromix.exceptions import DomainError, ValueOutOfRangeError
 from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              _aggregate, _replicate_seeds, cortisol_example,
@@ -109,13 +109,11 @@ def test_retries_and_exclusions_are_kept_in_replicate_order(monkeypatch):
             raise DomainError(f"stub failure {replicate}/{attempt}")
         return _stub_record(cfg, replicate, attempt), outcome
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one worker must not start a process pool")
-
     monkeypatch.setattr(harness, "_run_replicate", stub)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    pools = record_pools(monkeypatch)
     report = run_simulation_study(SimStudyConfig(n_replicates=4))
+    assert pools == []
 
     assert calls == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
     assert [(rec["replicate"], rec["attempt"]) for rec in report.records] == [
@@ -140,18 +138,11 @@ def test_pooled_study_matches_the_in_process_study(monkeypatch):
     fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=17, outer_tol=0.05,
                         schedule=GammaSchedule(k0=3, b=1.0))
     cfg = SimStudyConfig(n_replicates=3, n_individuals=8, master_seed=0, fit=fit_cfg)
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     serial = run_simulation_study(cfg)
     assert pools == []
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
     pooled = run_simulation_study(cfg)
     assert pools == [2]
 

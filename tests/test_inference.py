@@ -7,12 +7,15 @@ tail formulas (exp(-s/2) at two constraints, erfc at one).
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from helpers import record_pools
+from zeromix import _pool
 from zeromix.covariance import SpdMatrix, ZeroPattern
-from zeromix.exceptions import DegenerateWeightError
+from zeromix.exceptions import DegenerateWeightError, ValueOutOfRangeError
 from zeromix.harness import cortisol_example
 from zeromix.inference import (fisher_se, free_param_labels, loglik_is,
                                lr_test)
@@ -163,18 +166,58 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
     assert "m1" in res.se and "m2" in res.se
 
 
-def test_a_programming_error_in_the_model_propagates():
+class BrokenOffCentre(LinearGaussianModel):
+    """Fails with a programming error at any theta but ``centre``; with
+    ``home`` set, only in processes other than that one.  Module-level,
+    so ``fisher_se`` can pickle it to its workers."""
+
+    def __init__(self, q, centre, home=None):
+        super().__init__(q)
+        self.centre = centre
+        self.home = home
+
+    def log_cond_density_pairs(self, ys, xs, th):
+        if th != self.centre and os.getpid() != self.home:
+            raise RuntimeError("model bug")
+        return super().log_cond_density_pairs(ys, xs, th)
+
+
+@pytest.mark.parametrize("cpus,in_worker_only", [(1, False), (2, False), (2, True)])
+def test_a_programming_error_in_the_model_propagates(monkeypatch, cpus, in_worker_only):
+    # in_worker_only: this process scores its share cleanly, so the
+    # error must cross back from the worker's share
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
     model, data, m, sigma, theta = _linear_setup(n=5)
-
-    class BrokenOffCentre(LinearGaussianModel):
-        def log_cond_density_pairs(self, ys, xs, th):
-            if th != theta:
-                raise RuntimeError("model bug")
-            return super().log_cond_density_pairs(ys, xs, th)
-
+    broken = BrokenOffCentre(2, theta, home=os.getpid() if in_worker_only else None)
     with pytest.raises(RuntimeError, match="model bug"):
-        fisher_se(BrokenOffCentre(2), data, m, sigma, theta, ZeroPattern([], dim=2),
+        fisher_se(broken, data, m, sigma, theta, ZeroPattern([], dim=2),
                   n_samples=50, seed=1)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9995])
+def test_pooled_standard_errors_equal_the_in_process_ones(monkeypatch, rho):
+    # at rho = 0.9995 some stencil points raise and are stored as errors
+    model, data, m, _, theta = _linear_setup(n=40, seed=4)
+    sigma = SpdMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+    pools = record_pools(monkeypatch)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+        results.append(fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
+                                 n_samples=200, seed=1))
+    # this process scores one share, the workers the others
+    assert pools == [1, 2]
+    if rho == 0.9995:
+        assert results[0].flagged and "sigma_2_1" not in results[0].se
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_sample_counts_below_one_are_range_errors():
+    model, data, m, sigma, theta = _linear_setup(n=2)
+    with pytest.raises(ValueOutOfRangeError, match="n_samples must be >= 1"):
+        loglik_is(model, data, m, sigma, theta, n_samples=0)
+    with pytest.raises(ValueOutOfRangeError, match="n_samples must be >= 1"):
+        fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=0)
 
 
 def test_lr_statistic_and_pvalue_on_pinned_inputs():

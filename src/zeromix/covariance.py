@@ -15,12 +15,21 @@ complement of the fixed block, which each column update checks.  The
 sweep runs on one plain array; the solver validates its inputs once
 and its result once, as an SpdMatrix.
 
-Factorizations use numpy's Cholesky; every solve against a factor is
-one direct LAPACK ``potrs`` call (``_cho_solve``), bitwise equal to
-scipy's ``cho_solve`` without its per-call finiteness scan.  Finiteness
-is checked where data enters instead: SufficientStats and SpdMatrix
-reject non-finite entries, and a NaN arising inside a sweep fails the
-column update's Schur test.
+Every factorization is one call of ``cholesky_lo``, the gufunc inside
+``np.linalg.cholesky`` (``_chol``): the same LAPACK ``potrf`` on the
+same input, so the same bits, without the wrapper's type and shape
+checks and its ``errstate`` context.  Where ``potrf`` fails, the gufunc
+fills its output with NaN and sets the floating-point invalid flag,
+from which the wrapper raises ``LinAlgError``; a factor's upper
+triangle is otherwise zero, so ``_chol`` returns None when its
+top-right entry is NaN.  Callers hold ``np.errstate(invalid="ignore")``,
+once per solve on the sweep path, so a failed factorization raises the
+package's own error and never a RuntimeWarning.  Every solve against a
+factor is one direct LAPACK ``potrs`` call (``_cho_solve``), bitwise
+equal to scipy's ``cho_solve`` without its per-call finiteness scan.
+Finiteness is checked where data enters instead: SufficientStats and
+SpdMatrix reject non-finite entries, and a NaN arising inside a sweep
+fails the column update's Schur test.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from scipy.linalg.lapack import dpotrs as _dpotrs
 
 from .exceptions import (
@@ -197,12 +207,12 @@ class SpdMatrix:
                     "matrix has nonzero entries at constrained positions %r"
                     % (list(pattern.pairs),)
                 )
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):
+            chol = _chol(m)
+        if chol is None:
             raise NotPositiveDefiniteError(
                 "symmetric factorization failed: matrix is not positive definite"
-            ) from None
+            )
         m.setflags(write=False)
         chol.setflags(write=False)
         self._m = m
@@ -309,6 +319,17 @@ class IcfDiagnostics:
     ridged: bool
 
 
+def _chol(a):
+    # np.linalg.cholesky(a) of a float64 square array, or None where that
+    # raises; call under np.errstate(invalid="ignore") (see the module
+    # docstring).  At order 1 the top-right entry is the factor itself,
+    # so there a NaN input also reads as failure
+    chol = _cholesky_lo(a, signature="d->d")
+    if chol.shape[0] and chol[0, -1] != chol[0, -1]:
+        return None
+    return chol
+
+
 def _cho_solve(chol_lower, rhs):
     # Solve L L' x = rhs for a lower Cholesky factor L by one potrs call,
     # bitwise equal to scipy.linalg.cho_solve((L, True), rhs); no
@@ -387,12 +408,12 @@ def schur_split(sigma, j):
     a = m[np.ix_(rest, rest)]
     b = m[rest, jj]
     c = float(m[jj, jj])
-    try:
-        chol_a = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+    with np.errstate(invalid="ignore"):
+        chol_a = _chol(a)
+    if chol_a is None:
         raise NotPositiveDefiniteError(
             "complementary block at pivot %d is not positive definite" % j
-        ) from None
+        )
     s = c - float(b @ _cho_solve(chol_a, b))
     return SchurSplit(j=j, a=a, b=b, c=c, s=s)
 
@@ -420,49 +441,52 @@ def kkt_residual(sigma, stats, pattern):
 
 
 def _pivot(xt, pattern, j):
-    """Index sets and X-tilde blocks of pivot column j, fixed during a solve."""
+    """Flat ``take``/``put`` indices (of a q x q array; of the (q-1) x (q-1)
+    block for the free block) and X-tilde blocks of pivot column j."""
+    q = xt.shape[0]
     jj = j - 1
-    rest = [t for t in range(xt.shape[0]) if t != jj]
+    rest = np.array([t for t in range(q) if t != jj], dtype=np.intp)
     # free coordinates of the column: positions (r+1, j) not constrained
-    free = [t for t, r in enumerate(rest) if (r + 1, j) not in pattern]
-    ix = np.ix_(rest, rest)
-    return j, rest, ix, free, np.ix_(free, free), xt[ix], xt[rest, jj], float(xt[jj, jj])
+    free = np.array([t for t, r in enumerate(rest) if (r + 1, j) not in pattern],
+                    dtype=np.intp)
+    block, col = rest[:, None] * q + rest, rest * q + jj
+    return (j, block, free, free[:, None] * (q - 1) + free, col, jj * q + rest,
+            xt.take(block), xt.take(col), float(xt[jj, jj]))
 
 
 def _update_column(cur, pivot):
-    # in place on the plain symmetric array ``cur``; see icf_column_update
-    j, rest, ix, free, ix_free, m_uu, h_vu, v_vv = pivot
-    try:
-        chol_a = np.linalg.cholesky(cur[ix])
-    except np.linalg.LinAlgError:
+    # in place on the plain symmetric array ``cur``, under
+    # np.errstate(invalid="ignore"); see icf_column_update
+    j, block, free, free_block, col, row, m_uu, h_vu, v_vv = pivot
+    chol_a = _chol(cur.take(block))
+    if chol_a is None:
         raise NotPositiveDefiniteError(
             "complementary block at pivot %d is not positive definite" % j
-        ) from None
+        )
 
-    b_opt = np.zeros(len(rest))
-    if free:
+    b_opt = np.zeros(len(col))
+    if len(free):
         # normal equations in the free coordinates, with A^-1 folded in:
         # [P' A^-1 M A^-1 P] b = P' A^-1 h   (sample count cancels)
         ainv_m = _cho_solve(chol_a, m_uu)
         g_full = _cho_solve(chol_a, ainv_m.T)
         g_full = 0.5 * (g_full + g_full.T)
         h_full = _cho_solve(chol_a, h_vu)
-        try:
-            chol_g = np.linalg.cholesky(g_full[ix_free])
-        except np.linalg.LinAlgError:
+        chol_g = _chol(g_full.take(free_block))
+        if chol_g is None:
             raise SingularNormalEquationsError(
                 "free-coordinate Gram matrix at pivot %d is singular; "
                 "the moment matrix is degenerate" % j
-            ) from None
-        b_opt[free] = _cho_solve(chol_g, h_full[free])
+            )
+        b_opt.put(free, _cho_solve(chol_g, h_full.take(free)))
 
     beta = _cho_solve(chol_a, b_opt)  # A^-1 b_opt
     s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
     # s_opt is the new Schur complement: A being PD, so is the update iff s_opt > 0
     if not s_opt > 0.0:
         raise NotPositiveDefiniteError("new Schur complement at pivot %d is not positive" % j)
-    cur[rest, j - 1] = b_opt
-    cur[j - 1, rest] = b_opt
+    cur.put(col, b_opt)
+    cur.put(row, b_opt)
     cur[j - 1, j - 1] = s_opt + float(b_opt @ beta)
 
 
@@ -508,7 +532,8 @@ def icf_column_update(sigma, stats, j, pattern):
     _require_order(pattern, q)
     if not (1 <= j <= q):
         raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
-    _update_column(cur, _pivot(stats.xtilde, pattern, j))
+    with np.errstate(invalid="ignore"):
+        _update_column(cur, _pivot(stats.xtilde, pattern, j))
     return SpdMatrix(cur, pattern=pattern)
 
 
@@ -551,9 +576,9 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
 
     ridged = False
     xt = stats.xtilde
-    try:
-        np.linalg.cholesky(xt)
-    except np.linalg.LinAlgError:
+    with np.errstate(invalid="ignore"):
+        singular = _chol(xt) is None
+    if singular:
         ridge = 1e-10 * float(np.trace(xt)) / q
         xt = xt + ridge * np.eye(q)
         stats = SufficientStats(xt, stats.n)
@@ -579,19 +604,20 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
 
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps:
-        prev = cur.copy()
-        for p in pivots:
-            _update_column(cur, p)
-        sweeps += 1
-        # both norms scaled by one power of two, 2^-e with max|prev| in
-        # [2^(e-1), 2^e): exact, so the ratio is the plain one wherever
-        # that is finite, and nothing over- or underflows at extreme scales
-        e = int(np.frexp(np.max(np.abs(prev)))[1])
-        change = float(np.linalg.norm(np.ldexp(cur - prev, -e)))
-        if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
-            converged = True
-            break
+    with np.errstate(invalid="ignore"):
+        while sweeps < max_sweeps:
+            prev = cur.copy()
+            for p in pivots:
+                _update_column(cur, p)
+            sweeps += 1
+            # both norms scaled by one power of two, 2^-e with max|prev| in
+            # [2^(e-1), 2^e): exact, so the ratio is the plain one wherever
+            # that is finite, and nothing over- or underflows at extreme scales
+            e = int(np.frexp(np.max(np.abs(prev)))[1])
+            change = float(np.linalg.norm(np.ldexp(cur - prev, -e)))
+            if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
+                converged = True
+                break
     sigma = SpdMatrix(cur, pattern=pattern)
     return sigma, _diag(sigma, sweeps, converged)
 

@@ -338,6 +338,10 @@ def fit_report(result, se=None, loglik=None, lr=None):
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "accept_rate": float(result.accept_rate),
+        "domain_rejects": int(result.domain_rejects),
+        "icf_sweeps": int(result.icf_sweeps),
+        "icf_unconverged": int(result.icf_unconverged),
+        "icf_ridged": int(result.icf_ridged),
         "se": None,
         "loglik": None,
         "mc_se": None,

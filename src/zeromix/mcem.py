@@ -134,7 +134,13 @@ class TraceRow:
 
 @dataclass
 class FitResult:
-    """Final state with convergence flag and full iteration trace."""
+    """Final state with convergence flag and full iteration trace.
+
+    ``domain_rejects`` totals the E-steps' off-domain proposals;
+    ``icf_sweeps``, ``icf_unconverged`` and ``icf_ridged`` total the
+    M-steps' ICF sweeps and count the M-steps that stopped at the sweep
+    cap and those whose X-tilde was ridged.
+    """
 
     state: FitState
     converged: bool
@@ -142,6 +148,9 @@ class FitResult:
     trace: list
     accept_rate: float
     domain_rejects: int
+    icf_sweeps: int
+    icf_unconverged: int
+    icf_ridged: int
 
 
 @dataclass
@@ -384,6 +393,7 @@ def fit(model, data, pattern, init, config=None):
     converged = False
     accept_mean = 1.0
     rejects_total = 0
+    icf_sweeps = icf_unconverged = icf_ridged = 0
 
     for k in range(1, config.max_outer + 1):
         seeds = _iteration_seeds(config.seed, k, data.ids)
@@ -404,9 +414,12 @@ def fit(model, data, pattern, init, config=None):
         m_next = m_update(estep)
         theta_next = model.theta_update(_theta_aggregate(estep))
         stats = xtilde_update(estep, m_next)
-        sigma_next, _ = icf_solve(
+        sigma_next, icf = icf_solve(
             stats, pattern, init=None if pattern.is_empty() else state.sigma
         )
+        icf_sweeps += icf.sweeps
+        icf_unconverged += not icf.converged
+        icf_ridged += icf.ridged
 
         new_state = saem_damp(state, (m_next, sigma_next, theta_next), k, config.schedule)
         delta = _relative_delta(state, new_state)
@@ -435,4 +448,7 @@ def fit(model, data, pattern, init, config=None):
         trace=trace,
         accept_rate=accept_mean,
         domain_rejects=rejects_total,
+        icf_sweeps=icf_sweeps,
+        icf_unconverged=icf_unconverged,
+        icf_ridged=icf_ridged,
     )

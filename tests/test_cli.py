@@ -192,6 +192,8 @@ def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
     assert report["loglik"] is not None and report["mc_se"] > 0.0
     assert report["lr"] is not None and report["lr"]["df"] == 2
     assert report["se"] is None
+    assert (report["domain_rejects"], report["icf_sweeps"], report["icf_unconverged"],
+            report["icf_ridged"]) == (34, 67, 0, 0)
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + 12
 

@@ -8,8 +8,13 @@ sweeps through the public single-column update.  It must also equal,
 bit for bit and in sweep count, a replay through the reference update
 of helpers.py (numpy factors, scipy's ``cho_solve``), and the
 factorization's solves must equal ``cho_solve`` bitwise: faster
-kernels may not drift.
+kernels may not drift.  The factorization helper must equal
+``np.linalg.cholesky`` bitwise and fail exactly where it raises, and
+every failed factorization must surface as the package's own error,
+never as a RuntimeWarning: any warning the kernel leaks fails here.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +29,18 @@ from zeromix.covariance import (  # noqa: E402
     SpdMatrix,
     SufficientStats,
     ZeroPattern,
+    _chol,
     icf_column_update,
     icf_solve,
     objective,
+    schur_split,
 )
+from zeromix.exceptions import (  # noqa: E402
+    NotPositiveDefiniteError,
+    SingularNormalEquationsError,
+)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @st.composite
@@ -96,3 +109,110 @@ def test_spd_solve_and_inv_equal_cho_solve_bitwise(q, k, seed):
         x, want = spd.solve(rhs), cho_solve(factor, rhs)
         assert x.shape == want.shape and x.tobytes() == want.tobytes()
     assert spd.inv().tobytes() == cho_solve(factor, np.eye(q)).tobytes()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Finite symmetric matrices of order 0..8: SPD, rank-deficient or indefinite."""
+    q = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["spd", "semidefinite", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    if kind == "spd":
+        g = rng.standard_normal((q + draw(st.integers(0, 3)), q))
+        a = g.T @ g
+    elif kind == "semidefinite":
+        g = rng.standard_normal((draw(st.integers(0, max(q - 1, 0))), q))
+        a = g.T @ g
+    else:
+        h = rng.standard_normal((q, q))
+        a = h + h.T
+    return scale * a
+
+
+def _assert_chol_matches_numpy(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            chol = _chol(a)
+    try:
+        want = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        assert chol is None
+        return
+    assert chol is not None
+    assert chol.shape == want.shape and chol.dtype == want.dtype
+    assert chol.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_chol_equals_numpy_cholesky_bitwise(a):
+    _assert_chol_matches_numpy(a)
+
+
+def test_chol_fails_where_numpy_fails_on_nan_input():
+    # a NaN pivot: numpy fails or passes it through (the LAPACK build
+    # decides), and a NaN entry off the diagonal can reach the factor
+    for a in ([[np.nan, 1.0], [1.0, 2.0]], [[2.0, np.nan], [np.nan, 2.0]],
+              [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, np.nan]]):
+        _assert_chol_matches_numpy(np.array(a))
+
+
+def _pd_with_indefinite_block():
+    # a rank-one 3 x 3 matrix that numpy factors (rounding leaves positive
+    # pivots) but whose block without row and column 1 it does not
+    rng = np.random.default_rng(0)
+    for _ in range(5000):
+        g = rng.standard_normal((1, 3))
+        a = g.T @ g
+        a = np.tril(a) + np.tril(a, -1).T
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            continue
+        try:
+            np.linalg.cholesky(a[1:, 1:])
+        except np.linalg.LinAlgError:
+            return a
+    raise AssertionError("no such matrix among 5000 rank-one draws")
+
+
+def _raises_without_warning(error, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call()
+    assert str(info.value) == message
+
+
+def test_failed_factorizations_raise_package_errors_without_warnings():
+    eye3 = np.eye(3)
+    empty3 = ZeroPattern([], dim=3)
+    indefinite = np.diag([1.0, -1.0, 1.0])
+    _raises_without_warning(
+        NotPositiveDefiniteError,
+        "complementary block at pivot 1 is not positive definite",
+        lambda: icf_column_update(_pd_with_indefinite_block(), SufficientStats(eye3, n=5),
+                                  1, empty3))
+    _raises_without_warning(
+        SingularNormalEquationsError,
+        "free-coordinate Gram matrix at pivot 1 is singular; the moment matrix is degenerate",
+        lambda: icf_column_update(eye3, SufficientStats(np.zeros((3, 3)), n=5), 1, empty3))
+    # rank one: the ridge probe fails; from a start of order 1e200 the
+    # Gram matrix A^-1 M A^-1 underflows to zero, so the sweep fails too
+    v = np.array([1.0, -2.0, 0.5])
+    pat13 = ZeroPattern([(1, 3)], dim=3)
+    _raises_without_warning(
+        SingularNormalEquationsError,
+        "free-coordinate Gram matrix at pivot 1 is singular; the moment matrix is degenerate",
+        lambda: icf_solve(SufficientStats(np.outer(v, v), n=5), pat13,
+                          init=SpdMatrix(1e200 * eye3, pattern=pat13)))
+    _raises_without_warning(
+        NotPositiveDefiniteError,
+        "symmetric factorization failed: matrix is not positive definite",
+        lambda: SpdMatrix(indefinite))
+    _raises_without_warning(
+        NotPositiveDefiniteError,
+        "complementary block at pivot 1 is not positive definite",
+        lambda: schur_split(indefinite, 1))

@@ -217,7 +217,8 @@ def test_exact_em_increases_the_marginal_likelihood(monkeypatch):
     assert lls[-1] > lls[0]
 
 
-def test_fit_keeps_pattern_zeros_through_every_iteration():
+def _short_constrained_fit_args():
+    # 12 iterations, stopped by the cap, of a pattern-(1,3) fit at q = 3
     model = LinearGaussianModel(3)
     pat = ZeroPattern([(1, 3)], dim=3)
     truth = SpdMatrix(np.array([[1.0, 0.4, 0.0], [0.4, 1.2, 0.3],
@@ -226,14 +227,39 @@ def test_fit_keeps_pattern_zeros_through_every_iteration():
     init = FitState(m=np.zeros(3), sigma=SpdMatrix(np.eye(3)), theta=0.5)
     cfg = FitConfig(chain_length=80, burn_in=10, max_outer=12,
                     outer_tol=1e-12, seed=4)
+    return model, data, pat, init, cfg
+
+
+def test_fit_keeps_pattern_zeros_through_every_iteration():
+    model, data, pat, init, cfg = _short_constrained_fit_args()
     res = fit(model, data, pat, init, cfg)
     assert res.iterations == 12 and not res.converged
+    assert (res.icf_sweeps, res.icf_unconverged, res.icf_ridged) == (56, 0, 0)
+    assert res.domain_rejects == 0
     assert len(res.trace) == 12
     for row in res.trace:
         assert row.sigma[0, 2] == 0.0 and row.sigma[2, 0] == 0.0
         assert 0.0 <= row.accept_rate <= 1.0
         np.linalg.cholesky(row.sigma)
     assert res.state.sigma.pattern == pat
+
+
+def test_fit_counts_unconverged_and_ridged_m_steps(monkeypatch):
+    seen = []
+    real_solve = mcem.icf_solve
+
+    def flagged_solve(stats, pattern, init=None):
+        sol, diag = real_solve(stats, pattern, init=init)
+        diag.converged = len(seen) % 2 == 0
+        diag.ridged = len(seen) % 3 == 0
+        seen.append(diag)
+        return sol, diag
+
+    monkeypatch.setattr(mcem, "icf_solve", flagged_solve)
+    res = fit(*_short_constrained_fit_args())
+    assert len(seen) == 12
+    assert res.icf_sweeps == sum(d.sweeps for d in seen) == 56
+    assert res.icf_unconverged == 6 and res.icf_ridged == 4
 
 
 def test_fit_is_invariant_to_dataset_order():

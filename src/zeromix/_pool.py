@@ -1,12 +1,11 @@
 """Independent tasks on the CPUs this process may use.
 
-The study's replicates, ``zeromix fit``'s free fit and the shares of
-the SE stencil do not read each other's state.  ``run_tasks`` runs such
-tasks in min(usable CPUs, tasks) processes, or all in this process, in
-order, when that is one; either way it returns the results in task
-order, so callers produce the same bytes whatever the count.  Tasks
-sent to a worker are pickled, so they must be module-level functions of
-picklable arguments.
+The study's replicates and ``zeromix fit``'s free fit do not read
+each other's state.  ``run_tasks`` runs such tasks in min(usable CPUs,
+tasks) processes, or all in this process, in order, when that is one;
+either way it returns the results in task order, so callers produce
+the same bytes whatever the count.  Tasks sent to a worker are pickled,
+so they must be module-level functions of picklable arguments.
 """
 
 from __future__ import annotations
@@ -24,13 +23,8 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def processes(tasks):
-    """How many processes ``run_tasks`` uses for ``tasks`` tasks."""
-    return min(usable_cpus(), tasks)
-
-
 def run_tasks(fn, arg_tuples, here_first=False):
-    """``[fn(*args) for args in arg_tuples]`` on ``processes(len(arg_tuples))`` processes.
+    """``[fn(*args) for args in arg_tuples]`` on min(usable CPUs, tasks) processes.
 
     With one process no pool is made.  Otherwise a pool of that many
     worker processes runs the calls; with ``here_first`` this process
@@ -38,7 +32,7 @@ def run_tasks(fn, arg_tuples, here_first=False):
     the rest.  An exception raised by a call propagates.
     """
     arg_tuples = list(arg_tuples)
-    count = processes(len(arg_tuples))
+    count = min(usable_cpus(), len(arg_tuples))
     if count <= 1:
         return [fn(*args) for args in arg_tuples]
     first = 1 if here_first else 0

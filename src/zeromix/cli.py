@@ -8,10 +8,10 @@ the constrained optimum), ``validate`` (built-in oracle checks).
 ``fit`` runs its independent stages on min(usable CPUs, tasks)
 processes: with a non-empty pattern the free fit of the LR test and its
 log likelihood run in a worker process while this process runs the
-constrained fit and its log likelihood, and the SE stencil is scored in
-shares (see ``inference.fisher_se``).  The output files are the same
-bytes for any process count.  Sample counts are checked before any fit
-starts.
+constrained fit and its log likelihood.  The standard errors are then
+computed in this process (see ``inference.fisher_se``).  The output
+files are the same bytes for any process count.  Sample counts are
+checked before any fit starts.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -27,8 +27,9 @@ import numpy as np
 
 from ._pool import run_tasks
 from .config import _parse_pairs, load_config
-from .covariance import SpdMatrix, SufficientStats, ZeroPattern, icf_solve, objective
-from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
+from .covariance import (SpdMatrix, SufficientStats, ZeroPattern, icf_solve,
+                         kkt_residual, objective)
+from .exceptions import ConfigError, NumericalError, UsageError, ValueOutOfRangeError
 from .harness import (SimStudyConfig, fit_report, qq_data, run_simulation_study,
                       run_validation, write_json, write_qq_csv, write_table_csv,
                       write_trace_csv)
@@ -124,11 +125,15 @@ def _cmd_study(args):
                                   for row in st.truth_sigma),
                 truth_theta=st.truth_theta,
             )
+        init_sigma = cfg.init.sigma.values
+        if np.any(init_sigma != np.diag(np.diag(init_sigma))):
+            raise ConfigError("[init] sigma: the study starts from a diagonal "
+                              "covariance; give its diagonal as sigma_diag")
         kwargs.update(
             pattern_pairs=cfg.pattern.pairs,
             fit=cfg.fit,
             init_m=tuple(float(v) for v in cfg.init.m),
-            init_sigma_diag=tuple(float(v) for v in np.diag(cfg.init.sigma.values)),
+            init_sigma_diag=tuple(float(v) for v in np.diag(init_sigma)),
             init_theta=float(cfg.init.theta),
         )
     if args.replicates is not None:
@@ -161,13 +166,13 @@ def _cmd_icf(args):
     q = xtilde.shape[0]
     pattern = ZeroPattern(_parse_pairs(args.pattern, "--pattern") if args.pattern else [],
                           dim=q)
-    stats = SufficientStats(xtilde, n=args.n)
+    stats = SufficientStats(xtilde, n=1)  # the solver reads only X-tilde
     sol, diag = icf_solve(stats, pattern, tol=args.tol,
                           max_sweeps=args.max_sweeps)
     for row in sol.values:
         print(",".join(repr(float(v)) for v in row))
     print(f"objective {objective(sol, stats)!r}")
-    print(f"sweeps {diag.sweeps}  kkt {diag.kkt:.3e}  "
+    print(f"sweeps {diag.sweeps}  kkt {kkt_residual(sol, stats, pattern):.3e}  "
           f"converged {diag.converged}  ridged {diag.ridged}")
     return 0
 
@@ -218,7 +223,6 @@ def _build_parser():
                    help="CSV file holding the square scatter/conditional matrix")
     p.add_argument("--pattern", default="",
                    help="prescribed zeros as 1-based pairs, e.g. '(1,3)'")
-    p.add_argument("--n", type=int, default=1, help="sample size behind the matrix")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-sweeps", type=int, default=500)
     p.set_defaults(func=_cmd_icf)

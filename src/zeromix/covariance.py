@@ -310,11 +310,12 @@ class SufficientStats:
 
 @dataclass
 class IcfDiagnostics:
-    """Solver diagnostics: sweep count, final objective and stationarity residual."""
+    """Solver diagnostics: sweep count, convergence and the singular-input ridge.
+
+    ``objective`` and ``kkt_residual`` evaluate the solution on demand.
+    """
 
     sweeps: int
-    objective: float
-    kkt: float
     converged: bool
     ridged: bool
 
@@ -574,33 +575,19 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     q = stats.dim
     _require_order(pattern, q)
 
-    ridged = False
     xt = stats.xtilde
     with np.errstate(invalid="ignore"):
-        singular = _chol(xt) is None
-    if singular:
-        ridge = 1e-10 * float(np.trace(xt)) / q
-        xt = xt + ridge * np.eye(q)
-        stats = SufficientStats(xt, stats.n)
-        ridged = True
-
-    def _diag(sig, sweeps, converged):
-        return IcfDiagnostics(
-            sweeps=sweeps,
-            objective=objective(sig, stats),
-            kkt=kkt_residual(sig, stats, pattern),
-            converged=converged,
-            ridged=ridged,
-        )
+        ridged = _chol(xt) is None
+    if ridged:
+        xt = xt + 1e-10 * float(np.trace(xt)) / q * np.eye(q)
 
     if pattern.is_empty():
-        sig = SpdMatrix(stats.xtilde)
-        return sig, _diag(sig, 0, True)
+        return SpdMatrix(xt), IcfDiagnostics(sweeps=0, converged=True, ridged=ridged)
 
     if init is None:
-        init = np.diag(np.diag(stats.xtilde))
+        init = np.diag(np.diag(xt))
     cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
-    pivots = [_pivot(stats.xtilde, pattern, j) for j in range(1, q + 1)]
+    pivots = [_pivot(xt, pattern, j) for j in range(1, q + 1)]
 
     sweeps = 0
     converged = False
@@ -618,8 +605,8 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
             if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
                 converged = True
                 break
-    sigma = SpdMatrix(cur, pattern=pattern)
-    return sigma, _diag(sigma, sweeps, converged)
+    return (SpdMatrix(cur, pattern=pattern),
+            IcfDiagnostics(sweeps=sweeps, converged=converged, ridged=ridged))
 
 
 def free_entry_indices(pattern):

@@ -12,10 +12,9 @@ Everything is keyed off a single master seed: replicate r derives all
 of its randomness from (master seed, r, attempt), so reports are
 byte-identical across runs.  Replicates run in min(usable CPUs,
 replicates) worker processes through the package's one pool helper
-(``_pool.run_tasks``, which ``zeromix fit`` and ``fisher_se`` share);
-the report is the same bytes as from one process, because no replicate
-reads another's state and the parent assembles the results in
-replicate order.
+(``_pool.run_tasks``, which ``zeromix fit`` shares); the report is the
+same bytes as from one process, because no replicate reads another's
+state and the parent assembles the results in replicate order.
 """
 
 from __future__ import annotations
@@ -94,6 +93,12 @@ class SimStudyConfig:
         if self.n_replicates < 1:
             raise ValueOutOfRangeError("n_replicates must be >= 1, got %r"
                                        % (self.n_replicates,))
+        if self.n_individuals < 1:
+            raise ValueOutOfRangeError("n_individuals must be >= 1, got %r"
+                                       % (self.n_individuals,))
+        if self.master_seed < 0:
+            raise ValueOutOfRangeError("master_seed must be >= 0, got %r"
+                                       % (self.master_seed,))
         # The truth must be a valid constrained covariance.
         SpdMatrix(np.asarray(self.truth_sigma, dtype=float), pattern=self.pattern)
 
@@ -520,9 +525,9 @@ def run_validation(out=print):
     xtilde = np.array([[4.0, -3.0, 3.0], [-3.0, 4.0, -3.0], [3.0, -3.0, 4.0]])
     pat13 = ZeroPattern([(1, 3)], dim=3)
     stats = SufficientStats(xtilde, n=100)
-    sol, diag = icf_solve(stats, pat13)
-    check("icf reaches a stationary point", diag.kkt < 1e-6,
-          f"kkt {diag.kkt:.2e}")
+    sol, _ = icf_solve(stats, pat13)
+    kkt = kkt_residual(sol, stats, pat13)
+    check("icf reaches a stationary point", kkt < 1e-6, f"kkt {kkt:.2e}")
     check("icf pinned entry sigma_12 = -12/7",
           abs(sol.values[0, 1] + 12.0 / 7.0) < 1e-6,
           f"got {sol.values[0, 1]!r}")

@@ -6,13 +6,11 @@ importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
 underflowing.  Individuals are scored in blocks of rows, one density
 call and one log-sum-exp per block.  Standard errors come from a
-central finite-difference Hessian of the negative log likelihood; every
-stencil point is scored on the same standard-normal draws (common
-random numbers), and the points are scored in contiguous shares on
-min(usable CPUs, points) processes, each share drawing those numbers
-itself.  The prescribed zero pattern is tested by a
-chi-square likelihood ratio with one degree of freedom per constrained
-pair.
+central finite-difference Hessian of the negative log likelihood,
+scored in this process; every stencil point is scored on the same
+standard-normal draws (common random numbers), drawn once.  The
+prescribed zero pattern is tested by a chi-square likelihood ratio
+with one degree of freedom per constrained pair.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
-from . import _pool
 from .covariance import (
     SpdMatrix,
     free_entry_indices,
@@ -200,43 +197,6 @@ def _unpack_params(v, pattern):
     return m, sigma_vals, theta
 
 
-def _stencil(p):
-    """The 1 + 2p + 2p(p - 1) stencil points of ``fisher_se``, in its order.
-
-    Each point is a tuple of ``(coordinate, steps)`` moves away from v0.
-    """
-    points = [()]
-    for i in range(p):
-        points += [((i, 1),), ((i, -1),)]
-    for i in range(p):
-        for j in range(i):
-            points += [((i, 1), (j, 1)), ((i, 1), (j, -1)),
-                       ((i, -1), (j, 1)), ((i, -1), (j, -1))]
-    return points
-
-
-def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
-    """-loglik at each stencil point of one share, on the common random
-    numbers of ``seed``; a point whose evaluation raises a NumericalError
-    gets that error as its value."""
-    blocks = list(_draw_blocks(model, data, n_samples, seed))
-    values = []
-    for point in points:
-        v = v0.copy()
-        for idx, mult in point:
-            v[idx] += mult * steps[idx]
-        mm, sig_vals, th = _unpack_params(v, pattern)
-        try:
-            loglik, _ = _score_blocks(
-                model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
-            )
-        except NumericalError as exc:
-            values.append(exc.with_traceback(None))
-        else:
-            values.append(-loglik)
-    return values
-
-
 def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """Standard errors from a finite-difference Hessian of -loglik.
 
@@ -246,61 +206,57 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     numbers), so the stochastic part of the objective cancels through
     the difference stencil; each point's value equals ``loglik_is``
     there with that seed.  Steps are per-coordinate,
-    ``1e-3 * max(|v_i|, 1e-6)``; each of the 1 + 2p + 2p(p - 1) stencil
-    points is a distinct vector, scored once.
-
-    The points are split into contiguous shares, one per process of
-    min(usable CPUs, points); this process scores the first share and
-    worker processes the others, each share drawing the same common
-    random numbers.  The Hessian is then assembled from the stored
-    values, so the result does not depend on the process count.  The
-    model and data are pickled to the workers, so the model must be
-    picklable (a module-level class).
+    ``1e-3 * max(|v_i|, 1e-6)``.  The diagonal is the 3-point central
+    difference; each mixed entry reuses those points and adds only
+    f(+h_i, +h_j) and f(-h_i, -h_j) (Abramowitz & Stegun 25.3.27), so
+    a clean point costs 1 + 2p + p(p - 1) likelihoods, each scored
+    once, in this process.
 
     When a likelihood evaluation raises a NumericalError (a step that
     leaves Sigma indefinite, say) or the Hessian is not positive definite,
     coordinates that cannot be covered by a positive definite principal
-    submatrix are reported absent and the result is flagged.
+    submatrix are reported absent and the result is flagged; the cross
+    points of a coordinate already found bad are not scored.
     """
     _check_samples(n_samples)
     v0 = _pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
+    blocks = list(_draw_blocks(model, data, n_samples, seed))
 
-    points = _stencil(p)
-    size = -(-len(points) // _pool.processes(len(points)))
-    shares = _pool.run_tasks(
-        _score_share,
-        [(model, data, v0, steps, pattern, n_samples, seed, points[start:start + size])
-         for start in range(0, len(points), size)],
-        here_first=True,
-    )
-    values = dict(zip(points, (value for share in shares for value in share)))
-
-    def f(*point):
-        value = values[point]
-        if isinstance(value, NumericalError):
-            raise value
-        return value
+    def f(*moves):
+        # -loglik at v0 moved by mult * steps[i] along each (i, mult)
+        v = v0.copy()
+        for i, mult in moves:
+            v[i] += mult * steps[i]
+        mm, sig_vals, th = _unpack_params(v, pattern)
+        loglik, _ = _score_blocks(
+            model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
+        )
+        return -loglik
 
     f0 = f()
+    up = np.zeros(p)
+    down = np.zeros(p)
     hess = np.zeros((p, p))
     bad = np.zeros(p, dtype=bool)
     for i in range(p):
         try:
-            hess[i, i] = (f((i, 1)) - 2.0 * f0 + f((i, -1))) / steps[i] ** 2
+            up[i], down[i] = f((i, 1)), f((i, -1))
         except NumericalError:
             bad[i] = True
+            continue
+        hess[i, i] = (up[i] - 2.0 * f0 + down[i]) / steps[i] ** 2
     for i in range(p):
         for j in range(i):
             if bad[i] or bad[j]:
                 continue
             try:
                 hess[i, j] = hess[j, i] = (
-                    f((i, 1), (j, 1)) - f((i, 1), (j, -1))
-                    - f((i, -1), (j, 1)) + f((i, -1), (j, -1))
-                ) / (4.0 * steps[i] * steps[j])
+                    f((i, 1), (j, 1)) + f((i, -1), (j, -1))
+                    - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
+                ) / (2.0 * steps[i] * steps[j])
             except NumericalError:
                 bad[i] = bad[j] = True
 

@@ -99,6 +99,8 @@ class FitConfig:
             raise ValueOutOfRangeError("outer_tol must be > 0, got %r" % (self.outer_tol,))
         if self.max_outer < 1:
             raise ValueOutOfRangeError("max_outer must be >= 1, got %r" % (self.max_outer,))
+        if self.seed < 0:
+            raise ValueOutOfRangeError("seed must be >= 0, got %r" % (self.seed,))
 
 
 @dataclass

@@ -321,6 +321,10 @@ def simulate_dataset(model, m, sigma, theta, n, seed):
     -------
     (Dataset, ndarray) : the dataset and the (n, q) matrix of latent draws.
     """
+    if n < 1:
+        raise ValueOutOfRangeError("n must be >= 1, got %r" % (n,))
+    if seed < 0:
+        raise ValueOutOfRangeError("seed must be >= 0, got %r" % (seed,))
     children = np.random.SeedSequence(seed).spawn(n)
     ids = []
     xs = np.zeros((n, model.q))

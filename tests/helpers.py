@@ -1,7 +1,7 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
-column update, a process-pool recorder, and the exact E-step of models with closed-form
-posterior moments.
+column update, process-pool and density-call recorders, and the exact
+E-step of models with closed-form posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -31,6 +31,20 @@ def record_pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
+
+
+def record_density_calls(monkeypatch, model_class):
+    """List ``(theta, hash of the latent draws)`` of every
+    ``log_cond_density_pairs`` call on ``model_class`` from now on."""
+    calls = []
+    density = model_class.log_cond_density_pairs
+
+    def recording(self, ys, xs, theta):
+        calls.append((float(theta), hash(np.asarray(xs).tobytes())))
+        return density(self, ys, xs, theta)
+
+    monkeypatch.setattr(model_class, "log_cond_density_pairs", recording)
+    return calls
 
 
 def random_spd(rng, q, dof_extra=5):

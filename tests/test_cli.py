@@ -108,8 +108,7 @@ def test_validate_passes(capsys):
 def test_icf_prints_the_constrained_optimum(tmp_path, capsys):
     mat = tmp_path / "xt.csv"
     mat.write_text("4,-3,3\n-3,4,-3\n3,-3,4\n")
-    assert main(["icf", "--xtilde", str(mat), "--pattern", "(1,3)",
-                 "--n", "100"]) == 0
+    assert main(["icf", "--xtilde", str(mat), "--pattern", "(1,3)"]) == 0
     out = capsys.readouterr().out
     rows = [line.split(",") for line in out.splitlines()[:3]]
     sol = np.array([[float(v) for v in row] for row in rows])
@@ -153,9 +152,55 @@ def test_fit_rejects_out_of_range_settings(tmp_path, capsys, old, new, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_study_rejects_zero_replicates(tmp_path, capsys):
-    assert main(["study", "--replicates", "0", "--out-dir", str(tmp_path / "out")]) == 1
-    assert "error: n_replicates must be >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize("command,old,new,message", [
+    ("fit", "[study]", "[mcem]\nseed = -1\n\n[study]", "seed must be >= 0, got -1"),
+    ("study --replicates 0", "", "", "n_replicates must be >= 1, got 0"),
+    ("study --master-seed -1", "", "", "master_seed must be >= 0, got -1"),
+    ("study", "individuals = 5", "individuals = 0", "n_individuals must be >= 1, got 0"),
+    ("simulate --n -1", "", "", "n must be >= 1, got -1"),
+    ("simulate --n 0", "", "", "n must be >= 1, got 0"),
+    ("simulate --seed -1", "", "", "seed must be >= 0, got -1"),
+])
+def test_negative_seeds_and_empty_counts_are_range_errors(tmp_path, capsys, command,
+                                                          old, new, message):
+    csv_path, _ = example_paths()
+    ini = tmp_path / "range.ini"
+    ini.write_text(STUDY_INI.replace(old, new))
+    out = tmp_path / "out"
+    name, *options = command.split()
+    paths = {"fit": ["--data", csv_path, "--out-dir", str(out)],
+             "study": ["--out-dir", str(out)],
+             "simulate": ["--out", str(tmp_path / "sim.csv")]}[name]
+    assert main([name, "--config", str(ini), *paths, *options]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("sigma,diagonal", [
+    ("25 1 0 0; 1 49 0 0; 0 0 0.25 0; 0 0 0 0.0016", None),
+    ("25 0 0 0; 0 49 0 0; 0 0 0.25 0; 0 0 0 0.0016", (25.0, 49.0, 0.25, 0.0016)),
+])
+def test_study_takes_only_a_diagonal_init_sigma(tmp_path, monkeypatch, capsys, sigma,
+                                                diagonal):
+    # the study itself is replaced by a stub that stops at its config
+    class Stop(Exception):
+        pass
+
+    def stop(cfg):
+        raise Stop(cfg)
+
+    monkeypatch.setattr(cli, "run_simulation_study", stop)
+    ini = tmp_path / "study.ini"
+    ini.write_text(STUDY_INI.replace("sigma_diag = 25, 49, 0.25, 0.0016",
+                                     f"sigma = {sigma}"))
+    argv = ["study", "--config", str(ini), "--out-dir", str(tmp_path / "out")]
+    if diagonal is None:
+        assert main(argv) == 1
+        assert "error: [init] sigma" in capsys.readouterr().err
+    else:
+        with pytest.raises(Stop) as stopped:
+            main(argv)
+        assert stopped.value.args[0].init_sigma_diag == diagonal
 
 
 def test_simulate_writes_a_loadable_dataset(tmp_path, capsys):
@@ -226,7 +271,6 @@ def test_fit_rejects_a_sample_count_below_one_before_fitting(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("option,value,message", [
-    ("--n", "0", "sample count must be >= 1"),
     ("--tol", "0", "tol must be finite and > 0"),
     ("--tol", "nan", "tol must be finite and > 0"),
     ("--max-sweeps", "0", "max_sweeps must be >= 1"),
@@ -248,8 +292,8 @@ def test_fit_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, ca
     ini.write_text(QUICK_INI)
     pools = record_pools(monkeypatch)
     # one CPU starts no pool; two run the free fit in one worker, and
-    # the SE stencil's second share in another
-    expected_pools = {1: [], 2: [1] if "--no-se" in se_options else [1, 1]}
+    # the standard errors in this process
+    expected_pools = {1: [], 2: [1]}
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)

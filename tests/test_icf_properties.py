@@ -76,7 +76,7 @@ def test_icf_solve_properties(problem):
     if diag.converged:
         assert _scale_free_kkt(sol.values, stats.xtilde, pat) <= 1e-5
     start = SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pat)
-    assert diag.objective <= objective(start, stats)
+    assert objective(sol, stats) <= objective(start, stats)
 
     cur = start
     for _ in range(diag.sweeps):

@@ -7,12 +7,11 @@ tail formulas (exp(-s/2) at two constraints, erfc at one).
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
 
-from helpers import record_pools
+from helpers import record_density_calls, record_pools
 from zeromix import _pool
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateWeightError, ValueOutOfRangeError
@@ -137,13 +136,17 @@ def test_standard_errors_equal_a_stencil_through_loglik_is():
         return -loglik_is(model, data, v[:2], s, v[5], n_samples=300, seed=4).loglik
 
     f0 = f({})
+    up = [f({i: 1}) for i in range(6)]
+    down = [f({i: -1}) for i in range(6)]
     hess = np.zeros((6, 6))
     for i in range(6):
-        hess[i, i] = (f({i: 1}) - 2.0 * f0 + f({i: -1})) / steps[i] ** 2
+        hess[i, i] = (up[i] - 2.0 * f0 + down[i]) / steps[i] ** 2
         for j in range(i):
+            # 7-point mixed derivative (Abramowitz & Stegun 25.3.27)
             hess[i, j] = hess[j, i] = (
-                f({i: 1, j: 1}) - f({i: 1, j: -1}) - f({i: -1, j: 1}) + f({i: -1, j: -1})
-            ) / (4.0 * steps[i] * steps[j])
+                f({i: 1, j: 1}) + f({i: -1, j: -1})
+                - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
+            ) / (2.0 * steps[i] * steps[j])
     # the SEs present come from the Hessian block of their coordinates
     assert res.labels == ["m1", "m2", "sigma_1_1", "sigma_2_1", "sigma_2_2", "theta"]
     keep = [k for k, label in enumerate(res.labels) if label in res.se]
@@ -166,37 +169,68 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
     assert "m1" in res.se and "m2" in res.se
 
 
-class BrokenOffCentre(LinearGaussianModel):
-    """Fails with a programming error at any theta but ``centre``; with
-    ``home`` set, only in processes other than that one.  Module-level,
-    so ``fisher_se`` can pickle it to its workers."""
+@pytest.mark.parametrize("example", [False, True])
+def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
+    # one density call per point: every individual's draws fit one block
+    if example:
+        data, cfg = cortisol_example()
+        model, st, pattern = cfg.model, cfg.init, cfg.pattern
+        m, sigma, theta = st.m, st.sigma, st.theta
+    else:
+        model, data, m, sigma, theta = _linear_setup(n=40, seed=4)
+        pattern = ZeroPattern([], dim=2)
+    calls = record_density_calls(monkeypatch, type(model))
+    res = fisher_se(model, data, m, sigma, theta, pattern, n_samples=200, seed=1)
+    p = len(res.labels)
+    assert p == (13 if example else 6)
+    assert len(calls) == 1 + 2 * p + p * (p - 1)  # 183 for the example
+    assert len(set(calls)) == len(calls)
 
-    def __init__(self, q, centre, home=None):
+
+def test_the_cross_points_of_a_bad_coordinate_are_not_scored(monkeypatch):
+    # with rho = 0.9993 the +0.1% step on sigma_2_1 leaves the cone, so
+    # neither its -0.1% step nor its 10 cross points are scored; the
+    # (-, -) step on sigma_1_1 and sigma_2_2 leaves it too, which drops
+    # their 4 cross points with theta
+    model, data, m, _, theta = _linear_setup(n=40, seed=4)
+    sigma = SpdMatrix(np.array([[1.0, 0.9993], [0.9993, 1.0]]))
+    calls = record_density_calls(monkeypatch, LinearGaussianModel)
+    res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
+                    n_samples=200, seed=1)
+    # f0, 10 diagonal points, 7 pairs of good coordinates and the (+, +)
+    # point of (sigma_2_2, sigma_1_1)
+    assert len(calls) == 1 + 10 + 2 * 7 + 1
+    assert len(set(calls)) == len(calls)
+    assert res.flagged
+    assert set(res.se) == {"m1", "m2", "theta"}
+
+
+class BrokenOffCentre(LinearGaussianModel):
+    """Fails with a programming error at any theta but ``centre``."""
+
+    def __init__(self, q, centre):
         super().__init__(q)
         self.centre = centre
-        self.home = home
 
     def log_cond_density_pairs(self, ys, xs, th):
-        if th != self.centre and os.getpid() != self.home:
+        if th != self.centre:
             raise RuntimeError("model bug")
         return super().log_cond_density_pairs(ys, xs, th)
 
 
-@pytest.mark.parametrize("cpus,in_worker_only", [(1, False), (2, False), (2, True)])
-def test_a_programming_error_in_the_model_propagates(monkeypatch, cpus, in_worker_only):
-    # in_worker_only: this process scores its share cleanly, so the
-    # error must cross back from the worker's share
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_programming_error_in_the_model_propagates(monkeypatch, cpus):
     monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
     model, data, m, sigma, theta = _linear_setup(n=5)
-    broken = BrokenOffCentre(2, theta, home=os.getpid() if in_worker_only else None)
+    broken = BrokenOffCentre(2, theta)
     with pytest.raises(RuntimeError, match="model bug"):
         fisher_se(broken, data, m, sigma, theta, ZeroPattern([], dim=2),
                   n_samples=50, seed=1)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.9995])
-def test_pooled_standard_errors_equal_the_in_process_ones(monkeypatch, rho):
-    # at rho = 0.9995 some stencil points raise and are stored as errors
+def test_standard_errors_start_no_pool_at_any_cpu_count(monkeypatch, rho):
+    # at rho = 0.9995 some stencil points raise
     model, data, m, _, theta = _linear_setup(n=40, seed=4)
     sigma = SpdMatrix(np.array([[1.0, rho], [rho, 1.0]]))
     pools = record_pools(monkeypatch)
@@ -205,8 +239,7 @@ def test_pooled_standard_errors_equal_the_in_process_ones(monkeypatch, rho):
         monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
         results.append(fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
                                  n_samples=200, seed=1))
-    # this process scores one share, the workers the others
-    assert pools == [1, 2]
+    assert pools == []
     if rho == 0.9995:
         assert results[0].flagged and "sigma_2_1" not in results[0].se
     assert results[1] == results[0] and results[2] == results[0]

@@ -10,7 +10,6 @@ naive zero forcing.
 
 from .covariance import (
     IcfDiagnostics,
-    SchurSplit,
     SpdMatrix,
     SufficientStats,
     ZeroPattern,
@@ -19,8 +18,6 @@ from .covariance import (
     kkt_residual,
     min_eig_repair,
     objective,
-    schur_split,
-    validate_pattern,
     zero_forced,
 )
 
@@ -28,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IcfDiagnostics",
-    "SchurSplit",
     "SpdMatrix",
     "SufficientStats",
     "ZeroPattern",
@@ -37,8 +33,6 @@ __all__ = [
     "kkt_residual",
     "min_eig_repair",
     "objective",
-    "schur_split",
-    "validate_pattern",
     "zero_forced",
     "__version__",
 ]

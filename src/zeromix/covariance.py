@@ -53,13 +53,10 @@ from .exceptions import (
 __all__ = [
     "ZeroPattern",
     "SpdMatrix",
-    "SchurSplit",
     "SufficientStats",
     "IcfDiagnostics",
-    "validate_pattern",
     "zero_forced",
     "min_eig_repair",
-    "schur_split",
     "icf_column_update",
     "icf_solve",
     "objective",
@@ -76,7 +73,10 @@ class ZeroPattern:
     Pairs use 1-based indices and are stored in canonical (i, j) order
     with i < j; the reversed form of a pair denotes the same constraint
     because the matrices are symmetric.  The empty pattern is valid and
-    means "unconstrained".
+    means "unconstrained".  The pairs are checked once, here, in
+    canonical order: each pair in turn must be off the diagonal, inside
+    [1, dim] and not a repeat of an earlier pair.  Whatever takes a
+    pattern checks only that its order matches the matrix's.
 
     Parameters
     ----------
@@ -104,8 +104,21 @@ class ZeroPattern:
             canon.append((i, j))
         canon.sort()
         self.pairs = tuple(canon)
-        self.dim = int(dim)
-        validate_pattern(self, self.dim)
+        self.dim = q = int(dim)
+        seen = set()
+        for i, j in self.pairs:
+            if i == j:
+                raise DiagonalZeroError(
+                    "pair (%d, %d) constrains a diagonal entry; the diagonal of a "
+                    "positive definite matrix cannot be zero" % (i, j)
+                )
+            if not (1 <= i <= q) or not (1 <= j <= q):
+                raise IndexOutOfRangeError(
+                    "pair (%d, %d) outside [1, %d]" % (i, j, q)
+                )
+            if (i, j) in seen:
+                raise DuplicatePairError("pair (%d, %d) appears more than once" % (i, j))
+            seen.add((i, j))
 
     def __len__(self):
         return len(self.pairs)
@@ -147,25 +160,13 @@ class ZeroPattern:
         return True
 
 
-def validate_pattern(pattern, q):
-    """Check a pattern's invariants against matrix order ``q``.
-
-    Returns None on success; raises a subclass of PatternError otherwise.
-    """
-    seen = set()
-    for i, j in pattern.pairs:
-        if i == j:
-            raise DiagonalZeroError(
-                "pair (%d, %d) constrains a diagonal entry; the diagonal of a "
-                "positive definite matrix cannot be zero" % (i, j)
-            )
-        if not (1 <= i <= q) or not (1 <= j <= q):
-            raise IndexOutOfRangeError(
-                "pair (%d, %d) outside [1, %d]" % (i, j, q)
-            )
-        if (i, j) in seen:
-            raise DuplicatePairError("pair (%d, %d) appears more than once" % (i, j))
-        seen.add((i, j))
+def _require_order(pattern, q):
+    # a pattern built for one order must not be applied to another
+    if pattern.dim != q:
+        raise ValueError(
+            "pattern is declared for order %d but the matrix has order %d"
+            % (pattern.dim, q)
+        )
 
 
 class SpdMatrix:
@@ -174,8 +175,8 @@ class SpdMatrix:
     Symmetry is enforced bitwise by replicating the lower triangle.
     Positive definiteness is verified at construction by a Cholesky
     factorization, which is cached for log-determinants and solves.
-    When a pattern is supplied, every constrained entry must equal 0.0
-    exactly.
+    When a pattern is supplied, it must be declared for the matrix's
+    order, and every constrained entry must equal 0.0 exactly.
 
     Parameters
     ----------
@@ -186,6 +187,9 @@ class SpdMatrix:
 
     Raises
     ------
+    ValueError
+        If ``entries`` is not square, or ``pattern`` is declared for
+        another order.
     NotPositiveDefiniteError
         If the factorization fails or entries are non-finite.
     PatternViolationError
@@ -201,7 +205,7 @@ class SpdMatrix:
         if not np.all(np.isfinite(m)):
             raise NotPositiveDefiniteError("matrix has non-finite entries")
         if pattern is not None:
-            validate_pattern(pattern, m.shape[0])
+            _require_order(pattern, m.shape[0])
             if not pattern.conforms(m):
                 raise PatternViolationError(
                     "matrix has nonzero entries at constrained positions %r"
@@ -255,24 +259,6 @@ class SpdMatrix:
 
     def __repr__(self):
         return "SpdMatrix(dim=%d, pattern=%r)" % (self.dim, self.pattern)
-
-
-@dataclass(frozen=True)
-class SchurSplit:
-    """One-column block split of an SPD matrix.
-
-    For pivot column j, ``a`` is the complementary principal block,
-    ``b`` the off-diagonal column, ``c`` the pivot diagonal entry and
-    ``s = c - b' a^-1 b`` its Schur complement.  The determinant
-    factorizes as det(Sigma) = det(a) * s, and s > 0 whenever the
-    source matrix is positive definite.
-    """
-
-    j: int
-    a: np.ndarray
-    b: np.ndarray
-    c: float
-    s: float
 
 
 class SufficientStats:
@@ -344,16 +330,6 @@ def _as_array(sigma):
     return sigma.values if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
 
 
-def _require_order(pattern, q):
-    # a pattern built for one order must not be applied to another
-    validate_pattern(pattern, q)
-    if pattern.dim != q:
-        raise ValueError(
-            "pattern is declared for order %d but the matrix has order %d"
-            % (pattern.dim, q)
-        )
-
-
 def zero_forced(sigma_uc, pattern):
     """Overwrite constrained entries (and transposes) with exact zeros.
 
@@ -388,35 +364,6 @@ def min_eig_repair(sigma_zf, n):
     lam_min = float(np.linalg.eigvalsh(a)[0])
     shift = max(-lam_min, 0.0) + 1.0 / float(n) ** 2
     return SpdMatrix(a + shift * np.eye(a.shape[0]))
-
-
-def schur_split(sigma, j):
-    """Split an SPD matrix around 1-based pivot column j.
-
-    Returns a SchurSplit (a, b, c, s) with s = c - b' a^-1 b.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the complementary block cannot be factorized.
-    """
-    m = _as_array(sigma)
-    q = m.shape[0]
-    if not (1 <= j <= q):
-        raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
-    jj = j - 1
-    rest = [t for t in range(q) if t != jj]
-    a = m[np.ix_(rest, rest)]
-    b = m[rest, jj]
-    c = float(m[jj, jj])
-    with np.errstate(invalid="ignore"):
-        chol_a = _chol(a)
-    if chol_a is None:
-        raise NotPositiveDefiniteError(
-            "complementary block at pivot %d is not positive definite" % j
-        )
-    s = c - float(b @ _cho_solve(chol_a, b))
-    return SchurSplit(j=j, a=a, b=b, c=c, s=s)
 
 
 def objective(sigma, stats):
@@ -530,7 +477,6 @@ def icf_column_update(sigma, stats, j, pattern):
     """
     cur = np.array(SpdMatrix(_as_array(sigma), pattern=pattern).values)
     q = cur.shape[0]
-    _require_order(pattern, q)
     if not (1 <= j <= q):
         raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
     with np.errstate(invalid="ignore"):

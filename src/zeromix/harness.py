@@ -28,7 +28,7 @@ import numpy as np
 from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from .exceptions import NumericalError, ValueOutOfRangeError
-from .inference import loglik_is, lr_test
+from .inference import _pack_params, free_param_labels, loglik_is, lr_test
 from .mcem import FitConfig, FitState, fit
 from .models import CortisolModel, Dataset, load_dataset, save_dataset, simulate_dataset
 
@@ -48,22 +48,6 @@ _TRUTH_SIGMA = (
     (0.0, -2e-3, 0.0, 1e-5),
 )
 _TRUTH_THETA = 0.015
-
-
-def table_param_labels(q):
-    """Row labels of the summary table: means, covariance entries, theta."""
-    labels = [f"m{i}" for i in range(1, q + 1)]
-    for i in range(1, q + 1):
-        for j in range(1, i + 1):
-            labels.append(f"sigma_{i}_{j}")
-    labels.append("theta")
-    return labels
-
-
-def _param_vector(m, sigma_values, theta):
-    q = len(m)
-    tril = [sigma_values[i, j] for i in range(q) for j in range(i + 1)]
-    return np.array([*m, *tril, theta], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -273,19 +257,19 @@ def run_simulation_study(cfg):
                 retried.append({"replicate": r, "attempts": attempts})
             records.append(kept)
 
-    labels = table_param_labels(cfg.q)
-    truth = _param_vector(np.asarray(cfg.truth_m, dtype=float),
-                          np.asarray(cfg.truth_sigma, dtype=float),
-                          cfg.truth_theta)
+    # rows are the free parameter vector of the empty pattern
+    free = ZeroPattern([], dim=cfg.q)
+    labels = free_param_labels(free)
+    truth = _pack_params(cfg.truth_m, cfg.truth_sigma, cfg.truth_theta, free)
     rows = []
     loglik_row = {}
     p_values = []
     if records:
         per_est = {}
         for name in ESTIMATOR_NAMES:
-            vecs = [_param_vector(np.asarray(rec["estimates"][name]["m"]),
-                                  np.asarray(rec["estimates"][name]["sigma"]),
-                                  rec["estimates"][name]["theta"])
+            vecs = [_pack_params(rec["estimates"][name]["m"],
+                                 rec["estimates"][name]["sigma"],
+                                 rec["estimates"][name]["theta"], free)
                     for rec in records]
             per_est[name] = _aggregate(vecs, truth)
         for idx, label in enumerate(labels):
@@ -374,13 +358,12 @@ def write_trace_csv(result, path):
     """Iteration trace: state coordinates plus sampler summaries."""
     if not result.trace:
         raise ValueError("fit result carries no trace")
-    q = len(result.trace[0].m)
-    labels = table_param_labels(q)
-    header = ["k", *labels, "accept_rate", "delta"]
+    free = ZeroPattern([], dim=len(result.trace[0].m))
+    header = ["k", *free_param_labels(free), "accept_rate", "delta"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in result.trace:
-            vec = _param_vector(row.m, row.sigma, row.theta)
+            vec = _pack_params(row.m, row.sigma, row.theta, free)
             cells = [str(row.k), *(repr(float(v)) for v in vec),
                      repr(float(row.accept_rate)), repr(float(row.delta))]
             fh.write(",".join(cells) + "\n")
@@ -485,7 +468,7 @@ def run_validation(out=print):
     installation from the command line.
     """
     from .covariance import (SufficientStats, icf_column_update, icf_solve,
-                             kkt_residual, objective, schur_split)
+                             kkt_residual, objective)
     from .mcem import run_estep
     from .models import LinearGaussianModel
 
@@ -499,27 +482,30 @@ def run_validation(out=print):
             failures += 1
             out(f"FAIL  {name}  {detail}")
 
-    # Corner-split identities on random SPD matrices.
+    # The column update's split on random SPD (Sigma, X-tilde), no zeros:
+    # the complementary block stays bitwise, and the new Schur complement
+    # is the conditional variance of the moments.
     rng = np.random.default_rng(20_000)
     worst = 0.0
+    kept = True
     for _ in range(200):
         q = int(rng.integers(2, 7))
-        g = rng.standard_normal((q, q))
+        g, h = rng.standard_normal((2, q, q))
         sigma = SpdMatrix(g @ g.T + q * np.eye(q))
+        xt = h @ h.T + q * np.eye(q)
         j = int(rng.integers(1, q + 1))
-        sp = schur_split(sigma, j)
-        rest = [t for t in range(q) if t != j - 1]
-        rebuilt = np.zeros((q, q))
-        rebuilt[np.ix_(rest, rest)] = sp.a
-        rebuilt[rest, j - 1] = sp.b
-        rebuilt[j - 1, rest] = sp.b
-        rebuilt[j - 1, j - 1] = sp.c
-        err = abs(rebuilt - sigma.values).max() / abs(sigma.values).max()
-        det = sp.s * np.linalg.det(sp.a)
-        err = max(err, abs(det - np.linalg.det(sigma.values)) / abs(det))
-        worst = max(worst, err)
-    check("corner split identities (200 random SPD)", worst < 1e-10,
-          f"worst rel err {worst:.2e}")
+        new = icf_column_update(sigma, SufficientStats(xt, n=1), j,
+                                ZeroPattern([], dim=q)).values
+        rest = np.array([t for t in range(q) if t != j - 1])
+        a, b = new[np.ix_(rest, rest)], new[rest, j - 1]
+        kept = kept and np.array_equal(a, sigma.values[np.ix_(rest, rest)])
+        m_uu, h_u = xt[np.ix_(rest, rest)], xt[rest, j - 1]
+        s_new = new[j - 1, j - 1] - b @ np.linalg.solve(a, b)
+        s_xt = xt[j - 1, j - 1] - h_u @ np.linalg.solve(m_uu, h_u)
+        worst = max(worst, abs(s_new - s_xt) / s_xt)
+    check("column update keeps its block, Schur complement = conditional "
+          "variance (200 random SPD)", kept and worst < 1e-10,
+          f"block kept {kept}, worst rel err {worst:.2e}")
 
     # Constrained covariance solve on the pinned 3x3 example.
     xtilde = np.array([[4.0, -3.0, 3.0], [-3.0, 4.0, -3.0], [3.0, -3.0, 4.0]])

@@ -29,7 +29,6 @@ from zeromix.covariance import (
     kkt_residual,
     min_eig_repair,
     objective,
-    schur_split,
     zero_forced,
 )
 from zeromix.harness import (
@@ -48,34 +47,36 @@ def _line(status, name, detail):
 
 
 def test_corner_split_identities_hold_at_scale():
-    """det(Sigma) = det(A) * s and the bordered quadratic-form identity
-    hold to 1e-10 relative on 1000 random SPD matrices, within 5 s."""
+    """One column update with no zeros, on 1000 random SPD (Sigma, X-tilde):
+    the complementary block stays bitwise unchanged, and the new Schur
+    complement equals the conditional variance of the moments to 1e-10
+    relative, within 5 s."""
     rng = np.random.default_rng(1)
-    worst_det = 0.0
-    worst_quad = 0.0
+    kept = True
+    worst = 0.0
     start = time.perf_counter()
     for _ in range(1000):
         q = int(rng.integers(2, 9))
-        sigma = random_spd(rng, q)
-        z = rng.standard_normal(q)
+        sigma = SpdMatrix(random_spd(rng, q))
+        xt = random_spd(rng, q)
         j = int(rng.integers(1, q + 1))
-        split = schur_split(sigma, j)
-        det_full = float(np.linalg.det(sigma))
-        det_split = float(np.linalg.det(split.a)) * split.s
-        worst_det = max(worst_det, abs(det_full - det_split) / abs(det_full))
+        new = icf_column_update(sigma, SufficientStats(xt, n=1), j,
+                                ZeroPattern([], dim=q)).values
         rest = [t for t in range(q) if t != j - 1]
-        u, v = z[rest], z[j - 1]
-        au = np.linalg.solve(split.a, u)
-        quad_full = float(z @ np.linalg.solve(sigma, z))
-        quad_split = float(u @ au) + (v - float(split.b @ au)) ** 2 / split.s
-        worst_quad = max(worst_quad, abs(quad_full - quad_split) / abs(quad_full))
+        a, b = new[np.ix_(rest, rest)], new[rest, j - 1]
+        kept = kept and np.array_equal(a, sigma.values[np.ix_(rest, rest)])
+        m_uu, h_u = xt[np.ix_(rest, rest)], xt[rest, j - 1]
+        # Sigma'_jj - b' A^-1 b against X-tilde_jj - h' M^-1 h
+        s_new = new[j - 1, j - 1] - float(b @ np.linalg.solve(a, b))
+        s_cond = xt[j - 1, j - 1] - float(h_u @ np.linalg.solve(m_uu, h_u))
+        worst = max(worst, abs(s_new - s_cond) / abs(s_cond))
     elapsed = time.perf_counter() - start
-    ok = worst_det < 1e-10 and worst_quad < 1e-10 and elapsed < 5.0
+    ok = kept and worst < 1e-10 and elapsed < 5.0
     _line("PASS" if ok else "FAIL", "corner split identities",
-          f"1000 matrices q=2..8, det rel err {worst_det:.2e}, "
-          f"quadratic-form rel err {worst_quad:.2e}, {elapsed:.2f}s (< 5s)")
-    assert worst_det < 1e-10
-    assert worst_quad < 1e-10
+          f"1000 column updates q=2..8, block kept {kept}, Schur complement "
+          f"vs conditional variance rel err {worst:.2e}, {elapsed:.2f}s (< 5s)")
+    assert kept
+    assert worst < 1e-10
     assert elapsed < 5.0
 
 

@@ -1,4 +1,4 @@
-"""Covariance layer: pattern handling, Schur machinery, the columnwise
+"""Covariance layer: pattern handling, the SPD wrapper, the columnwise
 constrained solve, and zero-forcing repair.
 
 Expected numbers fall in three classes: hand-derived closed forms
@@ -23,9 +23,7 @@ from zeromix.covariance import (
     min_eig_repair,
     objective,
     pack_free_entries,
-    schur_split,
     unpack_free_entries,
-    validate_pattern,
     zero_forced,
 )
 from zeromix.exceptions import (
@@ -105,6 +103,14 @@ def test_spd_matrix_enforces_pattern_conformance():
     assert ok.pattern == pat
 
 
+def test_spd_matrix_rejects_pattern_of_another_order():
+    # (1, 3) lies inside both orders; only the declared order differs
+    with pytest.raises(ValueError, match="declared for order 3 but the matrix has order 4"):
+        SpdMatrix(np.eye(4), pattern=ZeroPattern([(1, 3)], dim=3))
+    with pytest.raises(ValueError, match="declared for order 4 but the matrix has order 3"):
+        SpdMatrix(np.eye(3), pattern=ZeroPattern([(1, 3)], dim=4))
+
+
 def test_spd_matrix_is_read_only():
     spd = SpdMatrix(np.eye(2))
     with pytest.raises(ValueError):
@@ -119,33 +125,6 @@ def test_spd_matrix_solve_logdet_inv_match_numpy():
     assert np.allclose(spd.solve(rhs), np.linalg.solve(a, rhs), atol=1e-12)
     assert np.isclose(spd.logdet(), np.linalg.slogdet(a)[1], atol=1e-12)
     assert np.allclose(spd.inv(), np.linalg.inv(a), atol=1e-10)
-
-
-def test_corner_split_two_by_two_by_hand():
-    sp = schur_split(SpdMatrix(np.array([[4.0, -3.0], [-3.0, 4.0]])), 1)
-    assert np.array_equal(sp.a, np.array([[4.0]]))
-    assert np.array_equal(sp.b, np.array([-3.0]))
-    assert sp.c == 4.0
-    assert sp.s == pytest.approx(1.75, abs=1e-15)
-
-
-def test_corner_split_reconstruction_and_determinant():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        q = int(rng.integers(2, 7))
-        sigma = SpdMatrix(random_spd(rng, q))
-        j = int(rng.integers(1, q + 1))
-        sp = schur_split(sigma, j)
-        rest = [t for t in range(q) if t != j - 1]
-        rebuilt = np.zeros((q, q))
-        rebuilt[np.ix_(rest, rest)] = sp.a
-        rebuilt[rest, j - 1] = sp.b
-        rebuilt[j - 1, rest] = sp.b
-        rebuilt[j - 1, j - 1] = sp.c
-        assert np.array_equal(rebuilt, sigma.values)
-        assert sp.s > 0.0
-        det = np.linalg.det(sigma.values)
-        assert np.isclose(sp.s * np.linalg.det(sp.a), det, rtol=1e-10)
 
 
 def test_zero_forcing_overwrites_only_the_pattern():
@@ -319,7 +298,6 @@ def test_order_one_update_and_split_solve_the_empty_block():
     out = icf_column_update(sigma, SufficientStats(np.array([[3.0]]), n=5), 1,
                             ZeroPattern([], dim=1))
     assert out.values.tolist() == [[3.0]]
-    assert schur_split(sigma, 1).s == 2.0
 
 
 def test_spd_matrix_solve_rejects_mismatched_right_hand_sides():

@@ -12,15 +12,16 @@ from zeromix.exceptions import DomainError, ValueOutOfRangeError
 from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              _aggregate, _replicate_seeds, cortisol_example,
                              fit_report, qq_data, run_simulation_study,
-                             table_param_labels, write_example_bundle,
+                             write_example_bundle,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
 from zeromix.mcem import FitConfig, FitResult, FitState, GammaSchedule, TraceRow
-from zeromix.covariance import SpdMatrix
+from zeromix.covariance import SpdMatrix, ZeroPattern
+from zeromix.inference import free_param_labels
 
 
 def test_table_labels_cover_means_covariance_and_theta():
-    labels = table_param_labels(4)
+    labels = free_param_labels(ZeroPattern([], dim=4))
     assert len(labels) == 15
     assert labels[:4] == ["m1", "m2", "m3", "m4"]
     assert labels[4] == "sigma_1_1"
@@ -79,6 +80,13 @@ def test_study_config_validation():
             (-0.3, -0.1, 0.05, 0.0),
             (0.5, -2e-3, 0.0, 1e-5),
         ))
+
+
+def test_study_config_rejects_truth_of_another_order():
+    # four means, so the pattern is declared for order 4; the 5 x 5 truth
+    # would otherwise fail only inside the simulation
+    with pytest.raises(ValueError, match="declared for order 4 but the matrix has order 5"):
+        SimStudyConfig(truth_sigma=tuple(map(tuple, np.eye(5))))
 
 
 def test_replicate_seeds_differ_across_replicates_and_attempts():
@@ -155,7 +163,7 @@ def test_pooled_study_matches_the_in_process_study(monkeypatch):
 
 
 def _fake_report():
-    labels = table_param_labels(4)
+    labels = free_param_labels(ZeroPattern([], dim=4))
     rows = []
     for idx, label in enumerate(labels):
         rows.append({

@@ -33,7 +33,6 @@ from zeromix.covariance import (  # noqa: E402
     icf_column_update,
     icf_solve,
     objective,
-    schur_split,
 )
 from zeromix.exceptions import (  # noqa: E402
     NotPositiveDefiniteError,
@@ -212,7 +211,3 @@ def test_failed_factorizations_raise_package_errors_without_warnings():
         NotPositiveDefiniteError,
         "symmetric factorization failed: matrix is not positive definite",
         lambda: SpdMatrix(indefinite))
-    _raises_without_warning(
-        NotPositiveDefiniteError,
-        "complementary block at pivot 1 is not positive definite",
-        lambda: schur_split(indefinite, 1))

@@ -27,14 +27,13 @@ import numpy as np
 
 from ._pool import run_tasks
 from .config import _parse_pairs, load_config
-from .covariance import (SpdMatrix, SufficientStats, ZeroPattern, icf_solve,
-                         kkt_residual, objective)
-from .exceptions import ConfigError, NumericalError, UsageError, ValueOutOfRangeError
+from .covariance import SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective
+from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
 from .harness import (SimStudyConfig, fit_report, qq_data, run_simulation_study,
                       run_validation, write_json, write_qq_csv, write_table_csv,
                       write_trace_csv)
 from .inference import fisher_se, loglik_is, lr_test
-from .mcem import FitState, fit
+from .mcem import fit
 from .models import load_dataset, save_dataset, simulate_dataset
 
 
@@ -65,10 +64,8 @@ def _cmd_fit(args):
     tasks = [(cfg.model, data, cfg.pattern, cfg.init, cfg.fit,
               args.loglik_samples, ll_seed)]
     if not cfg.pattern.is_empty():
-        init_u = FitState(m=cfg.init.m, sigma=SpdMatrix(cfg.init.sigma.values),
-                          theta=cfg.init.theta)
         cfg_u = dataclasses.replace(cfg.fit, seed=_derived_seed(cfg.fit.seed, 1))
-        tasks.append((cfg.model, data, ZeroPattern([], dim=cfg.model.q), init_u,
+        tasks.append((cfg.model, data, ZeroPattern([], dim=cfg.model.q), cfg.init,
                       cfg_u, args.loglik_samples, ll_seed))
     scored = run_tasks(_fit_scored, tasks, here_first=True)
     result, ll = scored[0]
@@ -101,10 +98,12 @@ def _cmd_simulate(args):
     if cfg.study is None:
         raise UsageError("simulate needs a [study] section with the truth")
     st = cfg.study
-    n = args.n if args.n is not None else st.individuals
-    seed = args.seed if args.seed is not None else st.master_seed
-    data, _ = simulate_dataset(cfg.model, st.truth_m, st.truth_sigma,
-                               st.truth_theta, n, seed)
+    n = args.n if args.n is not None else st.get("n_individuals",
+                                                  SimStudyConfig.n_individuals)
+    seed = args.seed if args.seed is not None else st.get("master_seed",
+                                                          SimStudyConfig.master_seed)
+    data, _ = simulate_dataset(cfg.model, st["truth_m"], st["truth_sigma"],
+                               st["truth_theta"], n, seed)
     save_dataset(data, args.out)
     print(f"wrote {n} individuals x {cfg.model.n_obs} observations to {args.out}")
     return 0
@@ -114,28 +113,8 @@ def _cmd_study(args):
     kwargs = {}
     if args.config is not None:
         cfg = load_config(args.config)
-        if cfg.study is not None:
-            st = cfg.study
-            kwargs.update(
-                n_replicates=st.replicates,
-                n_individuals=st.individuals,
-                master_seed=st.master_seed,
-                truth_m=tuple(float(v) for v in st.truth_m),
-                truth_sigma=tuple(tuple(float(v) for v in row)
-                                  for row in st.truth_sigma),
-                truth_theta=st.truth_theta,
-            )
-        init_sigma = cfg.init.sigma.values
-        if np.any(init_sigma != np.diag(np.diag(init_sigma))):
-            raise ConfigError("[init] sigma: the study starts from a diagonal "
-                              "covariance; give its diagonal as sigma_diag")
-        kwargs.update(
-            pattern_pairs=cfg.pattern.pairs,
-            fit=cfg.fit,
-            init_m=tuple(float(v) for v in cfg.init.m),
-            init_sigma_diag=tuple(float(v) for v in np.diag(init_sigma)),
-            init_theta=float(cfg.init.theta),
-        )
+        kwargs = dict(cfg.study or {}, model=cfg.model, pattern=cfg.pattern,
+                      init=cfg.init, fit=cfg.fit)
     if args.replicates is not None:
         kwargs["n_replicates"] = args.replicates
     if args.master_seed is not None:
@@ -161,12 +140,12 @@ def _cmd_icf(args):
         xtilde = np.loadtxt(args.xtilde, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read matrix from {args.xtilde}: {exc}") from exc
-    if xtilde.shape[0] != xtilde.shape[1]:
-        raise UsageError(f"matrix must be square, got shape {xtilde.shape}")
-    q = xtilde.shape[0]
+    try:
+        stats = SufficientStats(xtilde, n=1)  # the solver reads only X-tilde
+    except ValueError as exc:
+        raise UsageError(f"{args.xtilde}: {exc}") from exc
     pattern = ZeroPattern(_parse_pairs(args.pattern, "--pattern") if args.pattern else [],
-                          dim=q)
-    stats = SufficientStats(xtilde, n=1)  # the solver reads only X-tilde
+                          dim=stats.dim)
     sol, diag = icf_solve(stats, pattern, tol=args.tol,
                           max_sweeps=args.max_sweeps)
     for row in sol.values:

@@ -28,16 +28,20 @@ all the keys each section accepts:
 ``[study]``
     Optional simulation-study block: ``replicates``, ``individuals``,
     ``master_seed``, and the generating truth (``truth_m``,
-    ``truth_sigma`` as rows, ``truth_theta``).
+    ``truth_sigma`` as rows, ``truth_theta``), read as keywords of
+    :class:`zeromix.harness.SimStudyConfig` (the first two set
+    ``n_replicates`` and ``n_individuals``); ``zeromix study`` adds the
+    model, pattern, start and fit of the sections above.
 
 Any other section or key, including keys under ``[DEFAULT]``, is a
 :class:`~zeromix.exceptions.ConfigError`, so a misspelt name fails
-instead of leaving a default in place.
+instead of leaving a default in place; so is a ``nan`` or ``inf``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +53,6 @@ from .models import CortisolModel, LinearGaussianModel, NlmeModel
 
 
 @dataclass(frozen=True)
-class StudySettings:
-    """Truth and sizes for a simulation study read from ``[study]``."""
-
-    replicates: int
-    individuals: int
-    master_seed: int
-    truth_m: np.ndarray
-    truth_sigma: np.ndarray
-    truth_theta: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything an INI file specifies about a run."""
 
@@ -68,7 +60,7 @@ class RunConfig:
     pattern: ZeroPattern
     init: FitState
     fit: FitConfig
-    study: StudySettings | None
+    study: dict | None  # the [study] values by SimStudyConfig field name
 
 
 def _parse_floats(text, key):
@@ -78,6 +70,8 @@ def _parse_floats(text, key):
         raise ConfigError(f"{key}: expected a list of numbers, got {text!r}") from exc
     if not values:
         raise ConfigError(f"{key}: empty value")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key}: expected finite numbers, got {text!r}")
     return np.asarray(values, dtype=float)
 
 
@@ -107,9 +101,12 @@ def _parse_pairs(text, key):
 def _number(kind):
     def parse(text, key):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError as exc:
             raise ConfigError(f"{key}: invalid value {text!r}") from exc
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        return value
     return parse
 
 
@@ -137,8 +134,8 @@ _SECTIONS = {
 _MODEL_KEYS = {"cortisol": "doses", "linear_gaussian": "q"}
 # [mcem] keys of the damping schedule, with their GammaSchedule fields
 _SCHEDULE_FIELDS = {"gamma_a": "a", "gamma_b": "b", "warmup": "k0"}
-# [study] sizes with their defaults, and the truth it must give
-_STUDY_SIZES = {"replicates": 20, "individuals": 30, "master_seed": 0}
+# SimStudyConfig fields of the [study] keys named otherwise, and the truth
+_STUDY_FIELDS = {"replicates": "n_replicates", "individuals": "n_individuals"}
 _STUDY_TRUTH = ("truth_m", "truth_sigma", "truth_theta")
 
 
@@ -215,12 +212,9 @@ def _build_study(values, q):
     for key in _STUDY_TRUTH:
         if key not in values:
             raise ConfigError(f"[study] section needs a {key!r} key")
-    truth_m, truth_sigma, truth_theta = (values[key] for key in _STUDY_TRUTH)
-    if len(truth_m) != q or truth_sigma.shape != (q, q):
+    if len(values["truth_m"]) != q or values["truth_sigma"].shape != (q, q):
         raise ConfigError("study truth does not match the model dimension")
-    sizes = {key: values.get(key, default) for key, default in _STUDY_SIZES.items()}
-    return StudySettings(**sizes, truth_m=truth_m, truth_sigma=truth_sigma,
-                         truth_theta=truth_theta)
+    return {_STUDY_FIELDS.get(key, key): value for key, value in values.items()}
 
 
 def load_config(path):

@@ -68,6 +68,11 @@ class ValueOutOfRangeError(UsageError, ValueError):
     outside [0, 1], a count or length below its minimum."""
 
 
+class InputMismatchError(UsageError, ValueError):
+    """Inputs that must agree do not: a dataset and the model's design,
+    or a study's truth, pattern or start and the model's order."""
+
+
 class DataFormatError(UsageError):
     """A dataset file is malformed; the message carries the row number."""
 

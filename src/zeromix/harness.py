@@ -1,12 +1,12 @@
 """Simulation study, report emission, and the bundled worked example.
 
-The study simulates balanced cortisol-washout datasets from a known
-truth whose covariance carries two structural zeros, fits each dataset
-with the unconstrained EM estimator and the zero-constrained EM
-estimator, derives the naive zero-forced estimator from the
-unconstrained fit, and aggregates per-parameter Mean, S.E., and root
-mean quadratic error across replicates.  Per-replicate likelihood
-ratio p-values feed a QQ-plot data file.
+The study simulates balanced datasets of its model (by default the
+cortisol washout) from a known truth whose covariance carries zeros,
+fits each dataset with the unconstrained EM estimator and the
+zero-constrained EM estimator, derives the naive zero-forced estimator
+from the unconstrained fit, and aggregates per-parameter Mean, S.E.,
+and root mean quadratic error across replicates.  Per-replicate
+likelihood ratio p-values feed a QQ-plot data file.
 
 Everything is keyed off a single master seed: replicate r derives all
 of its randomness from (master seed, r, attempt), so reports are
@@ -27,10 +27,10 @@ import numpy as np
 
 from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
-from .exceptions import NumericalError, ValueOutOfRangeError
+from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError
 from .inference import _pack_params, free_param_labels, loglik_is, lr_test
 from .mcem import FitConfig, FitState, fit
-from .models import CortisolModel, Dataset, load_dataset, save_dataset, simulate_dataset
+from .models import CortisolModel, NlmeModel, load_dataset, save_dataset, simulate_dataset
 
 ESTIMATOR_NAMES = ("em", "em_icf", "zero_forced")
 
@@ -49,16 +49,24 @@ _TRUTH_SIGMA = (
 )
 _TRUTH_THETA = 0.015
 
+# The default start, built once and shared: every fit copies it.  It is
+# diagonal and deliberately wide: the sampler must mix across the
+# latent scale before the step-size decay sets in.
+_INIT = FitState(m=np.array([50.0, 70.0, 1.0, 0.1]),
+                 sigma=SpdMatrix(np.diag([25.0, 49.0, 0.25, 1.6e-3])), theta=0.04)
+_INIT.m.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class SimStudyConfig:
     """Inputs of one simulation study.
 
-    The fit configuration applies to every estimator; per-replicate
-    seeds are derived from ``master_seed``, so the ``seed`` field of
-    ``fit`` is ignored.  The starting covariance is diagonal
-    (``init_sigma_diag``) and deliberately wide: the sampler must mix
-    across the latent scale before the step-size decay sets in.
+    ``model``, ``pattern``, ``init`` and ``fit`` are the objects of a
+    :class:`zeromix.config.RunConfig`.  Both estimators start from
+    ``init`` (each fit tags its covariance with the fit's pattern) and
+    run with ``fit``, whose ``seed`` is ignored: per-replicate seeds
+    are derived from ``master_seed``.  The truth must have the model's
+    order and conform to ``pattern``.
     """
 
     n_replicates: int = 20
@@ -66,12 +74,11 @@ class SimStudyConfig:
     truth_m: tuple = _TRUTH_M
     truth_sigma: tuple = _TRUTH_SIGMA
     truth_theta: float = _TRUTH_THETA
-    pattern_pairs: tuple = ((1, 4), (3, 4))
     master_seed: int = 0
-    fit: FitConfig = field(default_factory=FitConfig)
-    init_m: tuple = (50.0, 70.0, 1.0, 0.1)
-    init_sigma_diag: tuple = (25.0, 49.0, 0.25, 1.6e-3)
-    init_theta: float = 0.04
+    model: NlmeModel = CortisolModel()
+    pattern: ZeroPattern = ZeroPattern([(1, 4), (3, 4)], dim=4)
+    init: FitState = field(default_factory=lambda: _INIT)
+    fit: FitConfig = FitConfig()
 
     def __post_init__(self):
         if self.n_replicates < 1:
@@ -83,16 +90,17 @@ class SimStudyConfig:
         if self.master_seed < 0:
             raise ValueOutOfRangeError("master_seed must be >= 0, got %r"
                                        % (self.master_seed,))
+        for name, order in (("truth", len(self.truth_m)), ("pattern", self.pattern.dim),
+                            ("start", self.init.sigma.dim)):
+            if order != self.q:
+                raise InputMismatchError("study %s has order %d but the %s model has order %d"
+                                         % (name, order, self.model.name, self.q))
         # The truth must be a valid constrained covariance.
         SpdMatrix(np.asarray(self.truth_sigma, dtype=float), pattern=self.pattern)
 
     @property
     def q(self):
-        return len(self.truth_m)
-
-    @property
-    def pattern(self):
-        return ZeroPattern(self.pattern_pairs, dim=len(self.truth_m))
+        return self.model.q
 
 
 @dataclass
@@ -135,20 +143,11 @@ def _replicate_seeds(master_seed, replicate, attempt):
     }
 
 
-def _study_init(cfg, pattern):
-    sigma = SpdMatrix(
-        np.diag(np.asarray(cfg.init_sigma_diag, dtype=float)),
-        pattern=None if pattern.is_empty() else pattern,
-    )
-    return FitState(m=np.asarray(cfg.init_m, dtype=float), sigma=sigma,
-                    theta=cfg.init_theta)
-
-
-def _run_replicate(cfg, model, replicate, attempt):
+def _run_replicate(cfg, replicate, attempt):
     """One simulate-and-fit pass.  Raises NumericalError on hard failure;
     returns a record with converged flags otherwise."""
     seeds = _replicate_seeds(cfg.master_seed, replicate, attempt)
-    pattern = cfg.pattern
+    model, pattern = cfg.model, cfg.pattern
     truth_sigma = np.asarray(cfg.truth_sigma, dtype=float)
     data, _ = simulate_dataset(model, np.asarray(cfg.truth_m, dtype=float),
                                truth_sigma, cfg.truth_theta,
@@ -161,7 +160,7 @@ def _run_replicate(cfg, model, replicate, attempt):
     for name in ("em", "em_icf"):
         pat = empty if name == "em" else pattern
         fit_cfg = replace(cfg.fit, seed=seeds[name])
-        res = fit(model, data, pat, _study_init(cfg, pat), fit_cfg)
+        res = fit(model, data, pat, cfg.init, fit_cfg)
         results[name] = res
         record["converged"][name] = bool(res.converged)
         record["iterations"][name] = int(res.iterations)
@@ -218,11 +217,10 @@ def _replicate_attempts(cfg, r):
     converge, attempt 1 runs with its own derived seeds.  Each failed
     attempt is listed with its reason.
     """
-    model = CortisolModel()
     attempts = []
     for attempt in (0, 1):
         try:
-            record, failed = _run_replicate(cfg, model, r, attempt)
+            record, failed = _run_replicate(cfg, r, attempt)
         except NumericalError as exc:
             attempts.append({"attempt": attempt, "error": str(exc)})
             continue
@@ -370,7 +368,8 @@ def write_trace_csv(result, path):
 
 
 def write_table_csv(report, path):
-    """Table-1-style CSV: 15 parameter rows plus a log-likelihood row."""
+    """Table-1-style CSV: q + q(q+1)/2 + 1 parameter rows (means,
+    covariance entries, residual parameter) plus a log-likelihood row."""
     header = ["param", "true", "em_mean", "em_se", "em_rmqe",
               "icf_mean", "icf_se", "icf_rmqe"]
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
+from .exceptions import (DegenerateDrawError, InputMismatchError, ScheduleError,
+                         ValueOutOfRangeError)
 from .models import NlmeModel
 
 __all__ = [
@@ -56,8 +57,8 @@ class GammaSchedule:
     def __post_init__(self):
         if not (0.0 < self.b <= 1.0):
             raise ScheduleError("decay exponent b must lie in (0, 1], got %r" % (self.b,))
-        if self.a <= 0.0:
-            raise ScheduleError("gain scale a must be positive, got %r" % (self.a,))
+        if not (np.isfinite(self.a) and self.a > 0.0):
+            raise ScheduleError("gain scale a must be finite and > 0, got %r" % (self.a,))
         if self.k0 < 0:
             raise ScheduleError("warm-up length k0 must be >= 0, got %r" % (self.k0,))
 
@@ -95,8 +96,9 @@ class FitConfig:
             raise ValueOutOfRangeError("chain_length must be >= 1, got %r" % (self.chain_length,))
         if self.burn_in < 0:
             raise ValueOutOfRangeError("burn_in must be >= 0, got %r" % (self.burn_in,))
-        if self.outer_tol <= 0.0:
-            raise ValueOutOfRangeError("outer_tol must be > 0, got %r" % (self.outer_tol,))
+        if not (np.isfinite(self.outer_tol) and self.outer_tol > 0.0):
+            raise ValueOutOfRangeError("outer_tol must be finite and > 0, got %r"
+                                       % (self.outer_tol,))
         if self.max_outer < 1:
             raise ValueOutOfRangeError("max_outer must be >= 1, got %r" % (self.max_outer,))
         if self.seed < 0:
@@ -119,7 +121,7 @@ class FitState:
         if self.m.shape[0] != self.sigma.dim:
             raise ValueError("m and sigma dimensions differ")
         if self.theta <= 0.0:
-            raise ValueError("residual variance theta must be positive")
+            raise ValueOutOfRangeError("residual variance theta must be positive")
 
 
 @dataclass
@@ -365,7 +367,8 @@ def fit(model, data, pattern, init, config=None):
         yields the unconstrained update (the conditional variance
         matrix itself).
     init : FitState
-        Starting point; its covariance must conform to ``pattern``.
+        Starting point; its covariance is tagged with ``pattern`` and
+        must conform to it.
     config : FitConfig, optional
 
     Returns
@@ -377,12 +380,12 @@ def fit(model, data, pattern, init, config=None):
     if not isinstance(model, NlmeModel):
         raise TypeError("model must be an NlmeModel")
     if data.n_obs != model.n_obs:
-        raise ValueError(
+        raise InputMismatchError(
             "dataset has %d observations per individual, model expects %d"
             % (data.n_obs, model.n_obs)
         )
     if not np.array_equal(data.design, model.design):
-        raise ValueError("dataset design grid differs from the model design")
+        raise InputMismatchError("dataset design grid differs from the model design")
 
     sigma0 = init.sigma
     if sigma0.pattern != pattern:

@@ -14,6 +14,7 @@ import zeromix
 from helpers import record_pools
 from zeromix import _pool, cli
 from zeromix.cli import main
+from zeromix.config import load_config
 from zeromix.harness import example_paths
 from zeromix.models import load_dataset
 
@@ -176,12 +177,11 @@ def test_negative_seeds_and_empty_counts_are_range_errors(tmp_path, capsys, comm
     assert not (tmp_path / "sim.csv").exists()
 
 
-@pytest.mark.parametrize("sigma,diagonal", [
-    ("25 1 0 0; 1 49 0 0; 0 0 0.25 0; 0 0 0 0.0016", None),
-    ("25 0 0 0; 0 49 0 0; 0 0 0.25 0; 0 0 0 0.0016", (25.0, 49.0, 0.25, 0.0016)),
+@pytest.mark.parametrize("sigma", [
+    "25 1 0 0; 1 49 0 0; 0 0 0.25 0; 0 0 0 0.0016",
+    "25 0 0 0; 0 49 0 0; 0 0 0.25 0; 0 0 0 0.0016",
 ])
-def test_study_takes_only_a_diagonal_init_sigma(tmp_path, monkeypatch, capsys, sigma,
-                                                diagonal):
+def test_the_ini_init_sigma_reaches_the_study_config(tmp_path, monkeypatch, sigma):
     # the study itself is replaced by a stub that stops at its config
     class Stop(Exception):
         pass
@@ -193,14 +193,121 @@ def test_study_takes_only_a_diagonal_init_sigma(tmp_path, monkeypatch, capsys, s
     ini = tmp_path / "study.ini"
     ini.write_text(STUDY_INI.replace("sigma_diag = 25, 49, 0.25, 0.0016",
                                      f"sigma = {sigma}"))
-    argv = ["study", "--config", str(ini), "--out-dir", str(tmp_path / "out")]
-    if diagonal is None:
-        assert main(argv) == 1
-        assert "error: [init] sigma" in capsys.readouterr().err
-    else:
-        with pytest.raises(Stop) as stopped:
-            main(argv)
-        assert stopped.value.args[0].init_sigma_diag == diagonal
+    with pytest.raises(Stop) as stopped:
+        main(["study", "--config", str(ini), "--out-dir", str(tmp_path / "out")])
+    study, run = stopped.value.args[0], load_config(ini)
+    assert np.array_equal(study.init.sigma.values, run.init.sigma.values)
+    assert np.array_equal(study.model.design, run.model.design)
+    assert study.pattern == run.pattern and study.fit == run.fit
+    assert (study.n_replicates, study.n_individuals, study.master_seed) == (2, 5, 1)
+
+
+# Short chains and a loose tolerance: a study fit converges after the
+# 10-iteration window, so one replicate is kept at its first attempt.
+FAST_MCEM = """
+[mcem]
+chain_length = 40
+burn_in = 10
+warmup = 3
+outer_tol = 10
+max_outer = 15
+"""
+
+LINEAR_STUDY_INI = """[model]
+name = linear_gaussian
+q = 3
+
+[pattern]
+pairs = (1,3)
+
+[init]
+m = 0, 0, 0
+sigma = 2 0.5 0; 0.5 1 0.2; 0 0.2 1
+theta = 1
+""" + FAST_MCEM
+
+
+def test_study_uses_the_configured_doses(tmp_path, capsys):
+    reports = []
+    for model in ("name = cortisol", "name = cortisol\ndoses = 0.02, 0.05, 0.2, 1, 3, 8, 20"):
+        ini = tmp_path / "study.ini"
+        ini.write_text(STUDY_INI.replace("name = cortisol", model) + FAST_MCEM)
+        out_dir = tmp_path / f"study{len(reports)}"
+        assert main(["study", "--config", str(ini), "--replicates", "1",
+                     "--out-dir", str(out_dir)]) == 0
+        reports.append(json.loads((out_dir / "report.json").read_text()))
+    capsys.readouterr()
+    assert [report["n_used"] for report in reports] == [1, 1]
+    assert reports[0]["rows"] != reports[1]["rows"]
+
+
+def test_linear_gaussian_study_runs_from_a_full_init_sigma(tmp_path, capsys):
+    ini = tmp_path / "linear.ini"
+    ini.write_text(LINEAR_STUDY_INI + """
+[study]
+individuals = 20
+truth_m = 1, -0.5, 2
+truth_sigma = 1 0.3 0; 0.3 0.8 -0.2; 0 -0.2 1.5
+truth_theta = 0.5
+""")
+    out_dir = tmp_path / "study"
+    assert main(["study", "--config", str(ini), "--replicates", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["n_used"] == 1 and report["lr"]["df"] == 1
+    assert report["replicates"][0]["estimates"]["em_icf"]["sigma"][0][2] == 0.0
+    # q means, q(q+1)/2 covariance entries and theta, between header and loglik
+    assert len((out_dir / "table1.csv").read_text().splitlines()) == 1 + 3 + 6 + 1 + 1
+
+
+def test_study_needs_a_truth_of_the_model_order(tmp_path, capsys):
+    # without a [study] section the truth is the built-in cortisol one
+    ini = tmp_path / "linear.ini"
+    ini.write_text(LINEAR_STUDY_INI)
+    assert main(["study", "--config", str(ini), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: study truth has order 4 but the linear_gaussian model has order 3\n")
+
+
+def test_simulate_does_not_hold_the_truth_to_the_pattern(tmp_path, capsys):
+    # data under the alternative: the truth is nonzero at the (1,4) zero
+    ini = tmp_path / "study.ini"
+    ini.write_text(STUDY_INI.replace("20 -4.5 -0.3 0;", "20 -4.5 -0.3 0.005;")
+                   .replace("; 0 -0.002 0 1e-5", "; 0.005 -0.002 0 1e-5"))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert load_dataset(out).n == 5
+
+
+XTILDE = "4,-3,3\n-3,4,-3\n3,-3,4\n"
+
+
+@pytest.mark.parametrize("command,old,new,message", [
+    ("fit", "name = cortisol", "name = cortisol\ndoses = 0.01, 0.1, 1, 10",
+     "dataset has 7 observations per individual, model expects 4"),
+    ("fit", "name = cortisol", "name = cortisol\ndoses = 0.02, 0.05, 0.2, 1, 3, 8, 20",
+     "dataset design grid differs from the model design"),
+    ("fit", "outer_tol = 1e-12", "outer_tol = nan", "outer_tol: expected a finite number"),
+    ("fit", "warmup = 5", "warmup = 5\ngamma_a = nan", "gamma_a: expected a finite number"),
+    ("fit", "theta = 0.04", "theta = nan", "theta: expected a finite number"),
+    ("fit", "m = 50,", "m = nan,", "m: expected finite numbers"),
+    ("fit", "0.25, 0.0016", "0.25, inf", "sigma_diag: expected finite numbers"),
+    ("fit", "theta = 0.04", "theta = 0", "residual variance theta must be positive"),
+    ("fit", "theta = 0.04", "theta = -1", "residual variance theta must be positive"),
+    ("icf", "3,-3,4", "nan,-3,4", "xtilde has non-finite entries"),
+])
+def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, command, old, new, message):
+    csv_path, _ = example_paths()
+    path = tmp_path / "input"
+    path.write_text({"fit": QUICK_INI, "icf": XTILDE}[command].replace(old, new))
+    argv = {"fit": ["fit", "--data", csv_path, "--config", str(path),
+                    "--out-dir", str(tmp_path / "out"), "--no-se", "--loglik-samples", "300"],
+            "icf": ["icf", "--xtilde", str(path)]}[command]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
 def test_simulate_writes_a_loadable_dataset(tmp_path, capsys):

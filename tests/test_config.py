@@ -58,9 +58,12 @@ def test_full_config_parses_every_section(tmp_path):
     assert cfg.fit.schedule.b == 0.9
     assert cfg.fit.schedule.k0 == 80
     assert cfg.fit.seed == 7
-    assert cfg.study.replicates == 4
-    assert cfg.study.truth_sigma[0][1] == -4.5
-    assert cfg.study.truth_theta == 0.015
+    # [study] values are keyed by the SimStudyConfig fields they set
+    assert cfg.study.keys() == {"n_replicates", "n_individuals", "master_seed",
+                                "truth_m", "truth_sigma", "truth_theta"}
+    assert (cfg.study["n_replicates"], cfg.study["n_individuals"]) == (4, 12)
+    assert cfg.study["truth_sigma"][0][1] == -4.5
+    assert cfg.study["truth_theta"] == 0.015
 
 
 def test_missing_optional_sections_fall_back_to_defaults(tmp_path):

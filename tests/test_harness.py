@@ -110,7 +110,7 @@ def test_retries_and_exclusions_are_kept_in_replicate_order(monkeypatch):
     plan = {(1, 0): "raise", (2, 0): ["em"], (2, 1): "raise", (3, 0): ["em_icf"]}
     calls = []
 
-    def stub(cfg, model, replicate, attempt):
+    def stub(cfg, replicate, attempt):
         calls.append((replicate, attempt))
         outcome = plan.get((replicate, attempt), [])
         if outcome == "raise":

@@ -34,8 +34,9 @@ def test_gamma_clamps_at_one():
 
 
 def test_schedule_rejects_bad_parameters():
-    with pytest.raises(ScheduleError):
-        GammaSchedule(a=0.0)
+    for a in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ScheduleError, match="a must be finite and > 0"):
+            GammaSchedule(a=a)
     with pytest.raises(ScheduleError):
         GammaSchedule(b=0.0)
     with pytest.raises(ScheduleError):
@@ -283,5 +284,6 @@ def test_fit_config_validation():
         FitConfig(chain_length=0)
     with pytest.raises(ValueError):
         FitConfig(burn_in=-1)
-    with pytest.raises(ValueError):
-        FitConfig(outer_tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outer_tol must be finite and > 0"):
+            FitConfig(outer_tol=tol)

@@ -5,9 +5,9 @@ Subcommands: ``fit`` (dataset + config to report and trace), ``simulate``
 table CSV, QQ CSV), ``icf`` (conditional variance matrix + pattern to
 the constrained optimum), ``validate`` (built-in oracle checks).
 
-``fit`` runs its independent stages on min(usable CPUs, tasks)
-processes: with a non-empty pattern the free fit of the LR test and its
-log likelihood run in a worker process while this process runs the
+``fit`` runs ``harness.fit_and_test``, as each study replicate does:
+with a non-empty pattern the free fit of the LR test and its log
+likelihood run in a worker process while this process runs the
 constrained fit and its log likelihood.  The standard errors are then
 computed in this process (see ``inference.fisher_se``).  The output
 files are the same bytes for any process count.  Sample counts are
@@ -19,34 +19,23 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from ._pool import run_tasks
 from .config import _parse_pairs, load_config
 from .covariance import SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective
 from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
-from .harness import (SimStudyConfig, fit_report, qq_data, run_simulation_study,
-                      run_validation, write_json, write_qq_csv, write_table_csv,
-                      write_trace_csv)
-from .inference import fisher_se, loglik_is, lr_test
-from .mcem import fit
+from .harness import (SimStudyConfig, fit_and_test, fit_report, qq_data,
+                      run_simulation_study, run_validation, write_json, write_qq_csv,
+                      write_table_csv, write_trace_csv)
+from .inference import fisher_se
 from .models import load_dataset, save_dataset, simulate_dataset
 
 
 def _derived_seed(base, tag):
     return int(np.random.SeedSequence((base, tag)).generate_state(1)[0])
-
-
-def _fit_scored(model, data, pattern, init, fit_cfg, n_samples, ll_seed):
-    """One fit and the importance-sampled log likelihood at its estimate."""
-    result = fit(model, data, pattern, init, fit_cfg)
-    st = result.state
-    return result, loglik_is(model, data, st.m, st.sigma, st.theta,
-                             n_samples=n_samples, seed=ll_seed)
 
 
 def _cmd_fit(args):
@@ -58,21 +47,9 @@ def _cmd_fit(args):
     data = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    # The constrained fit runs here; the free fit of the LR test shares
-    # nothing with it and runs beside it in a worker process.
-    ll_seed = _derived_seed(cfg.fit.seed, 2)
-    tasks = [(cfg.model, data, cfg.pattern, cfg.init, cfg.fit,
-              args.loglik_samples, ll_seed)]
-    if not cfg.pattern.is_empty():
-        cfg_u = dataclasses.replace(cfg.fit, seed=_derived_seed(cfg.fit.seed, 1))
-        tasks.append((cfg.model, data, ZeroPattern([], dim=cfg.model.q), cfg.init,
-                      cfg_u, args.loglik_samples, ll_seed))
-    scored = run_tasks(_fit_scored, tasks, here_first=True)
-    result, ll = scored[0]
-
-    lr = None
-    if len(scored) > 1:
-        lr = lr_test(ll.loglik, scored[1][1].loglik, cfg.pattern)
+    result, ll, _, _, lr = fit_and_test(cfg.model, data, cfg.pattern, cfg.init, cfg.fit,
+                                        _derived_seed(cfg.fit.seed, 1), args.loglik_samples,
+                                        _derived_seed(cfg.fit.seed, 2))
 
     se = None
     if not args.no_se:

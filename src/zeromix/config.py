@@ -16,7 +16,7 @@ all the keys each section accepts:
 ``[init]``
     Starting point for the fit: ``m`` (comma-separated), either
     ``sigma_diag`` (diagonal entries) or ``sigma`` (semicolon-separated
-    rows), and ``theta``.
+    rows), and ``theta``.  The covariance must be positive definite.
 
 ``[mcem]``
     Optional sampler and stopping controls of
@@ -27,27 +27,29 @@ all the keys each section accepts:
 
 ``[study]``
     Optional simulation-study block: ``replicates``, ``individuals``,
-    ``master_seed``, and the generating truth (``truth_m``,
-    ``truth_sigma`` as rows, ``truth_theta``), read as keywords of
-    :class:`zeromix.harness.SimStudyConfig` (the first two set
-    ``n_replicates`` and ``n_individuals``); ``zeromix study`` adds the
-    model, pattern, start and fit of the sections above.
+    ``master_seed``, and the generating truth (``truth_m``, positive
+    definite ``truth_sigma`` rows, ``truth_theta`` >= 0), read as
+    keywords of :class:`zeromix.harness.SimStudyConfig` (the first two
+    set ``n_replicates`` and ``n_individuals``); ``zeromix study`` adds
+    the model, pattern, start and fit of the sections above.
 
 Any other section or key, including keys under ``[DEFAULT]``, is a
 :class:`~zeromix.exceptions.ConfigError`, so a misspelt name fails
-instead of leaving a default in place; so is a ``nan`` or ``inf``.
+instead of leaving a default in place; so is a ``nan`` or ``inf``.  A ``#``, or
+a ``;`` after a space, starts a comment; in ``sigma`` and ``truth_sigma`` ``;`` splits rows.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import SpdMatrix, ZeroPattern
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NotPositiveDefiniteError
 from .mcem import FitConfig, FitState, GammaSchedule
 from .models import CortisolModel, LinearGaussianModel, NlmeModel
 
@@ -159,7 +161,17 @@ def _read(parser, name):
     if name not in parser:
         return {}
     table = _SECTIONS[name]
-    return {key: table[key](raw.strip(), key) for key, raw in parser[name].items()}
+    # configparser leaves ``;`` comments in: in a matrix, ``;`` separates rows
+    return {key: table[key]((raw if table[key] is _parse_matrix
+                             else re.sub(r"(?:^|\s);.*", "", raw)).strip(), key)
+            for key, raw in parser[name].items()}
+
+
+def _spd(entries, key, pattern=None):
+    try:
+        return SpdMatrix(entries, pattern=pattern)
+    except NotPositiveDefiniteError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _build_model(values):
@@ -190,15 +202,15 @@ def _build_init(values, q, pattern):
     if ("sigma_diag" in values) == ("sigma" in values):
         raise ConfigError("[init] needs exactly one of 'sigma_diag' or 'sigma'")
     if "sigma_diag" in values:
-        diag = values["sigma_diag"]
+        key, diag = "sigma_diag", values["sigma_diag"]
         if len(diag) != q:
             raise ConfigError(f"sigma_diag: expected {q} entries, got {len(diag)}")
         entries = np.diag(diag)
     else:
-        entries = values["sigma"]
+        key, entries = "sigma", values["sigma"]
         if entries.shape != (q, q):
             raise ConfigError(f"sigma: expected a {q}x{q} matrix")
-    sigma = SpdMatrix(entries, pattern=pattern if not pattern.is_empty() else None)
+    sigma = _spd(entries, key, pattern if not pattern.is_empty() else None)
     return FitState(m=m, sigma=sigma, theta=values["theta"])
 
 
@@ -214,6 +226,9 @@ def _build_study(values, q):
             raise ConfigError(f"[study] section needs a {key!r} key")
     if len(values["truth_m"]) != q or values["truth_sigma"].shape != (q, q):
         raise ConfigError("study truth does not match the model dimension")
+    _spd(values["truth_sigma"], "truth_sigma")
+    if values["truth_theta"] < 0:
+        raise ConfigError(f"truth_theta: must be >= 0, got {values['truth_theta']!r}")
     return {_STUDY_FIELDS.get(key, key): value for key, value in values.items()}
 
 
@@ -226,7 +241,7 @@ def load_config(path):
         If the file cannot be read or parsed, names a section or key
         outside the documented set, or holds an invalid value.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

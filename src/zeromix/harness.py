@@ -6,15 +6,16 @@ fits each dataset with the unconstrained EM estimator and the
 zero-constrained EM estimator, derives the naive zero-forced estimator
 from the unconstrained fit, and aggregates per-parameter Mean, S.E.,
 and root mean quadratic error across replicates.  Per-replicate
-likelihood ratio p-values feed a QQ-plot data file.
+likelihood ratio p-values feed a QQ-plot data file.  ``fit_and_test``
+runs the two fits and the LR test here and in ``zeromix fit``.
 
 Everything is keyed off a single master seed: replicate r derives all
 of its randomness from (master seed, r, attempt), so reports are
 byte-identical across runs.  Replicates run in min(usable CPUs,
 replicates) worker processes through the package's one pool helper
-(``_pool.run_tasks``, which ``zeromix fit`` shares); the report is the
-same bytes as from one process, because no replicate reads another's
-state and the parent assembles the results in replicate order.
+(``_pool.run_tasks``; a worker runs both fits of its replicate); the
+report is the same bytes as from one process, because no replicate
+reads another's state and the parent assembles the results in order.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class SimStudyConfig:
     ``init`` (each fit tags its covariance with the fit's pattern) and
     run with ``fit``, whose ``seed`` is ignored: per-replicate seeds
     are derived from ``master_seed``.  The truth must have the model's
-    order and conform to ``pattern``.
+    order and conform to ``pattern``, which must hold at least one zero.
     """
 
     n_replicates: int = 20
@@ -95,6 +96,8 @@ class SimStudyConfig:
             if order != self.q:
                 raise InputMismatchError("study %s has order %d but the %s model has order %d"
                                          % (name, order, self.model.name, self.q))
+        if self.pattern.is_empty():
+            raise InputMismatchError("study pattern has no zero to test against the free fit")
         # The truth must be a valid constrained covariance.
         SpdMatrix(np.asarray(self.truth_sigma, dtype=float), pattern=self.pattern)
 
@@ -143,58 +146,63 @@ def _replicate_seeds(master_seed, replicate, attempt):
     }
 
 
+def _params(state):
+    """JSON-ready estimate: the means, the covariance rows and theta."""
+    return {"m": [float(v) for v in state.m],
+            "sigma": [[float(v) for v in row] for row in state.sigma.values],
+            "theta": float(state.theta)}
+
+
+def _fit_scored(model, data, pattern, init, fit_cfg, n_samples, ll_seed):
+    """One fit and the importance-sampled log likelihood at its estimate."""
+    result = fit(model, data, pattern, init, fit_cfg)
+    st = result.state
+    return result, loglik_is(model, data, st.m, st.sigma, st.theta,
+                             n_samples=n_samples, seed=ll_seed)
+
+
+def fit_and_test(model, data, pattern, init, fit_cfg, free_seed, n_samples, ll_seed):
+    """The fit with ``pattern``, the free fit and the LR test between them.
+
+    Both start from ``init``: the constrained fit runs with ``fit_cfg`` here, the
+    free one with seed ``free_seed`` in a worker process if ``_pool.run_tasks``
+    starts one.  Each gets ``loglik_is`` with ``n_samples`` samples from ``ll_seed``.
+    Returns ``(fit, loglik, free_fit, free_loglik, lr)``, the last three None if no zero.
+    """
+    tasks = [(model, data, pattern, init, fit_cfg, n_samples, ll_seed)]
+    if not pattern.is_empty():
+        tasks.append((model, data, ZeroPattern([], dim=model.q), init,
+                      replace(fit_cfg, seed=free_seed), n_samples, ll_seed))
+    (result, ll), *free = run_tasks(_fit_scored, tasks, here_first=True)
+    if not free:
+        return result, ll, None, None, None
+    free_result, free_ll = free[0]
+    return result, ll, free_result, free_ll, lr_test(ll.loglik, free_ll.loglik, pattern)
+
+
 def _run_replicate(cfg, replicate, attempt):
     """One simulate-and-fit pass.  Raises NumericalError on hard failure;
     returns a record with converged flags otherwise."""
     seeds = _replicate_seeds(cfg.master_seed, replicate, attempt)
-    model, pattern = cfg.model, cfg.pattern
-    truth_sigma = np.asarray(cfg.truth_sigma, dtype=float)
-    data, _ = simulate_dataset(model, np.asarray(cfg.truth_m, dtype=float),
-                               truth_sigma, cfg.truth_theta,
+    data, _ = simulate_dataset(cfg.model, cfg.truth_m, cfg.truth_sigma, cfg.truth_theta,
                                cfg.n_individuals, seeds["data"])
+    icf, icf_ll, em, em_ll, lr = fit_and_test(
+        cfg.model, data, cfg.pattern, cfg.init, replace(cfg.fit, seed=seeds["em_icf"]),
+        seeds["em"], _LR_SAMPLES, seeds["loglik"])
 
-    record = {"replicate": replicate, "attempt": attempt, "estimates": {},
-              "converged": {}, "iterations": {}}
-    empty = ZeroPattern([], dim=cfg.q)
-    results = {}
-    for name in ("em", "em_icf"):
-        pat = empty if name == "em" else pattern
-        fit_cfg = replace(cfg.fit, seed=seeds[name])
-        res = fit(model, data, pat, cfg.init, fit_cfg)
-        results[name] = res
-        record["converged"][name] = bool(res.converged)
-        record["iterations"][name] = int(res.iterations)
-        record["estimates"][name] = {
-            "m": [float(v) for v in res.state.m],
-            "sigma": [[float(v) for v in row] for row in res.state.sigma.values],
-            "theta": float(res.state.theta),
-        }
-
-    em_state = results["em"].state
-    zf = zero_forced(em_state.sigma.values, pattern)
-    lam_min = float(np.linalg.eigvalsh(zf)[0])
-    repaired = min_eig_repair(zf, cfg.n_individuals)
-    record["estimates"]["zero_forced"] = {
-        "m": [float(v) for v in em_state.m],
-        "sigma": [[float(v) for v in row] for row in repaired.values],
-        "theta": float(em_state.theta),
-        "min_eig_before_repair": lam_min,
-    }
-
-    lls = {}
-    for name in ("em", "em_icf"):
-        st = results[name].state
-        lls[name] = loglik_is(model, data, st.m, st.sigma, st.theta,
-                              n_samples=_LR_SAMPLES, seed=seeds["loglik"])
-    lr = lr_test(lls["em_icf"].loglik, lls["em"].loglik, pattern)
-    record["loglik"] = {
-        "em": lls["em"].loglik, "em_mc_se": lls["em"].mc_se,
-        "em_icf": lls["em_icf"].loglik, "em_icf_mc_se": lls["em_icf"].mc_se,
-    }
-    record["lr"] = {"stat": lr.stat, "df": lr.df, "p": lr.p_value}
-
-    failed = [n for n, ok in record["converged"].items() if not ok]
-    return record, failed
+    fits = {"em": em, "em_icf": icf}
+    estimates = {name: _params(res.state) for name, res in fits.items()}
+    zf = zero_forced(em.state.sigma.values, cfg.pattern)
+    repaired = replace(em.state, sigma=min_eig_repair(zf, cfg.n_individuals))
+    estimates["zero_forced"] = dict(_params(repaired),
+                                    min_eig_before_repair=float(np.linalg.eigvalsh(zf)[0]))
+    record = {"replicate": replicate, "attempt": attempt, "estimates": estimates,
+              "converged": {name: bool(res.converged) for name, res in fits.items()},
+              "iterations": {name: int(res.iterations) for name, res in fits.items()},
+              "loglik": {"em": em_ll.loglik, "em_mc_se": em_ll.mc_se,
+                         "em_icf": icf_ll.loglik, "em_icf_mc_se": icf_ll.mc_se},
+              "lr": {"stat": lr.stat, "df": lr.df, "p": lr.p_value}}
+    return record, [name for name, res in fits.items() if not res.converged]
 
 
 def _aggregate(vectors, truth):
@@ -315,13 +323,8 @@ def qq_data(p_values):
 
 def fit_report(result, se=None, loglik=None, lr=None):
     """Assemble the JSON-ready report of one fit."""
-    st = result.state
     report = {
-        "params": {
-            "m": [float(v) for v in st.m],
-            "sigma": [[float(v) for v in row] for row in st.sigma.values],
-            "theta": float(st.theta),
-        },
+        "params": _params(result.state),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "accept_rate": float(result.accept_rate),
@@ -460,7 +463,7 @@ def cortisol_example():
     return load_dataset(csv_path), load_config(ini_path)
 
 
-def run_validation(out=print):
+def run_validation():
     """Built-in oracle and property checks; returns the failure count.
 
     A fast subset of the full test suite, suitable for verifying an
@@ -476,10 +479,10 @@ def run_validation(out=print):
     def check(name, ok, detail=""):
         nonlocal failures
         if ok:
-            out(f"ok    {name}")
+            print(f"ok    {name}")
         else:
             failures += 1
-            out(f"FAIL  {name}  {detail}")
+            print(f"FAIL  {name}  {detail}")
 
     # The column update's split on random SPD (Sigma, X-tilde), no zeros:
     # the complementary block stays bitwise, and the new Schur complement
@@ -570,5 +573,5 @@ def run_validation(out=print):
     check("qq plotting positions (i - 0.5)/n",
           qq_data([0.75, 0.25]) == [(0.25, 0.25), (0.75, 0.75)])
 
-    out(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
+    print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return failures

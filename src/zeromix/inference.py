@@ -284,15 +284,15 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     return FisherResult(se=se_map, labels=labels, flagged=flagged)
 
 
-def lr_test(loglik_h0, loglik_h1, pattern, tol=1e-6):
+def lr_test(loglik_h0, loglik_h1, pattern):
     """Likelihood ratio test of the constrained model against the free one.
 
     stat = 2 (llh1 - llh0) clipped at zero, one chi-square degree of
     freedom per constrained pair.  A constrained log likelihood above
-    the free one by more than ``tol`` draws a warning (Monte-Carlo
-    noise in the estimates), not an error.
+    the free one by more than 1e-6 draws a warning (Monte-Carlo noise
+    in the estimates), not an error.
     """
-    if loglik_h1 < loglik_h0 - tol:
+    if loglik_h1 < loglik_h0 - 1e-6:
         warnings.warn(
             "constrained log likelihood %.6g exceeds the free one %.6g; "
             "estimates are Monte-Carlo noisy" % (loglik_h0, loglik_h1),

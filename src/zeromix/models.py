@@ -325,6 +325,8 @@ def simulate_dataset(model, m, sigma, theta, n, seed):
         raise ValueOutOfRangeError("n must be >= 1, got %r" % (n,))
     if seed < 0:
         raise ValueOutOfRangeError("seed must be >= 0, got %r" % (seed,))
+    if not isinstance(sigma, SpdMatrix):
+        sigma = SpdMatrix(sigma)  # factored once, not once per individual
     children = np.random.SeedSequence(seed).spawn(n)
     ids = []
     xs = np.zeros((n, model.q))

@@ -12,7 +12,7 @@ import pytest
 
 import zeromix
 from helpers import record_pools
-from zeromix import _pool, cli
+from zeromix import _pool, cli, harness
 from zeromix.cli import main
 from zeromix.config import load_config
 from zeromix.harness import example_paths
@@ -282,6 +282,11 @@ def test_simulate_does_not_hold_the_truth_to_the_pattern(tmp_path, capsys):
 
 
 XTILDE = "4,-3,3\n-3,4,-3\n3,-3,4\n"
+# The [study] section of STUDY_INI, for a fit's config, and a start that
+# is not positive definite.
+STUDY_SECTION = STUDY_INI[STUDY_INI.index("[study]"):] + "\n"
+NOT_PD_SIGMA = "sigma = 25 30 0 0; 30 25 0 0; 0 0 0.25 0; 0 0 0 0.0016"
+NOT_PD = "symmetric factorization failed"
 
 
 @pytest.mark.parametrize("command,old,new,message", [
@@ -297,13 +302,31 @@ XTILDE = "4,-3,3\n-3,4,-3\n3,-3,4\n"
     ("fit", "theta = 0.04", "theta = 0", "residual variance theta must be positive"),
     ("fit", "theta = 0.04", "theta = -1", "residual variance theta must be positive"),
     ("icf", "3,-3,4", "nan,-3,4", "xtilde has non-finite entries"),
+    *((command, "sigma_diag = 25, 49, 0.25, 0.0016", NOT_PD_SIGMA, f"error: sigma: {NOT_PD}")
+      for command in ("fit", "simulate", "study")),
+    *((command, "25, 49, 0.25", "25, 49, -0.25", f"error: sigma_diag: {NOT_PD}")
+      for command in ("fit", "simulate", "study")),
+    ("fit", "[mcem]", STUDY_SECTION.replace("20 -4.5", "0.001 -4.5") + "[mcem]",
+     f"error: truth_sigma: {NOT_PD}"),
+    *((command, "20 -4.5", "0.001 -4.5", f"error: truth_sigma: {NOT_PD}")
+      for command in ("simulate", "study")),
+    ("fit", "[mcem]", STUDY_SECTION.replace("theta = 0.015", "theta = -0.015") + "[mcem]",
+     "error: truth_theta: must be >= 0, got -0.015"),
+    *((command, "theta = 0.015", "theta = -0.015",
+       "error: truth_theta: must be >= 0, got -0.015") for command in ("simulate", "study")),
+    ("study", "pairs = (1,4), (3,4)", "pairs =",
+     "error: study pattern has no zero to test against the free fit"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, command, old, new, message):
     csv_path, _ = example_paths()
     path = tmp_path / "input"
-    path.write_text({"fit": QUICK_INI, "icf": XTILDE}[command].replace(old, new))
+    text = {"fit": QUICK_INI, "simulate": STUDY_INI, "study": STUDY_INI, "icf": XTILDE}[command]
+    assert old in text
+    path.write_text(text.replace(old, new))
     argv = {"fit": ["fit", "--data", csv_path, "--config", str(path),
                     "--out-dir", str(tmp_path / "out"), "--no-se", "--loglik-samples", "300"],
+            "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path / "sim.csv")],
+            "study": ["study", "--config", str(path), "--out-dir", str(tmp_path / "out")],
             "icf": ["icf", "--xtilde", str(path)]}[command]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -368,7 +391,7 @@ def test_study_one_replicate_emits_all_outputs(tmp_path, capsys):
 def test_fit_rejects_a_sample_count_below_one_before_fitting(tmp_path, monkeypatch,
                                                              capsys, flag):
     calls = []
-    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: calls.append(args))
     pools = record_pools(monkeypatch)
     csv_path, ini_path = example_paths()
     assert main(["fit", "--data", csv_path, "--config", ini_path,

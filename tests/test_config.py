@@ -84,6 +84,17 @@ def test_linear_model_and_full_sigma_init(tmp_path):
                           np.array([[2.0, 0.5], [0.5, 1.0]]))
 
 
+def test_a_semicolon_after_a_space_still_separates_matrix_rows(tmp_path):
+    text = ("[model]\nname = linear_gaussian\nq = 2\n"
+            "[init]\nm = 0, 0  ; a comment\nsigma = 2 0.5 ; 0.5 1  # a comment\n"
+            "theta = 0.3 ; a comment\n"
+            "[study]\ntruth_m = 1, 2\ntruth_sigma = 1 0 ;0 1\ntruth_theta = 0.5\n")
+    cfg = load_config(_write(tmp_path, text))
+    assert np.array_equal(cfg.init.sigma.values, [[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(cfg.study["truth_sigma"], np.eye(2))
+    assert np.array_equal(cfg.init.m, [0.0, 0.0]) and cfg.init.theta == 0.3
+
+
 def test_inline_comments_are_stripped(tmp_path):
     text = ("[model]\nname = cortisol  ; seven standard doses\n"
             "[init]\nm = 50, 70, 1, 0.1\nsigma_diag = 1,1,1,1  # wide\n"

@@ -2,22 +2,25 @@
 bundled example."""
 
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import record_pools
 from zeromix import _pool, harness
-from zeromix.exceptions import DomainError, ValueOutOfRangeError
+from zeromix.exceptions import DomainError, InputMismatchError, ValueOutOfRangeError
 from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              _aggregate, _replicate_seeds, cortisol_example,
-                             fit_report, qq_data, run_simulation_study,
+                             fit_and_test, fit_report, qq_data, run_simulation_study,
                              write_example_bundle,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
 from zeromix.mcem import FitConfig, FitResult, FitState, GammaSchedule, TraceRow
-from zeromix.covariance import SpdMatrix, ZeroPattern
+from zeromix.covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from zeromix.inference import free_param_labels
+from zeromix.models import simulate_dataset
 
 
 def test_table_labels_cover_means_covariance_and_theta():
@@ -87,6 +90,12 @@ def test_study_config_rejects_truth_of_another_order():
     # would otherwise fail only inside the simulation
     with pytest.raises(ValueError, match="declared for order 4 but the matrix has order 5"):
         SimStudyConfig(truth_sigma=tuple(map(tuple, np.eye(5))))
+
+
+def test_study_config_rejects_an_empty_pattern():
+    # the study has no free fit to compare against without a zero
+    with pytest.raises(InputMismatchError, match="pattern has no zero to test"):
+        SimStudyConfig(pattern=ZeroPattern([], dim=4))
 
 
 def test_replicate_seeds_differ_across_replicates_and_attempts():
@@ -160,6 +169,62 @@ def test_pooled_study_matches_the_in_process_study(monkeypatch):
     as_bytes = [json.dumps(rep.to_dict(), indent=2, sort_keys=True).encode()
                 for rep in (serial, pooled)]
     assert as_bytes[0] == as_bytes[1]
+
+
+def _nested_pids():
+    return os.getpid(), _pool.run_tasks(os.getpid, [(), ()], here_first=True)
+
+
+def test_a_worker_runs_nested_tasks_itself(monkeypatch):
+    # a replicate's worker runs both fits: a run_tasks call in a worker
+    # starts no pool of its own, whatever the CPU count
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    outer = _pool.run_tasks(_nested_pids, [(), ()])
+    for worker, inner in outer:
+        assert worker != os.getpid()
+        assert inner == [worker, worker]
+
+
+def _estimate(m, sigma, theta):
+    return {"m": [float(v) for v in m], "sigma": [[float(v) for v in row] for row in sigma],
+            "theta": float(theta)}
+
+
+def test_a_study_record_is_fit_and_test_at_the_replicate_seeds(monkeypatch):
+    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=15, outer_tol=10.0,
+                        schedule=GammaSchedule(k0=3))
+    cfg = SimStudyConfig(n_replicates=1, n_individuals=8, master_seed=1, fit=fit_cfg)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    record, = run_simulation_study(cfg).records
+
+    seeds = _replicate_seeds(1, 0, record["attempt"])
+    data, _ = simulate_dataset(cfg.model, np.asarray(cfg.truth_m), np.asarray(cfg.truth_sigma),
+                               cfg.truth_theta, 8, seeds["data"])
+    icf, icf_ll, em, em_ll, lr = fit_and_test(
+        cfg.model, data, cfg.pattern, cfg.init, replace(fit_cfg, seed=seeds["em_icf"]),
+        seeds["em"], harness._LR_SAMPLES, seeds["loglik"])
+    zf = zero_forced(em.state.sigma.values, cfg.pattern)
+    assert record["estimates"] == {
+        "em": _estimate(em.state.m, em.state.sigma.values, em.state.theta),
+        "em_icf": _estimate(icf.state.m, icf.state.sigma.values, icf.state.theta),
+        "zero_forced": dict(_estimate(em.state.m, min_eig_repair(zf, 8).values,
+                                      em.state.theta),
+                            min_eig_before_repair=float(np.linalg.eigvalsh(zf)[0])),
+    }
+    assert record["loglik"] == {"em": em_ll.loglik, "em_mc_se": em_ll.mc_se,
+                                "em_icf": icf_ll.loglik, "em_icf_mc_se": icf_ll.mc_se}
+    assert record["lr"] == {"stat": lr.stat, "df": 2, "p": lr.p_value}
+
+
+def test_fit_and_test_has_nothing_to_test_for_an_empty_pattern(monkeypatch):
+    data, cfg = cortisol_example()
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    pools = record_pools(monkeypatch)
+    quick = replace(cfg.fit, chain_length=40, burn_in=10, max_outer=3)
+    fit, ll, *rest = fit_and_test(cfg.model, data, ZeroPattern([], dim=4), cfg.init, quick,
+                                  1, 50, 2)
+    assert rest == [None, None, None] and pools == []
+    assert fit.iterations == 3 and np.isfinite(ll.loglik)
 
 
 def _fake_report():

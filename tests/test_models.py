@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from zeromix import covariance
 from zeromix.covariance import SpdMatrix
 from zeromix.exceptions import (DataFormatError, DegenerateDrawError,
                                 DomainError)
@@ -190,6 +191,20 @@ def test_simulate_dataset_shape_ids_and_determinism():
     assert data.y.shape == (6, 7) and lat.shape == (6, 4)
     data2, lat2 = simulate_dataset(model, m, sigma, 0.015, 6, 3)
     assert np.array_equal(data.y, data2.y) and np.array_equal(lat, lat2)
+
+
+def test_simulate_dataset_factors_the_truth_once(monkeypatch):
+    factorizations = []
+    chol = covariance._chol
+
+    def counting(a):
+        factorizations.append(a.shape)
+        return chol(a)
+
+    monkeypatch.setattr(covariance, "_chol", counting)
+    simulate_dataset(CortisolModel(), np.array([50.0, 70.0, 1.5, 0.08]),
+                     np.diag([20.0, 2.5, 0.05, 1e-5]), 0.015, 6, 3)
+    assert factorizations == [(4, 4)]
 
 
 def test_dataset_rejects_duplicate_ids():

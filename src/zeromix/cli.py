@@ -2,8 +2,8 @@
 
 Subcommands: ``fit`` (dataset + config to report and trace), ``simulate``
 (truth config to dataset CSV), ``study`` (simulation study to report,
-table CSV, QQ CSV), ``icf`` (conditional variance matrix + pattern to
-the constrained optimum), ``validate`` (built-in oracle checks).
+table CSV, QQ CSV) and ``icf`` (conditional variance matrix + pattern
+to the constrained optimum).
 
 ``fit`` runs ``harness.fit_and_test``, as each study replicate does:
 with a non-empty pattern the free fit of the LR test and its log
@@ -28,7 +28,7 @@ from .config import _parse_pairs, load_config
 from .covariance import SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective
 from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
 from .harness import (SimStudyConfig, fit_and_test, fit_report, qq_data,
-                      run_simulation_study, run_validation, write_json, write_qq_csv,
+                      run_simulation_study, write_json, write_qq_csv,
                       write_table_csv, write_trace_csv)
 from .inference import fisher_se
 from .models import load_dataset, save_dataset, simulate_dataset
@@ -133,11 +133,6 @@ def _cmd_icf(args):
     return 0
 
 
-def _cmd_validate(args):
-    failures = run_validation()
-    return 0 if failures == 0 else 2
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="zeromix",
@@ -182,9 +177,6 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-sweeps", type=int, default=500)
     p.set_defaults(func=_cmd_icf)
-
-    p = sub.add_parser("validate", help="run the built-in oracle checks")
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 

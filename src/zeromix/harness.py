@@ -21,7 +21,9 @@ reads another's state and the parent assembles the results in order.
 from __future__ import annotations
 
 import json
+import math
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,8 +68,9 @@ class SimStudyConfig:
     :class:`zeromix.config.RunConfig`.  Both estimators start from
     ``init`` (each fit tags its covariance with the fit's pattern) and
     run with ``fit``, whose ``seed`` is ignored: per-replicate seeds
-    are derived from ``master_seed``.  The truth must have the model's
-    order and conform to ``pattern``, which must hold at least one zero.
+    are derived from ``master_seed``.  The truth must be finite, with
+    ``truth_theta >= 0``, have the model's order and conform to
+    ``pattern``, which must hold at least one zero.
     """
 
     n_replicates: int = 20
@@ -91,6 +94,11 @@ class SimStudyConfig:
         if self.master_seed < 0:
             raise ValueOutOfRangeError("master_seed must be >= 0, got %r"
                                        % (self.master_seed,))
+        if not all(map(math.isfinite, self.truth_m)):
+            raise ValueOutOfRangeError("truth_m must be finite, got %r" % (self.truth_m,))
+        if not (math.isfinite(self.truth_theta) and self.truth_theta >= 0):
+            raise ValueOutOfRangeError("truth_theta must be finite and >= 0, got %r"
+                                       % (self.truth_theta,))
         for name, order in (("truth", len(self.truth_m)), ("pattern", self.pattern.dim),
                             ("start", self.init.sigma.dim)):
             if order != self.q:
@@ -412,31 +420,10 @@ _EXAMPLE_SIGMA = (
 _EXAMPLE_THETA = 0.0151
 _EXAMPLE_N = 30
 _EXAMPLE_SEED = 181
-_EXAMPLE_INI = """[model]
-name = cortisol
-
-[pattern]
-pairs = (1,4), (3,4)
-
-[init]
-m = 50, 70, 1, 0.1
-sigma_diag = 25, 49, 0.01, 0.0001
-theta = 0.04
-
-[mcem]
-chain_length = 500
-burn_in = 100
-gamma_a = 1.0
-gamma_b = 0.8
-warmup = 150
-outer_tol = 0.002
-max_outer = 300
-seed = 0
-"""
 
 
 def write_example_bundle(directory):
-    """Regenerate the bundled example dataset and config into ``directory``."""
+    """Regenerate the bundled example dataset into ``directory`` and copy its config there."""
     model = CortisolModel()
     data, _ = simulate_dataset(model, np.asarray(_EXAMPLE_M),
                                np.asarray(_EXAMPLE_SIGMA), _EXAMPLE_THETA,
@@ -444,8 +431,7 @@ def write_example_bundle(directory):
     csv_path = os.path.join(str(directory), "cortisol_example.csv")
     ini_path = os.path.join(str(directory), "cortisol_example.ini")
     save_dataset(data, csv_path)
-    with open(ini_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_EXAMPLE_INI)
+    shutil.copyfile(example_paths()[1], ini_path)
     return csv_path, ini_path
 
 
@@ -461,117 +447,3 @@ def cortisol_example():
     from .config import load_config
     csv_path, ini_path = example_paths()
     return load_dataset(csv_path), load_config(ini_path)
-
-
-def run_validation():
-    """Built-in oracle and property checks; returns the failure count.
-
-    A fast subset of the full test suite, suitable for verifying an
-    installation from the command line.
-    """
-    from .covariance import (SufficientStats, icf_column_update, icf_solve,
-                             kkt_residual, objective)
-    from .mcem import run_estep
-    from .models import LinearGaussianModel
-
-    failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
-        if ok:
-            print(f"ok    {name}")
-        else:
-            failures += 1
-            print(f"FAIL  {name}  {detail}")
-
-    # The column update's split on random SPD (Sigma, X-tilde), no zeros:
-    # the complementary block stays bitwise, and the new Schur complement
-    # is the conditional variance of the moments.
-    rng = np.random.default_rng(20_000)
-    worst = 0.0
-    kept = True
-    for _ in range(200):
-        q = int(rng.integers(2, 7))
-        g, h = rng.standard_normal((2, q, q))
-        sigma = SpdMatrix(g @ g.T + q * np.eye(q))
-        xt = h @ h.T + q * np.eye(q)
-        j = int(rng.integers(1, q + 1))
-        new = icf_column_update(sigma, SufficientStats(xt, n=1), j,
-                                ZeroPattern([], dim=q)).values
-        rest = np.array([t for t in range(q) if t != j - 1])
-        a, b = new[np.ix_(rest, rest)], new[rest, j - 1]
-        kept = kept and np.array_equal(a, sigma.values[np.ix_(rest, rest)])
-        m_uu, h_u = xt[np.ix_(rest, rest)], xt[rest, j - 1]
-        s_new = new[j - 1, j - 1] - b @ np.linalg.solve(a, b)
-        s_xt = xt[j - 1, j - 1] - h_u @ np.linalg.solve(m_uu, h_u)
-        worst = max(worst, abs(s_new - s_xt) / s_xt)
-    check("column update keeps its block, Schur complement = conditional "
-          "variance (200 random SPD)", kept and worst < 1e-10,
-          f"block kept {kept}, worst rel err {worst:.2e}")
-
-    # Constrained covariance solve on the pinned 3x3 example.
-    xtilde = np.array([[4.0, -3.0, 3.0], [-3.0, 4.0, -3.0], [3.0, -3.0, 4.0]])
-    pat13 = ZeroPattern([(1, 3)], dim=3)
-    stats = SufficientStats(xtilde, n=100)
-    sol, _ = icf_solve(stats, pat13)
-    kkt = kkt_residual(sol, stats, pat13)
-    check("icf reaches a stationary point", kkt < 1e-6, f"kkt {kkt:.2e}")
-    check("icf pinned entry sigma_12 = -12/7",
-          abs(sol.values[0, 1] + 12.0 / 7.0) < 1e-6,
-          f"got {sol.values[0, 1]!r}")
-    check("icf zero stays exactly zero", sol.values[0, 2] == 0.0,
-          f"got {sol.values[0, 2]!r}")
-    resweep = icf_column_update(sol, stats, 1, pat13)
-    drift = abs(resweep.values - sol.values).max()
-    check("icf solution is a column-update fixed point", drift < 1e-8,
-          f"drift {drift:.2e}")
-
-    zf = zero_forced(SpdMatrix(xtilde).values, pat13)
-    lam = float(np.linalg.eigvalsh(zf)[0])
-    check("zero-forcing indefiniteness (pinned eigenvalue)",
-          abs(lam - (4.0 - 3.0 * np.sqrt(2.0))) < 1e-9, f"lam_min {lam!r}")
-    rep = min_eig_repair(zf, 30)
-    check("diagonal repair keeps the zeros",
-          rep.values[0, 2] == 0.0 and rep.values[2, 0] == 0.0)
-    check("constrained solve beats repaired zero-forcing",
-          objective(sol, stats) < objective(rep, stats) - 1e-9,
-          f"{objective(sol, stats)!r} vs {objective(rep, stats)!r}")
-
-    # Monotone descent along column updates from a rough start.
-    start = SpdMatrix(np.diag(np.diag(xtilde)), pattern=pat13)
-    obj_prev = objective(start, stats)
-    mono = True
-    cur = start
-    for sweep in range(3):
-        for j in (1, 2, 3):
-            cur = icf_column_update(cur, stats, j, pat13)
-            obj_new = objective(cur, stats)
-            mono = mono and obj_new <= obj_prev + 1e-12
-            obj_prev = obj_new
-    check("column updates never increase the objective", mono)
-
-    # Likelihood ratio mechanics on pinned inputs.
-    pat2 = ZeroPattern([(1, 4), (3, 4)], dim=4)
-    lr = lr_test(-754.23, -750.25, pat2)
-    check("lr statistic 2*(l1 - l0)", abs(lr.stat - 7.96) < 1e-9,
-          f"stat {lr.stat!r}")
-    check("lr p-value = exp(-stat/2) at df 2",
-          abs(lr.p_value - float(np.exp(-3.98))) < 1e-12,
-          f"p {lr.p_value!r}")
-
-    # Sampler determinism.
-    lin = LinearGaussianModel(3)
-    y = np.array([[0.3, -0.2, 0.9]])
-    c1, c2 = (run_estep(lin, y, ("0",), np.zeros(3), SpdMatrix(np.eye(3)), 0.5,
-                        chain_length=200, burn_in=50, seeds=[42])
-              for _ in range(2))
-    check("sampler is bitwise deterministic",
-          np.array_equal(c1.ex, c2.ex)
-          and np.array_equal(c1.last_states, c2.last_states))
-
-    # QQ plotting positions.
-    check("qq plotting positions (i - 0.5)/n",
-          qq_data([0.75, 0.25]) == [(0.25, 0.25), (0.75, 0.75)])
-
-    print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    return failures

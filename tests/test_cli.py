@@ -1,5 +1,6 @@
 """Command-line interface: subcommand plumbing and exit codes."""
 
+import argparse
 import importlib
 import json
 import os
@@ -101,9 +102,13 @@ def test_icf_rejects_a_malformed_pattern(tmp_path, capsys, pattern):
     assert "--pattern" in capsys.readouterr().err
 
 
-def test_validate_passes(capsys):
-    assert main(["validate"]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+def test_readme_lists_exactly_the_cli_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("zeromix ")]
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(subparsers.choices)
 
 
 def test_icf_prints_the_constrained_optimum(tmp_path, capsys):

@@ -207,6 +207,9 @@ def test_constrained_solve_on_the_running_example():
     assert diag.converged
     assert kkt_residual(sol, stats, PAT13) < 1e-8
     assert not diag.ridged
+    # the solution is a fixed point of the column update
+    resweep = icf_column_update(sol, stats, 1, PAT13)
+    assert np.abs(resweep.values - sol.values).max() < 1e-8
 
 
 def test_constrained_solve_beats_the_repaired_zero_forcing():

@@ -98,6 +98,19 @@ def test_study_config_rejects_an_empty_pattern():
         SimStudyConfig(pattern=ZeroPattern([], dim=4))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("truth_theta", -0.015),
+    ("truth_theta", float("nan")),
+    ("truth_theta", float("inf")),
+    ("truth_m", (50.0, float("nan"), 1.5, 0.08)),
+    ("truth_m", (50.0, 70.0, float("inf"), 0.08)),
+])
+def test_study_config_rejects_an_unusable_truth(field, value):
+    # each of these fails every replicate of the study if it gets through
+    with pytest.raises(ValueOutOfRangeError, match=field):
+        SimStudyConfig(**{field: value})
+
+
 def test_replicate_seeds_differ_across_replicates_and_attempts():
     a = _replicate_seeds(0, 0, 0)
     b = _replicate_seeds(0, 1, 0)

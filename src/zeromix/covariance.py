@@ -296,7 +296,7 @@ class SufficientStats:
 
 @dataclass
 class IcfDiagnostics:
-    """Solver diagnostics: sweep count, convergence and the singular-input ridge.
+    """Solver diagnostics: sweep count, convergence and whether X-tilde was ridged.
 
     ``objective`` and ``kkt_residual`` evaluate the solution on demand.
     """
@@ -496,8 +496,10 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     in place, each column update checking that its new Schur complement
     s_opt is positive, and the result is validated once, as an SpdMatrix.
 
-    A singular X-tilde is ridged by 1e-10 * tr(X-tilde)/q on the
-    diagonal before solving, and the diagnostics flag it.
+    Where X-tilde's Cholesky factorization fails, X-tilde is ridged by
+    1e-10 * tr(X-tilde)/q on the diagonal before solving, and the
+    diagnostics flag it; a singular X-tilde that factors by rounding is
+    solved unridged.
 
     Parameters
     ----------

@@ -4,8 +4,10 @@ The marginal likelihood integrates the latent effects out of each
 individual's conditional density; here the integral is estimated by
 importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
-underflowing.  Individuals are scored in blocks of rows, one density
-call and one log-sum-exp per block.  Standard errors come from a
+underflowing.  Rows come in id order from ``Dataset.for_model`` and
+draws from the id-keyed ``Dataset.seeds`` streams, so results do not
+depend on dataset order.  Individuals are scored in blocks of rows, one
+density call and one log-sum-exp per block.  Standard errors come from a
 central finite-difference Hessian of the negative log likelihood,
 scored in this process; every stencil point is scored on the same
 standard-normal draws (common random numbers), drawn once.  The
@@ -16,7 +18,6 @@ with one degree of freedom per constrained pair.
 from __future__ import annotations
 
 import warnings
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,6 @@ class FisherResult:
     flagged: bool
 
 
-def _individual_seed(seed, ident):
-    return np.random.SeedSequence((int(seed), zlib.crc32(str(ident).encode("utf-8"))))
-
-
 # Rows (individuals x samples) scored per density call.  Small blocks
 # pay per-call overhead, large ones outgrow the CPU caches: on a 2-core
 # Xeon VM a 1000-sample likelihood of the 30-individual example took
@@ -91,18 +88,18 @@ _BLOCK_ROWS = 8192
 def _draw_blocks(model, data, n_samples, seed):
     """Common random numbers for ``_score_blocks``, one block at a time.
 
-    Yields ``(start, ys, z)``: the block's first individual (dataset
-    order), its observation rows repeated ``n_samples`` times, and the
-    standard-normal draws, ``n_samples`` rows per individual from the
-    individual's own id-keyed stream.
+    Yields ``(start, ys, z)``: the block's first row, its observation
+    rows repeated ``n_samples`` times, and the standard-normal draws,
+    ``n_samples`` rows per individual from the individual's own id-keyed
+    stream.
     """
+    seeds = data.seeds(seed)
     per_block = max(1, _BLOCK_ROWS // n_samples)
     for start in range(0, data.n, per_block):
         stop = min(start + per_block, data.n)
         z = np.empty((stop - start, n_samples, model.q))
-        for j, ident in enumerate(data.ids[start:stop]):
-            rng = np.random.default_rng(_individual_seed(seed, ident))
-            rng.standard_normal(out=z[j])
+        for j in range(stop - start):
+            np.random.default_rng(seeds[start + j]).standard_normal(out=z[j])
         ys = np.repeat(data.y[start:stop], n_samples, axis=0)
         yield start, ys, z.reshape(-1, model.q)
 
@@ -113,8 +110,7 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
     Each block's latent draws m + z L' are scored in one density call;
     per individual, log-sum-exp of the log weights gives the log mean
     weight and, for the delta-method variance, of their doubles the log
-    mean squared weight.  Per-individual terms are summed in id-sorted
-    order, so the estimate does not depend on dataset order.
+    mean squared weight.  Per-individual terms are summed in row order.
     """
     m = np.asarray(m, dtype=float)
     chol = sigma.chol_lower
@@ -136,8 +132,7 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
             log_mean_sq = logsumexp(2.0 * logw, axis=1) - np.log(n_samples)
             ratio = np.exp(log_mean_sq - 2.0 * log_mean[start:stop])
             var[start:stop] = np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
-    order = np.argsort(np.asarray(data.ids))
-    return float(np.sum(log_mean[order])), float(np.sqrt(np.sum(var[order])))
+    return float(np.sum(log_mean)), float(np.sqrt(np.sum(var)))
 
 
 def _check_samples(n_samples):
@@ -151,11 +146,9 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     Per individual, draws latent vectors from N(m, Sigma) and averages
     the conditional densities of the observations; the log of that
     average is the individual's contribution.  Off-domain draws carry
-    zero weight.  Substreams are keyed by individual id and the
-    contributions are summed in id-sorted order, so the result is
-    bitwise deterministic given the seed and unchanged by dataset
-    reordering.  Individuals are scored in blocks of about 8k rows, one
-    density call per block.
+    zero weight.  The result is bitwise deterministic given the seed and
+    unchanged by dataset reordering.  Individuals are scored in blocks of
+    about 8k rows, one density call per block.
 
     Returns
     -------
@@ -164,12 +157,15 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
 
     Raises
     ------
+    InputMismatchError
+        If the dataset does not fit the model (see ``Dataset.for_model``).
     DegenerateWeightError
         If every weight of some individual underflows to zero.
     """
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
     _check_samples(n_samples)
+    data = data.for_model(model)
     blocks = _draw_blocks(model, data, n_samples, seed)
     loglik, mc_se = _score_blocks(model, data, blocks, m, sigma, theta, n_samples)
     return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
@@ -219,6 +215,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     points of a coordinate already found bad are not scored.
     """
     _check_samples(n_samples)
+    data = data.for_model(model)
     v0 = _pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
     p = v0.shape[0]

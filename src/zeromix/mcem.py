@@ -14,21 +14,21 @@ scored in one vectorized pass.  The sequential accept loop then runs
 time-major over all chains at once, three in-place ufuncs per step
 that only record accept decisions; each chain's pointer into its
 proposal block is recovered afterwards as the running maximum of its
-accepted step indices.  Randomness is keyed by (master seed, outer
-iteration, individual id), and cross-individual reductions run in
-id-sorted order, so results do not depend on dataset ordering.
+accepted step indices.  ``fit`` takes its rows in id order from
+``Dataset.for_model`` and its randomness from the id-keyed
+``Dataset.seeds(master seed, outer iteration)``, so results do not
+depend on dataset ordering.
 """
 
 from __future__ import annotations
 
-import zlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import (DegenerateDrawError, InputMismatchError, ScheduleError,
-                         ValueOutOfRangeError)
+from .exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
 from .models import NlmeModel
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "FitResult",
     "EStepOutput",
     "run_estep",
-    "m_update",
     "xtilde_update",
     "saem_damp",
     "fit",
@@ -120,8 +119,11 @@ class FitState:
             raise ValueError("m must be a vector")
         if self.m.shape[0] != self.sigma.dim:
             raise ValueError("m and sigma dimensions differ")
-        if self.theta <= 0.0:
-            raise ValueOutOfRangeError("residual variance theta must be positive")
+        if not np.isfinite(self.m).all():
+            raise ValueOutOfRangeError("m must be finite, got %r" % (self.m,))
+        if not (math.isfinite(self.theta) and self.theta > 0.0):
+            raise ValueOutOfRangeError("residual variance theta must be positive and finite, "
+                                       "got %r" % (self.theta,))
 
 
 @dataclass
@@ -161,13 +163,12 @@ class FitResult:
 class EStepOutput:
     """Per-individual conditional-moment estimates from one E-step.
 
-    Arrays are aligned with ``ids`` (dataset order).  ``ex`` and
+    Arrays are aligned with the rows of the E-step's ``ys``.  ``ex`` and
     ``exx`` are chain averages of X and XX'; ``tstat`` is the chain
     average of the model's theta statistic; ``last_states`` seed the
     next iteration's chains.
     """
 
-    ids: tuple
     ex: np.ndarray
     exx: np.ndarray
     tstat: np.ndarray
@@ -220,6 +221,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     ----------
     ys : ndarray, shape (n, n_obs)
     ids : sequence of str
+        Names the individuals in a ``DegenerateDrawError``.
     seeds : sequence of seed material, one per individual
     x0 : ndarray (n, q), optional
         Warm-start states (previous iteration's chain ends); when
@@ -270,7 +272,6 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     tstat = np.take_along_axis(stat, ptr_ret, axis=1).mean(axis=1)
 
     return EStepOutput(
-        ids=tuple(str(t) for t in ids),
         ex=ex,
         exx=exx,
         tstat=tstat,
@@ -280,20 +281,10 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     )
 
 
-def _id_order(estep):
-    return np.argsort(np.asarray(estep.ids))
-
-
-def m_update(estep):
-    """Mean of the per-individual conditional means, id-sorted reduction."""
-    return estep.ex[_id_order(estep)].mean(axis=0)
-
-
 def xtilde_update(estep, m_next):
     """Empirical conditional variance around ``m_next`` as SufficientStats."""
-    order = _id_order(estep)
-    exx_bar = estep.exx[order].mean(axis=0)
-    ex_bar = estep.ex[order].mean(axis=0)
+    exx_bar = estep.exx.mean(axis=0)
+    ex_bar = estep.ex.mean(axis=0)
     m_next = np.asarray(m_next, dtype=float)
     xt = (
         exx_bar
@@ -303,10 +294,6 @@ def xtilde_update(estep, m_next):
     )
     xt = 0.5 * (xt + xt.T)
     return SufficientStats(xt, estep.ex.shape[0])
-
-
-def _theta_aggregate(estep):
-    return float(estep.tstat[_id_order(estep)].mean())
 
 
 def saem_damp(prev, raw, k, schedule):
@@ -339,17 +326,10 @@ def _relative_delta(prev, new):
     return max(d_m, d_s, d_t)
 
 
-def _iteration_seeds(master_seed, k, ids):
-    seeds = []
-    for ident in ids:
-        key = zlib.crc32(str(ident).encode("utf-8"))
-        seeds.append(np.random.SeedSequence((int(master_seed), int(k), int(key))))
-    return seeds
-
-
 def fit(model, data, pattern, init, config=None):
     """Maximum-likelihood fit by stochastic EM with a constrained covariance.
 
+    The dataset is checked and put in id order by ``Dataset.for_model``.
     One outer iteration runs the E-step at the current state, then the
     mean update, the residual variance update, the conditional
     variance matrix, the zero-constrained covariance solve (seeded
@@ -379,13 +359,7 @@ def fit(model, data, pattern, init, config=None):
         config = FitConfig()
     if not isinstance(model, NlmeModel):
         raise TypeError("model must be an NlmeModel")
-    if data.n_obs != model.n_obs:
-        raise InputMismatchError(
-            "dataset has %d observations per individual, model expects %d"
-            % (data.n_obs, model.n_obs)
-        )
-    if not np.array_equal(data.design, model.design):
-        raise InputMismatchError("dataset design grid differs from the model design")
+    data = data.for_model(model)
 
     sigma0 = init.sigma
     if sigma0.pattern != pattern:
@@ -401,7 +375,6 @@ def fit(model, data, pattern, init, config=None):
     icf_sweeps = icf_unconverged = icf_ridged = 0
 
     for k in range(1, config.max_outer + 1):
-        seeds = _iteration_seeds(config.seed, k, data.ids)
         estep = run_estep(
             model,
             data.y,
@@ -411,13 +384,13 @@ def fit(model, data, pattern, init, config=None):
             state.theta,
             config.chain_length,
             config.burn_in,
-            seeds,
+            data.seeds(config.seed, k),
             x0=x_last,
         )
         x_last = estep.last_states
 
-        m_next = m_update(estep)
-        theta_next = model.theta_update(_theta_aggregate(estep))
+        m_next = estep.ex.mean(axis=0)
+        theta_next = model.theta_update(float(estep.tstat.mean()))
         stats = xtilde_update(estep, m_next)
         sigma_next, icf = icf_solve(
             stats, pattern, init=None if pattern.is_empty() else state.sigma

@@ -19,6 +19,7 @@ marginal make it a validation target for the stochastic machinery.
 from __future__ import annotations
 
 import csv
+import zlib
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .exceptions import (
     DataFormatError,
     DegenerateDrawError,
     DomainError,
+    InputMismatchError,
     ValueOutOfRangeError,
 )
 
@@ -377,6 +379,27 @@ class Dataset:
 
     def __len__(self):
         return self.n
+
+    def for_model(self, model):
+        """This dataset's rows in id-sorted order; fits and likelihoods start here.
+
+        Raises InputMismatchError if the observation count or the design
+        grid is not the model's.
+        """
+        if self.n_obs != model.n_obs:
+            raise InputMismatchError(
+                "dataset has %d observations per individual, model expects %d"
+                % (self.n_obs, model.n_obs)
+            )
+        if not np.array_equal(self.design, model.design):
+            raise InputMismatchError("dataset design grid differs from the model design")
+        order = np.argsort(np.asarray(self.ids))
+        return Dataset([self.ids[i] for i in order], self.y[order], self.design)
+
+    def seeds(self, *key):
+        """One ``SeedSequence((*key, crc32(id)))`` per individual, in row order."""
+        key = tuple(map(int, key))
+        return [np.random.SeedSequence((*key, zlib.crc32(i.encode("utf-8")))) for i in self.ids]
 
 
 _HEADER = ["id", "obs_index", "design_value", "y"]

@@ -180,7 +180,6 @@ def exact_estep(model, ys, ids, m, sigma, theta, *sampler_args, **sampler_kwargs
         r = ys[i] - mean
         tstat[i] = float(r @ r) + float(np.trace(cov))
     return EStepOutput(
-        ids=tuple(ids),
         ex=ex,
         exx=exx,
         tstat=tstat,

@@ -3,7 +3,10 @@ bundled example."""
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +338,17 @@ def test_bundled_example_regenerates_byte_identically(tmp_path):
     bundled_csv, bundled_ini = example_paths()
     assert open(csv_path, "rb").read() == open(bundled_csv, "rb").read()
     assert open(ini_path, "rb").read() == open(bundled_ini, "rb").read()
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's library example, verbatim, as a script: the free fit
+    # may run in a worker process, which needs the script's __main__ guard
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    script = tmp_path / "quick_start.py"
+    script.write_text(block.split("```", 1)[0], encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert "LrTestResult(" in out.stdout

@@ -14,11 +14,13 @@ import pytest
 from helpers import record_density_calls, record_pools
 from zeromix import _pool
 from zeromix.covariance import SpdMatrix, ZeroPattern
-from zeromix.exceptions import DegenerateWeightError, ValueOutOfRangeError
+from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
+                                ValueOutOfRangeError)
 from zeromix.harness import cortisol_example
 from zeromix.inference import (fisher_se, free_param_labels, loglik_is,
                                lr_test)
-from zeromix.models import LinearGaussianModel, simulate_dataset
+from zeromix.mcem import fit
+from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 
 def _linear_setup(n=40, seed=1):
@@ -40,7 +42,6 @@ def test_importance_sampler_matches_the_closed_form():
 
 
 def test_importance_sampler_is_deterministic_and_order_free():
-    from zeromix.models import Dataset
     model, data, m, sigma, theta = _linear_setup(n=8)
     a = loglik_is(model, data, m, sigma, theta, n_samples=500, seed=5)
     b = loglik_is(model, data, m, sigma, theta, n_samples=500, seed=5)
@@ -66,7 +67,6 @@ def test_importance_sampler_is_deterministic_and_order_free():
 @pytest.mark.parametrize("n_samples", [1000, 5000])
 def test_estimate_is_the_id_ordered_sum_of_one_individual_estimates(n_samples):
     # 1000 samples put several individuals in one density call, 5000 one
-    from zeromix.models import Dataset
     data, cfg = cortisol_example()
     st = cfg.init
     est = loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=n_samples, seed=2)
@@ -251,6 +251,21 @@ def test_sample_counts_below_one_are_range_errors():
         loglik_is(model, data, m, sigma, theta, n_samples=0)
     with pytest.raises(ValueOutOfRangeError, match="n_samples must be >= 1"):
         fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=0)
+
+
+def test_a_dataset_that_does_not_fit_the_model_is_rejected():
+    # the example cut to its first observation, and on a doubled dose grid
+    data, cfg = cortisol_example()
+    st = cfg.init
+    for bad in (Dataset(data.ids, data.y[:, :1], data.design[:1]),
+                Dataset(data.ids, data.y, 2.0 * data.design)):
+        with pytest.raises(InputMismatchError):
+            loglik_is(cfg.model, bad, st.m, st.sigma, st.theta, n_samples=200, seed=1)
+        with pytest.raises(InputMismatchError):
+            fisher_se(cfg.model, bad, st.m, st.sigma, st.theta, cfg.pattern,
+                      n_samples=200, seed=1)
+        with pytest.raises(InputMismatchError):
+            fit(cfg.model, bad, cfg.pattern, st, cfg.fit)
 
 
 def test_lr_statistic_and_pvalue_on_pinned_inputs():

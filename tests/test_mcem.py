@@ -6,15 +6,18 @@ reference model; update formulas against direct recomputation from the
 E-step arrays; the driver against EM monotonicity with exact moments.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import exact_estep
 from zeromix import mcem
 from zeromix.covariance import SpdMatrix, ZeroPattern
-from zeromix.exceptions import DegenerateDrawError, ScheduleError
-from zeromix.mcem import (FitConfig, FitState, GammaSchedule, fit, m_update,
-                          run_estep, saem_damp, xtilde_update)
+from zeromix.exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
+from zeromix.harness import cortisol_example
+from zeromix.mcem import (FitConfig, FitState, GammaSchedule, fit, run_estep,
+                          saem_damp, xtilde_update)
 from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 
@@ -166,9 +169,7 @@ def test_update_formulas_recompute_from_estep_arrays():
     estep = run_estep(model, ys, ids, state.m, state.sigma, state.theta,
                       150, 15, list(range(5)))
 
-    m_next = m_update(estep)
-    assert np.allclose(m_next, estep.ex.mean(axis=0), atol=1e-12)
-
+    m_next = estep.ex.mean(axis=0)
     stats = xtilde_update(estep, m_next)
     direct = np.zeros((2, 2))
     for i in range(5):
@@ -267,16 +268,37 @@ def test_fit_is_invariant_to_dataset_order():
     model = LinearGaussianModel(2)
     truth = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.8]]))
     data, _ = simulate_dataset(model, np.array([0.5, -0.5]), truth, 0.4, 6, 5)
-    perm = [3, 0, 5, 1, 4, 2]
-    shuffled = Dataset([data.ids[i] for i in perm], data.y[perm], data.design)
     init = FitState(m=np.zeros(2), sigma=SpdMatrix(np.eye(2)), theta=0.5)
     cfg = FitConfig(chain_length=60, burn_in=10, max_outer=8,
                     outer_tol=1e-12, seed=9)
-    r1 = fit(model, data, ZeroPattern([], dim=2), init, cfg)
-    r2 = fit(model, shuffled, ZeroPattern([], dim=2), init, cfg)
-    assert np.array_equal(r1.state.m, r2.state.m)
-    assert np.array_equal(r1.state.sigma.values, r2.state.sigma.values)
-    assert r1.state.theta == r2.state.theta
+    example, run = cortisol_example()
+    cases = [(model, data, [3, 0, 5, 1, 4, 2], ZeroPattern([], dim=2), init, cfg),
+             # the bundled example in file order and in id order, whose
+             # per-individual accept rates round differently when averaged
+             # in another order
+             (run.model, example, np.argsort(example.ids), run.pattern, run.init,
+              replace(run.fit, max_outer=20))]
+    for model, data, perm, pattern, init, cfg in cases:
+        shuffled = Dataset([data.ids[i] for i in perm], data.y[perm], data.design)
+        r1 = fit(model, data, pattern, init, cfg)
+        r2 = fit(model, shuffled, pattern, init, cfg)
+        assert np.array_equal(r1.state.m, r2.state.m)
+        assert np.array_equal(r1.state.sigma.values, r2.state.sigma.values)
+        assert r1.state.theta == r2.state.theta
+        assert [row.accept_rate for row in r1.trace] == [row.accept_rate for row in r2.trace]
+        assert r1.accept_rate == r2.accept_rate
+
+
+@pytest.mark.parametrize("m,theta,message", [
+    ([0.0, 0.0], float("nan"), "theta must be positive and finite"),
+    ([0.0, 0.0], float("inf"), "theta must be positive and finite"),
+    ([float("nan"), 0.0], 1.0, "m must be finite"),
+    ([0.0, -float("inf")], 1.0, "m must be finite"),
+])
+def test_fit_state_rejects_non_finite_values(m, theta, message):
+    # a bad start names its field, not the individuals of a degenerate E-step
+    with pytest.raises(ValueOutOfRangeError, match=message):
+        FitState(m=np.array(m), sigma=SpdMatrix(np.eye(2)), theta=theta)
 
 
 def test_fit_config_validation():

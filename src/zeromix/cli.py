@@ -121,6 +121,13 @@ def _cmd_icf(args):
         stats = SufficientStats(xtilde, n=1)  # the solver reads only X-tilde
     except ValueError as exc:
         raise UsageError(f"{args.xtilde}: {exc}") from exc
+    # the solver reads only the lower triangle; an unequal upper one is an input error
+    unequal = np.argwhere(np.abs(xtilde - xtilde.T) > 1e-12 * np.max(np.abs(xtilde)))
+    if unequal.size:
+        i, j = unequal[0]
+        raise UsageError(f"{args.xtilde}: matrix is not symmetric: entry ({i + 1},{j + 1}) is "
+                         f"{float(xtilde[i, j])!r} but ({j + 1},{i + 1}) is "
+                         f"{float(xtilde[j, i])!r}")
     pattern = ZeroPattern(_parse_pairs(args.pattern, "--pattern") if args.pattern else [],
                           dim=stats.dim)
     sol, diag = icf_solve(stats, pattern, tol=args.tol,
@@ -171,7 +178,7 @@ def _build_parser():
 
     p = sub.add_parser("icf", help="solve the zero-constrained covariance problem")
     p.add_argument("--xtilde", required=True,
-                   help="CSV file holding the square scatter/conditional matrix")
+                   help="CSV file holding the square, symmetric scatter/conditional matrix")
     p.add_argument("--pattern", default="",
                    help="prescribed zeros as 1-based pairs, e.g. '(1,3)'")
     p.add_argument("--tol", type=float, default=1e-8)

@@ -19,11 +19,11 @@ all the keys each section accepts:
     rows), and ``theta``.  The covariance must be positive definite.
 
 ``[mcem]``
-    Optional sampler and stopping controls of
-    :class:`zeromix.mcem.FitConfig`: ``chain_length``, ``burn_in``,
-    ``outer_tol``, ``max_outer``, ``seed``, and the damping schedule's
-    ``gamma_a``, ``gamma_b`` and ``warmup`` (its ``a``, ``b``, ``k0``);
-    unset keys keep their defaults.
+    Optional fit settings, read as the keywords of
+    :class:`zeromix.mcem.FitConfig` of the same names: ``chain_length``,
+    ``burn_in``, the damping gain's ``gamma_a``, ``gamma_b`` and
+    ``warmup``, ``outer_tol``, ``max_outer`` and ``seed``; unset keys
+    keep their defaults.
 
 ``[study]``
     Optional simulation-study block: ``replicates``, ``individuals``,
@@ -50,7 +50,7 @@ import numpy as np
 
 from .covariance import SpdMatrix, ZeroPattern
 from .exceptions import ConfigError, NotPositiveDefiniteError
-from .mcem import FitConfig, FitState, GammaSchedule
+from .mcem import FitConfig, FitState
 from .models import CortisolModel, LinearGaussianModel, NlmeModel
 
 
@@ -134,8 +134,6 @@ _SECTIONS = {
 }
 # [model] key each model name takes besides ``name``
 _MODEL_KEYS = {"cortisol": "doses", "linear_gaussian": "q"}
-# [mcem] keys of the damping schedule, with their GammaSchedule fields
-_SCHEDULE_FIELDS = {"gamma_a": "a", "gamma_b": "b", "warmup": "k0"}
 # SimStudyConfig fields of the [study] keys named otherwise, and the truth
 _STUDY_FIELDS = {"replicates": "n_replicates", "individuals": "n_individuals"}
 _STUDY_TRUTH = ("truth_m", "truth_sigma", "truth_theta")
@@ -214,12 +212,6 @@ def _build_init(values, q, pattern):
     return FitState(m=m, sigma=sigma, theta=values["theta"])
 
 
-def _build_fit(values):
-    schedule = GammaSchedule(**{field: values.pop(key)
-                                for key, field in _SCHEDULE_FIELDS.items() if key in values})
-    return FitConfig(schedule=schedule, **values)
-
-
 def _build_study(values, q):
     for key in _STUDY_TRUTH:
         if key not in values:
@@ -258,6 +250,6 @@ def load_config(path):
     if "init" not in parser:
         raise ConfigError("config file needs an [init] section")
     init = _build_init(_read(parser, "init"), model.q, pattern)
-    fit = _build_fit(_read(parser, "mcem"))
+    fit = FitConfig(**_read(parser, "mcem"))
     study = _build_study(_read(parser, "study"), model.q) if "study" in parser else None
     return RunConfig(model=model, pattern=pattern, init=init, fit=fit, study=study)

@@ -61,9 +61,6 @@ __all__ = [
     "icf_solve",
     "objective",
     "kkt_residual",
-    "free_entry_indices",
-    "pack_free_entries",
-    "unpack_free_entries",
 ]
 
 
@@ -555,36 +552,3 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
                 break
     return (SpdMatrix(cur, pattern=pattern),
             IcfDiagnostics(sweeps=sweeps, converged=converged, ridged=ridged))
-
-
-def free_entry_indices(pattern):
-    """0-based lower-triangle (row, col) positions not constrained, diagonal included.
-
-    Row-major order; this fixes the layout of packed free-entry vectors.
-    """
-    out = []
-    for i in range(pattern.dim):
-        for j in range(i + 1):
-            if i == j or (j + 1, i + 1) not in pattern:
-                out.append((i, j))
-    return out
-
-
-def pack_free_entries(sigma, pattern):
-    """Flatten the free lower-triangle entries of a symmetric matrix."""
-    a = _as_array(sigma)
-    return np.array([a[i, j] for i, j in free_entry_indices(pattern)])
-
-
-def unpack_free_entries(vec, pattern):
-    """Rebuild a symmetric matrix from packed free entries; constrained entries are 0.0."""
-    idx = free_entry_indices(pattern)
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (len(idx),):
-        raise ValueError("expected %d entries, got shape %r" % (len(idx), vec.shape))
-    q = pattern.dim
-    a = np.zeros((q, q))
-    for value, (i, j) in zip(vec, idx):
-        a[i, j] = value
-        a[j, i] = value
-    return a

@@ -59,10 +59,6 @@ class DegenerateWeightError(NumericalError):
     """All importance weights for an individual underflowed."""
 
 
-class ScheduleError(UsageError):
-    """Damping schedule parameters outside their valid range."""
-
-
 class ValueOutOfRangeError(UsageError, ValueError):
     """A numeric input falls outside its valid range: a probability
     outside [0, 1], a count or length below its minimum."""

@@ -31,7 +31,7 @@ import numpy as np
 from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError
-from .inference import _pack_params, free_param_labels, loglik_is, lr_test
+from .inference import free_param_labels, loglik_is, lr_test, pack_params
 from .mcem import FitConfig, FitState, fit
 from .models import CortisolModel, NlmeModel, load_dataset, save_dataset, simulate_dataset
 
@@ -274,16 +274,16 @@ def run_simulation_study(cfg):
     # rows are the free parameter vector of the empty pattern
     free = ZeroPattern([], dim=cfg.q)
     labels = free_param_labels(free)
-    truth = _pack_params(cfg.truth_m, cfg.truth_sigma, cfg.truth_theta, free)
+    truth = pack_params(cfg.truth_m, cfg.truth_sigma, cfg.truth_theta, free)
     rows = []
     loglik_row = {}
     p_values = []
     if records:
         per_est = {}
         for name in ESTIMATOR_NAMES:
-            vecs = [_pack_params(rec["estimates"][name]["m"],
-                                 rec["estimates"][name]["sigma"],
-                                 rec["estimates"][name]["theta"], free)
+            vecs = [pack_params(rec["estimates"][name]["m"],
+                                rec["estimates"][name]["sigma"],
+                                rec["estimates"][name]["theta"], free)
                     for rec in records]
             per_est[name] = _aggregate(vecs, truth)
         for idx, label in enumerate(labels):
@@ -372,7 +372,7 @@ def write_trace_csv(result, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in result.trace:
-            vec = _pack_params(row.m, row.sigma, row.theta, free)
+            vec = pack_params(row.m, row.sigma, row.theta, free)
             cells = [str(row.k), *(repr(float(v)) for v in vec),
                      repr(float(row.accept_rate)), repr(float(row.delta))]
             fh.write(",".join(cells) + "\n")

@@ -12,7 +12,9 @@ central finite-difference Hessian of the negative log likelihood,
 scored in this process; every stencil point is scored on the same
 standard-normal draws (common random numbers), drawn once.  The
 prescribed zero pattern is tested by a chi-square likelihood ratio
-with one degree of freedom per constrained pair.
+with one degree of freedom per constrained pair.  This module alone
+lays out the free parameter vector that the standard errors, the study
+table and the trace share (``pack_params``, ``free_param_labels``).
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
-from .covariance import (
-    SpdMatrix,
-    free_entry_indices,
-    pack_free_entries,
-    unpack_free_entries,
-)
+from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
 
 __all__ = [
@@ -40,6 +37,7 @@ __all__ = [
     "fisher_se",
     "lr_test",
     "free_param_labels",
+    "pack_params",
 ]
 
 
@@ -171,26 +169,37 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
 
 
+def _free_entries(pattern):
+    """0-based lower-triangle (row, col) positions not constrained, diagonal
+    included, in row-major order: the Sigma block of the parameter vector."""
+    return [(i, j) for i in range(pattern.dim) for j in range(i + 1)
+            if i == j or (j + 1, i + 1) not in pattern]
+
+
 def free_param_labels(pattern):
     """Labels of the free parameter vector: m, lower-triangle Sigma entries, theta."""
     labels = ["m%d" % (t + 1) for t in range(pattern.dim)]
-    labels += ["sigma_%d_%d" % (i + 1, j + 1) for i, j in free_entry_indices(pattern)]
+    labels += ["sigma_%d_%d" % (i + 1, j + 1) for i, j in _free_entries(pattern)]
     labels.append("theta")
     return labels
 
 
-def _pack_params(m, sigma, theta, pattern):
-    return np.concatenate(
-        [np.asarray(m, dtype=float), pack_free_entries(sigma, pattern), [float(theta)]]
-    )
+def pack_params(m, sigma, theta, pattern):
+    """The free parameter vector of ``free_param_labels``: m, the entries
+    of Sigma (an SpdMatrix or array-like) at ``pattern``'s free
+    lower-triangle positions, theta."""
+    a = sigma.values if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
+    return np.concatenate([np.asarray(m, dtype=float),
+                           [a[i, j] for i, j in _free_entries(pattern)], [float(theta)]])
 
 
 def _unpack_params(v, pattern):
+    """Inverse of ``pack_params``: (m, SpdMatrix tagged with ``pattern``, theta)."""
     q = pattern.dim
-    m = v[:q]
-    sigma_vals = unpack_free_entries(v[q:-1], pattern)
-    theta = float(v[-1])
-    return m, sigma_vals, theta
+    a = np.zeros((q, q))
+    for value, (i, j) in zip(v[q:-1], _free_entries(pattern)):
+        a[i, j] = a[j, i] = value
+    return v[:q], SpdMatrix(a, pattern=pattern), float(v[-1])
 
 
 def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
@@ -216,7 +225,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """
     _check_samples(n_samples)
     data = data.for_model(model)
-    v0 = _pack_params(m, sigma, theta, pattern)
+    v0 = pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
@@ -227,10 +236,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
         v = v0.copy()
         for i, mult in moves:
             v[i] += mult * steps[i]
-        mm, sig_vals, th = _unpack_params(v, pattern)
-        loglik, _ = _score_blocks(
-            model, data, blocks, mm, SpdMatrix(sig_vals, pattern=pattern), th, n_samples
-        )
+        loglik, _ = _score_blocks(model, data, blocks, *_unpack_params(v, pattern), n_samples)
         return -loglik
 
     f0 = f()

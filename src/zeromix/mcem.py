@@ -7,7 +7,8 @@ conditional likelihood ratio of the observations.  The M-step combines
 the closed-form mean update, the model-owned residual variance update
 and the zero-constrained covariance solve.  Damped (stochastic
 approximation) updates stabilize the iteration: full replacement
-during a warm-up phase, then a decaying gain a / (k - k0)^b.
+during the first ``warmup`` iterations, then the decaying gain
+``gamma_a / (k - warmup)^gamma_b`` of ``FitConfig.gamma``.
 
 Chains are pre-generated: every proposal of an iteration is drawn and
 scored in one vectorized pass.  The sequential accept loop then runs
@@ -23,16 +24,15 @@ depend on dataset ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
+from .exceptions import DegenerateDrawError, ValueOutOfRangeError
 from .models import NlmeModel
 
 __all__ = [
-    "GammaSchedule",
     "FitConfig",
     "FitState",
     "TraceRow",
@@ -45,28 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaSchedule:
-    """Damping gains: gamma_k = 1 for k <= k0, then min(1, a / (k - k0)^b)."""
-
-    a: float = 1.0
-    b: float = 0.8
-    k0: int = 50
-
-    def __post_init__(self):
-        if not (0.0 < self.b <= 1.0):
-            raise ScheduleError("decay exponent b must lie in (0, 1], got %r" % (self.b,))
-        if not (np.isfinite(self.a) and self.a > 0.0):
-            raise ScheduleError("gain scale a must be finite and > 0, got %r" % (self.a,))
-        if self.k0 < 0:
-            raise ScheduleError("warm-up length k0 must be >= 0, got %r" % (self.k0,))
-
-    def gamma(self, k):
-        if k <= self.k0:
-            return 1.0
-        return min(1.0, self.a / float(k - self.k0) ** self.b)
-
-
 # Trailing outer iterations whose relative changes must all stay below
 # ``FitConfig.outer_tol`` before ``fit`` stops.
 _WINDOW = 10
@@ -74,18 +52,21 @@ _WINDOW = 10
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Outer-loop configuration for ``fit``.
+    """Outer-loop configuration for ``fit``; each field is named as
+    its ``[mcem]`` INI key.
 
-    The stopping tolerance is matched to the damping schedule: with
-    gamma decaying like (k - k0)^-0.8 and chains of a few hundred
-    draws, per-iteration relative changes settle near 1e-3, so a much
-    tighter tolerance would never be reached.  The M-step runs
-    ``icf_solve`` at its own tolerance and sweep cap.
+    The stopping tolerance is matched to the damping gain: with gamma
+    decaying like (k - warmup)^-0.8 and chains of a few hundred draws,
+    per-iteration relative changes settle near 1e-3, so a much tighter
+    tolerance would never be reached.  The M-step runs ``icf_solve`` at
+    its own tolerance and sweep cap.
     """
 
     chain_length: int = 500
     burn_in: int = 100
-    schedule: GammaSchedule = field(default_factory=GammaSchedule)
+    gamma_a: float = 1.0
+    gamma_b: float = 0.8
+    warmup: int = 50
     outer_tol: float = 2e-3
     max_outer: int = 400
     seed: int = 0
@@ -95,6 +76,12 @@ class FitConfig:
             raise ValueOutOfRangeError("chain_length must be >= 1, got %r" % (self.chain_length,))
         if self.burn_in < 0:
             raise ValueOutOfRangeError("burn_in must be >= 0, got %r" % (self.burn_in,))
+        if not (np.isfinite(self.gamma_a) and self.gamma_a > 0.0):
+            raise ValueOutOfRangeError("gamma_a must be finite and > 0, got %r" % (self.gamma_a,))
+        if not (0.0 < self.gamma_b <= 1.0):
+            raise ValueOutOfRangeError("gamma_b must lie in (0, 1], got %r" % (self.gamma_b,))
+        if self.warmup < 0:
+            raise ValueOutOfRangeError("warmup must be >= 0, got %r" % (self.warmup,))
         if not (np.isfinite(self.outer_tol) and self.outer_tol > 0.0):
             raise ValueOutOfRangeError("outer_tol must be finite and > 0, got %r"
                                        % (self.outer_tol,))
@@ -102,6 +89,13 @@ class FitConfig:
             raise ValueOutOfRangeError("max_outer must be >= 1, got %r" % (self.max_outer,))
         if self.seed < 0:
             raise ValueOutOfRangeError("seed must be >= 0, got %r" % (self.seed,))
+
+    def gamma(self, k):
+        """Damping gain of outer iteration ``k``: 1 through ``warmup``,
+        then min(1, gamma_a / (k - warmup)^gamma_b)."""
+        if k <= self.warmup:
+            return 1.0
+        return min(1.0, self.gamma_a / float(k - self.warmup) ** self.gamma_b)
 
 
 @dataclass
@@ -296,21 +290,20 @@ def xtilde_update(estep, m_next):
     return SufficientStats(xt, estep.ex.shape[0])
 
 
-def saem_damp(prev, raw, k, schedule):
+def saem_damp(prev, raw, gamma):
     """Damped update: convex combination of previous state and raw M-step.
 
-    ``raw`` is an (m, sigma, theta) triple.  The combination preserves
-    positive definiteness (convexity of the cone) and the zero pattern
-    (constrained entries are exactly zero on both sides).
+    ``raw`` is an (m, SpdMatrix sigma, theta) triple and ``gamma`` the
+    gain; the result is iterate ``prev.k + 1``.  The combination
+    preserves positive definiteness (convexity of the cone) and the
+    zero pattern (constrained entries are exactly zero on both sides).
     """
-    gamma = schedule.gamma(k)
     m_raw, sigma_raw, theta_raw = raw
-    sigma_raw_values = sigma_raw.values if isinstance(sigma_raw, SpdMatrix) else np.asarray(sigma_raw)
     m_new = (1.0 - gamma) * prev.m + gamma * np.asarray(m_raw, dtype=float)
-    sig_new = (1.0 - gamma) * prev.sigma.values + gamma * sigma_raw_values
+    sig_new = (1.0 - gamma) * prev.sigma.values + gamma * sigma_raw.values
     theta_new = (1.0 - gamma) * prev.theta + gamma * float(theta_raw)
     sigma = SpdMatrix(sig_new, pattern=prev.sigma.pattern)
-    return FitState(m=m_new, sigma=sigma, theta=theta_new, k=k)
+    return FitState(m=m_new, sigma=sigma, theta=theta_new, k=prev.k + 1)
 
 
 def _relative_delta(prev, new):
@@ -399,7 +392,7 @@ def fit(model, data, pattern, init, config=None):
         icf_unconverged += not icf.converged
         icf_ridged += icf.ridged
 
-        new_state = saem_damp(state, (m_next, sigma_next, theta_next), k, config.schedule)
+        new_state = saem_damp(state, (m_next, sigma_next, theta_next), config.gamma(k))
         delta = _relative_delta(state, new_state)
         state = new_state
         deltas.append(delta)

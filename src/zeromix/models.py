@@ -412,11 +412,12 @@ def load_dataset(path):
     must cover 1..n_obs exactly once per individual, every individual
     must have the same number of observations, and the design grid must
     be identical across individuals.  Errors cite 1-based row numbers.
+    The file is read as UTF-8; a leading byte-order mark is skipped.
     """
     rows_by_id = {}
     order = []
     last_row = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -483,7 +484,7 @@ def load_dataset(path):
 
 def save_dataset(dataset, path):
     """Write a dataset to CSV in the load_dataset format, full precision."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for i, ident in enumerate(dataset.ids):

@@ -6,8 +6,8 @@ E-step of models with closed-form posterior moments.
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
 with restarted BFGS on the analytic gradient and a positive-definiteness
-barrier.  It shares no code path with the columnwise solver beyond the
-entry packing order.
+barrier.  It shares no code with the production solver: it lays out the
+free entries itself (``free_positions``).
 """
 
 import concurrent.futures
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
-from zeromix.covariance import ZeroPattern, free_entry_indices
+from zeromix.covariance import ZeroPattern
 from zeromix.mcem import EStepOutput
 
 
@@ -83,13 +83,21 @@ def _objective_and_gradient(vec, rows, cols, xtilde):
     return logdet + float(np.trace(w)), grad
 
 
+def free_positions(pattern):
+    """Row and column indices of the unconstrained lower-triangle entries,
+    diagonal included, in row-major order."""
+    rows, cols = np.tril_indices(pattern.dim)
+    keep = [(c + 1, r + 1) not in pattern for r, c in zip(rows, cols)]
+    return rows[keep], cols[keep]
+
+
 def pack_raw(sigma, pattern):
-    return np.array([sigma[i, j] for i, j in free_entry_indices(pattern)])
+    return np.asarray(sigma)[free_positions(pattern)]
 
 
 def brute_force_constrained_objective(xtilde, pattern, starts, max_restarts=3):
     """Best objective found by restarted BFGS over the free entries."""
-    rows, cols = np.array(free_entry_indices(pattern)).T
+    rows, cols = free_positions(pattern)
     best = np.inf
     for start in starts:
         x = np.asarray(start, dtype=float)

@@ -301,12 +301,15 @@ NOT_PD = "symmetric factorization failed"
      "dataset design grid differs from the model design"),
     ("fit", "outer_tol = 1e-12", "outer_tol = nan", "outer_tol: expected a finite number"),
     ("fit", "warmup = 5", "warmup = 5\ngamma_a = nan", "gamma_a: expected a finite number"),
+    ("fit", "warmup = 5", "warmup = 5\ngamma_b = 2", "gamma_b must lie in (0, 1], got 2.0"),
     ("fit", "theta = 0.04", "theta = nan", "theta: expected a finite number"),
     ("fit", "m = 50,", "m = nan,", "m: expected finite numbers"),
     ("fit", "0.25, 0.0016", "0.25, inf", "sigma_diag: expected finite numbers"),
     ("fit", "theta = 0.04", "theta = 0", "residual variance theta must be positive"),
     ("fit", "theta = 0.04", "theta = -1", "residual variance theta must be positive"),
     ("icf", "3,-3,4", "nan,-3,4", "xtilde has non-finite entries"),
+    ("icf", "4,-3,3\n", "4,-2,3\n",
+     "matrix is not symmetric: entry (1,2) is -2.0 but (2,1) is -3.0"),
     *((command, "sigma_diag = 25, 49, 0.25, 0.0016", NOT_PD_SIGMA, f"error: sigma: {NOT_PD}")
       for command in ("fit", "simulate", "study")),
     *((command, "25, 49, 0.25", "25, 49, -0.25", f"error: sigma_diag: {NOT_PD}")

@@ -1,11 +1,17 @@
 """Run-configuration parsing: section handling, typed values, and
 error reporting."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from zeromix import config
 from zeromix.config import load_config
 from zeromix.exceptions import ConfigError
+from zeromix.mcem import FitConfig
 from zeromix.models import CortisolModel, LinearGaussianModel
 
 FULL = """
@@ -55,8 +61,8 @@ def test_full_config_parses_every_section(tmp_path):
                           [25.0, 49.0, 0.01, 0.0001])
     assert cfg.init.theta == 0.04
     assert cfg.fit.chain_length == 300
-    assert cfg.fit.schedule.b == 0.9
-    assert cfg.fit.schedule.k0 == 80
+    assert cfg.fit.gamma_b == 0.9
+    assert cfg.fit.warmup == 80
     assert cfg.fit.seed == 7
     # [study] values are keyed by the SimStudyConfig fields they set
     assert cfg.study.keys() == {"n_replicates", "n_individuals", "master_seed",
@@ -163,6 +169,15 @@ def test_every_documented_key_is_accepted(tmp_path):
         "sigma_diag = 1,1,1,1", "sigma = 1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1")
     cfg = load_config(_write(tmp_path, text))
     assert cfg.model.q == 4 and cfg.init.sigma.dim == 4
+
+
+def test_readme_mcem_keys_are_the_fit_config_fields():
+    # one name per fit setting: the README row, the parser table and FitConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    row = next(line for line in readme.splitlines() if line.startswith("| `[mcem]`"))
+    listed = re.findall(r"`(\w+)`", row.split("|")[2])
+    assert listed == list(config._SECTIONS["mcem"])
+    assert listed == [f.name for f in dataclasses.fields(FitConfig)]
 
 
 def test_missing_file_is_a_config_error(tmp_path):

@@ -16,14 +16,11 @@ from zeromix.covariance import (
     SpdMatrix,
     SufficientStats,
     ZeroPattern,
-    free_entry_indices,
     icf_column_update,
     icf_solve,
     kkt_residual,
     min_eig_repair,
     objective,
-    pack_free_entries,
-    unpack_free_entries,
     zero_forced,
 )
 from zeromix.exceptions import (
@@ -330,18 +327,3 @@ def test_kkt_residual_vanishes_only_at_the_optimum():
     assert kkt_residual(sol, stats, PAT13) < 1e-8
     start = SpdMatrix(np.diag(np.diag(XT3)), pattern=PAT13)
     assert kkt_residual(start, stats, PAT13) > 1e-2
-
-
-def test_free_entry_packing_round_trip():
-    pat = ZeroPattern([(1, 3), (2, 4)], dim=4)
-    idx = free_entry_indices(pat)
-    assert (2, 0) not in idx and (3, 1) not in idx
-    assert len(idx) == 10 - 2
-    entries = np.diag([1.0, 2.0, 3.0, 4.0])
-    entries[1, 0] = entries[0, 1] = 0.3
-    entries[3, 2] = entries[2, 3] = -0.2
-    sigma = SpdMatrix(entries, pattern=pat)
-    vec = pack_free_entries(sigma, pat)
-    assert len(vec) == len(idx)
-    back = unpack_free_entries(vec, pat)
-    assert np.array_equal(back, sigma.values)

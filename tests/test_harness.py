@@ -20,7 +20,7 @@ from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              write_example_bundle,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
-from zeromix.mcem import FitConfig, FitResult, FitState, GammaSchedule, TraceRow
+from zeromix.mcem import FitConfig, FitResult, FitState, TraceRow
 from zeromix.covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from zeromix.inference import free_param_labels
 from zeromix.models import simulate_dataset
@@ -169,7 +169,7 @@ def test_pooled_study_matches_the_in_process_study(monkeypatch):
     # replicate 2 kept at once, so every kind of record crosses the
     # process boundary.  Three replicates on two workers load them unevenly.
     fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=17, outer_tol=0.05,
-                        schedule=GammaSchedule(k0=3, b=1.0))
+                        warmup=3, gamma_b=1.0)
     cfg = SimStudyConfig(n_replicates=3, n_individuals=8, master_seed=0, fit=fit_cfg)
     pools = record_pools(monkeypatch)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
@@ -207,8 +207,7 @@ def _estimate(m, sigma, theta):
 
 
 def test_a_study_record_is_fit_and_test_at_the_replicate_seeds(monkeypatch):
-    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=15, outer_tol=10.0,
-                        schedule=GammaSchedule(k0=3))
+    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=15, outer_tol=10.0, warmup=3)
     cfg = SimStudyConfig(n_replicates=1, n_individuals=8, master_seed=1, fit=fit_cfg)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     record, = run_simulation_study(cfg).records

@@ -17,8 +17,8 @@ from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
                                 ValueOutOfRangeError)
 from zeromix.harness import cortisol_example
-from zeromix.inference import (fisher_se, free_param_labels, loglik_is,
-                               lr_test)
+from zeromix.inference import (_unpack_params, fisher_se, free_param_labels, loglik_is,
+                               lr_test, pack_params)
 from zeromix.mcem import fit
 from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
@@ -107,6 +107,28 @@ def test_free_parameter_labels_skip_constrained_entries():
         "sigma_1_1", "sigma_2_1", "sigma_2_2", "sigma_3_2", "sigma_3_3",
         "theta",
     ]
+
+
+def test_parameter_packing_round_trip():
+    pat = ZeroPattern([(1, 3), (2, 4)], dim=4)
+    entries = np.diag([1.0, 2.0, 3.0, 4.0])
+    entries[1, 0] = entries[0, 1] = 0.3
+    entries[3, 2] = entries[2, 3] = -0.2
+    sigma = SpdMatrix(entries, pattern=pat)
+    m = np.array([1.5, -2.0, 0.25, 3.0])
+    vec = pack_params(m, sigma, 0.7, pat)
+    labels = free_param_labels(pat)
+    assert len(vec) == len(labels) == 4 + (10 - 2) + 1
+    assert "sigma_3_1" not in labels and "sigma_4_2" not in labels
+    assert vec[labels.index("sigma_2_1")] == 0.3
+    assert vec[labels.index("sigma_4_3")] == -0.2
+    # a plain nested list (a report's sigma) packs to the same vector
+    assert np.array_equal(pack_params(list(m), entries.tolist(), 0.7, pat), vec)
+    m_back, sigma_back, theta_back = _unpack_params(vec, pat)
+    assert np.array_equal(m_back, m)
+    assert np.array_equal(sigma_back.values, sigma.values)
+    assert sigma_back.pattern == pat
+    assert theta_back == 0.7
 
 
 def test_standard_errors_track_the_sampling_variance_of_the_mean():

@@ -1,4 +1,4 @@
-"""Stochastic EM loop: damping schedule, sampler, update formulas,
+"""Stochastic EM loop: damping gain, sampler, update formulas,
 and the fit driver.
 
 The sampler is checked against the conjugate posterior of the linear
@@ -14,38 +14,36 @@ import pytest
 from helpers import exact_estep
 from zeromix import mcem
 from zeromix.covariance import SpdMatrix, ZeroPattern
-from zeromix.exceptions import DegenerateDrawError, ScheduleError, ValueOutOfRangeError
+from zeromix.exceptions import DegenerateDrawError, ValueOutOfRangeError
 from zeromix.harness import cortisol_example
-from zeromix.mcem import (FitConfig, FitState, GammaSchedule, fit, run_estep,
-                          saem_damp, xtilde_update)
+from zeromix.mcem import FitConfig, FitState, fit, run_estep, saem_damp, xtilde_update
 from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 
 def test_gamma_is_one_through_warmup_then_decays():
-    sched = GammaSchedule(a=1.0, b=0.8, k0=50)
-    assert sched.gamma(1) == 1.0
-    assert sched.gamma(50) == 1.0
-    assert sched.gamma(58) == pytest.approx(1.0 / 8.0 ** 0.8, abs=1e-15)
-    assert sched.gamma(51) == 1.0  # 1/1^0.8
-    assert sched.gamma(1050) < 0.005
+    cfg = FitConfig(gamma_a=1.0, gamma_b=0.8, warmup=50)
+    assert cfg.gamma(1) == 1.0
+    assert cfg.gamma(50) == 1.0
+    assert cfg.gamma(58) == pytest.approx(1.0 / 8.0 ** 0.8, abs=1e-15)
+    assert cfg.gamma(51) == 1.0  # 1/1^0.8
+    assert cfg.gamma(1050) < 0.005
 
 
 def test_gamma_clamps_at_one():
-    sched = GammaSchedule(a=5.0, b=0.8, k0=0)
-    assert sched.gamma(1) == 1.0
-    assert sched.gamma(2) == pytest.approx(min(1.0, 5.0 / 2.0 ** 0.8), abs=1e-15)
+    cfg = FitConfig(gamma_a=5.0, gamma_b=0.8, warmup=0)
+    assert cfg.gamma(1) == 1.0
+    assert cfg.gamma(2) == pytest.approx(min(1.0, 5.0 / 2.0 ** 0.8), abs=1e-15)
 
 
-def test_schedule_rejects_bad_parameters():
+def test_gain_settings_reject_bad_values_naming_the_field():
     for a in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ScheduleError, match="a must be finite and > 0"):
-            GammaSchedule(a=a)
-    with pytest.raises(ScheduleError):
-        GammaSchedule(b=0.0)
-    with pytest.raises(ScheduleError):
-        GammaSchedule(b=1.5)
-    with pytest.raises(ScheduleError):
-        GammaSchedule(k0=-1)
+        with pytest.raises(ValueOutOfRangeError, match="gamma_a must be finite and > 0"):
+            FitConfig(gamma_a=a)
+    for b in (0.0, 1.5):
+        with pytest.raises(ValueOutOfRangeError, match=r"gamma_b must lie in \(0, 1\]"):
+            FitConfig(gamma_b=b)
+    with pytest.raises(ValueOutOfRangeError, match="warmup must be >= 0"):
+        FitConfig(warmup=-1)
 
 
 def _state(sigma_entries, pattern=None, m=None, theta=1.0):
@@ -55,31 +53,29 @@ def _state(sigma_entries, pattern=None, m=None, theta=1.0):
     return FitState(m=m, sigma=sigma, theta=theta)
 
 
-def test_damping_during_warmup_returns_the_raw_update():
-    sched = GammaSchedule(k0=10)
+def test_a_unit_gain_returns_the_raw_update_as_the_next_iterate():
     prev = _state(2.0 * np.eye(2))
     raw = (np.array([1.0, -1.0]), SpdMatrix(4.0 * np.eye(2)), 3.0)
-    out = saem_damp(prev, raw, k=5, schedule=sched)
+    out = saem_damp(prev, raw, 1.0)
     assert np.array_equal(out.m, raw[0])
     assert np.array_equal(out.sigma.values, raw[1].values)
     assert out.theta == 3.0
+    assert out.k == prev.k + 1
 
 
 def test_damping_halves_the_step_at_gamma_half():
-    sched = GammaSchedule(a=0.5, b=1.0, k0=0)
     prev = _state(2.0 * np.eye(2))
     raw = (np.zeros(2), SpdMatrix(4.0 * np.eye(2)), 2.0)
-    out = saem_damp(prev, raw, k=1, schedule=sched)  # gamma = 0.5
+    out = saem_damp(prev, raw, 0.5)
     assert np.allclose(out.sigma.values, 3.0 * np.eye(2), atol=1e-15)
     assert out.theta == pytest.approx(1.5)
 
 
 def test_damping_is_a_fixed_point_at_the_current_state():
-    sched = GammaSchedule(a=1.0, b=0.8, k0=0)
     prev = _state([[2.0, 0.3], [0.3, 1.0]], m=np.array([1.0, 2.0]), theta=0.7)
     raw = (prev.m.copy(), prev.sigma, prev.theta)
-    for k in (1, 5, 40):
-        out = saem_damp(prev, raw, k=k, schedule=sched)
+    for gamma in (1.0, 0.5, 0.04):
+        out = saem_damp(prev, raw, gamma)
         assert np.array_equal(out.m, prev.m)
         assert np.array_equal(out.sigma.values, prev.sigma.values)
         assert out.theta == prev.theta
@@ -89,8 +85,7 @@ def test_damping_preserves_pattern_zeros_bitwise():
     pat = ZeroPattern([(1, 3)], dim=3)
     prev = _state(np.diag([1.0, 2.0, 3.0]), pattern=pat)
     raw_sigma = SpdMatrix(np.diag([2.0, 1.0, 4.0]), pattern=pat)
-    out = saem_damp(prev, (np.zeros(3), raw_sigma, 1.0), k=100,
-                    schedule=GammaSchedule(k0=0))
+    out = saem_damp(prev, (np.zeros(3), raw_sigma, 1.0), 0.025)
     assert out.sigma.values[0, 2] == 0.0
     assert out.sigma.pattern == pat
 
@@ -209,8 +204,7 @@ def test_exact_em_increases_the_marginal_likelihood(monkeypatch):
     data, _ = simulate_dataset(model, np.array([1.0, -1.0, 0.5]), truth_sigma,
                                0.4, 40, 2)
     init = FitState(m=np.zeros(3), sigma=SpdMatrix(np.eye(3)), theta=1.0)
-    cfg = FitConfig(schedule=GammaSchedule(k0=1000), outer_tol=1e-12,
-                    max_outer=100, seed=0)
+    cfg = FitConfig(warmup=1000, outer_tol=1e-12, max_outer=100, seed=0)
     res = fit(model, data, ZeroPattern([], dim=3), init, cfg)
     lls = [model.marginal_loglik(data.y, row.m, SpdMatrix(row.sigma), row.theta)
            for row in res.trace]

@@ -5,6 +5,8 @@ Density values are checked against scipy.stats oracles; mean values
 against hand-evaluated fractions of the response formula.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -13,6 +15,7 @@ from zeromix import covariance
 from zeromix.covariance import SpdMatrix
 from zeromix.exceptions import (DataFormatError, DegenerateDrawError,
                                 DomainError)
+from zeromix.harness import example_paths
 from zeromix.models import (DEFAULT_DOSES, CortisolModel, Dataset,
                             LinearGaussianModel, load_dataset, save_dataset,
                             simulate_dataset, simulate_individual)
@@ -220,6 +223,16 @@ def test_dataset_round_trip_is_bitwise(tmp_path):
     path = tmp_path / "d.csv"
     save_dataset(data, path)
     back = load_dataset(path)
+    assert back.ids == data.ids
+    assert np.array_equal(back.y, data.y)
+    assert np.array_equal(back.design, data.design)
+
+
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path):
+    csv_path, _ = example_paths()
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(csv_path).read_bytes())
+    back, data = load_dataset(path), load_dataset(csv_path)
     assert back.ids == data.ids
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.design, data.design)

@@ -230,7 +230,8 @@ def load_config(path):
     Raises
     ------
     ConfigError
-        If the file cannot be read or parsed, names a section or key
+        If the file cannot be read, is not UTF-8 text or cannot be
+        parsed, names a section or key
         outside the documented set, or holds an invalid value.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -239,6 +240,8 @@ def load_config(path):
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     _check_names(parser)

@@ -6,11 +6,14 @@ importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
 underflowing.  Rows come in id order from ``Dataset.for_model`` and
 draws from the id-keyed ``Dataset.seeds`` streams, so results do not
-depend on dataset order.  Individuals are scored in blocks of rows, one
-density call and one log-sum-exp per block.  Standard errors come from a
-central finite-difference Hessian of the negative log likelihood,
-scored in this process; every stencil point is scored on the same
-standard-normal draws (common random numbers), drawn once.  The
+depend on dataset order.  Individuals are scored in the row blocks of
+``models.row_blocks``: whole individuals, about 2k draws per density
+call, an individual with more draws than that in several calls.  Each
+block's log weights go through a plain-numpy row-wise log-sum-exp, one
+row per individual.  Standard errors come from a central
+finite-difference Hessian of the negative log likelihood, scored in
+this process; every stencil point is scored on the same standard-normal
+draws (common random numbers), drawn once.  The
 prescribed zero pattern is tested by a chi-square likelihood ratio
 with one degree of freedom per constrained pair.  This module alone
 lays out the free parameter vector that the standard errors, the study
@@ -23,11 +26,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
+from .models import row_blocks
 
 __all__ = [
     "LikelihoodEstimate",
@@ -75,49 +78,71 @@ class FisherResult:
     flagged: bool
 
 
-# Rows (individuals x samples) scored per density call.  Small blocks
-# pay per-call overhead, large ones outgrow the CPU caches: on a 2-core
-# Xeon VM a 1000-sample likelihood of the 30-individual example took
-# 14.8 ms at 8192 rows, 18.4 ms at 2048 and 20.4 ms at 32768, and the
-# cortisol density ~250 ns/row at 16k rows against ~410 at 60k.
-_BLOCK_ROWS = 8192
+def _logsumexp_rows(a):
+    """Row-wise log-sum-exp of a 2-D float array.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=1)``, bit for
+    bit, without its array-API dispatch: the row maximum is split out
+    with its ties, the rest summed as exp(a - max), and the result is
+    log1p(s / ties) + log(ties) + max; rows where that is not finite
+    (an infinite or all -inf row) fall back to log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        ties = a == a_max
+        rest = np.where(ties, -np.inf, a)
+        rest -= a_max
+        np.exp(rest, out=rest)
+        s = rest.sum(axis=1)
+        count = ties.sum(axis=1, dtype=float)
+        np.divide(s, count, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(count)
+        out += a_max[:, 0]
+        direct = ~np.isfinite(out)
+        if direct.any():
+            out[direct] = np.log(np.exp(a[direct]).sum(axis=1))
+    return out
 
 
 def _draw_blocks(model, data, n_samples, seed):
     """Common random numbers for ``_score_blocks``, one block at a time.
 
-    Yields ``(start, ys, z)``: the block's first row, its observation
-    rows repeated ``n_samples`` times, and the standard-normal draws,
-    ``n_samples`` rows per individual from the individual's own id-keyed
-    stream.
+    Blocks are ``models.row_blocks`` of individuals.  Yields ``(start,
+    y, pieces, z)``: the block's first individual, its observation rows
+    and density-call pieces as ``row_blocks`` gives them, and the
+    standard-normal draws, ``n_samples`` rows per individual from the
+    individual's own id-keyed stream.
     """
     seeds = data.seeds(seed)
-    per_block = max(1, _BLOCK_ROWS // n_samples)
-    for start in range(0, data.n, per_block):
-        stop = min(start + per_block, data.n)
+    for start, stop, y, pieces in row_blocks(data.y, n_samples):
         z = np.empty((stop - start, n_samples, model.q))
         for j in range(stop - start):
             np.random.default_rng(seeds[start + j]).standard_normal(out=z[j])
-        ys = np.repeat(data.y[start:stop], n_samples, axis=0)
-        yield start, ys, z.reshape(-1, model.q)
+        yield start, y, pieces, z.reshape(-1, model.q)
 
 
 def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
     """Log likelihood and its MC standard error at (m, sigma, theta).
 
-    Each block's latent draws m + z L' are scored in one density call;
-    per individual, log-sum-exp of the log weights gives the log mean
-    weight and, for the delta-method variance, of their doubles the log
-    mean squared weight.  Per-individual terms are summed in row order.
+    Each block's latent draws m + z L' are scored in its density-call
+    pieces; per individual, log-sum-exp of the log weights gives the log
+    mean weight and, for the delta-method variance, of their doubles the
+    log mean squared weight.  Per-individual terms are summed in row
+    order.
     """
     m = np.asarray(m, dtype=float)
     chol = sigma.chol_lower
     log_mean = np.empty(data.n)
     var = np.zeros(data.n)
-    for start, ys, z in blocks:
-        logw, _, _ = model.log_cond_density_pairs(ys, m + z @ chol.T, theta)
+    for start, y, pieces, z in blocks:
+        xs = z @ chol.T
+        xs += m
+        logw = np.empty(xs.shape[0])
+        for lo, hi in pieces:
+            logw[lo:hi] = model.log_cond_density_pairs(y, xs[lo:hi], theta)[0]
         logw = logw.reshape(-1, n_samples)
-        lse1 = logsumexp(logw, axis=1)
+        lse1 = _logsumexp_rows(logw)
         if not np.all(np.isfinite(lse1)):
             raise DegenerateWeightError(
                 "all %d importance weights underflowed for individual %s"
@@ -127,7 +152,8 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
         log_mean[start:stop] = lse1 - np.log(n_samples)
         if n_samples > 1:
             # delta method: var(log W-bar) ~ sample_var(w) / (S * w-bar^2)
-            log_mean_sq = logsumexp(2.0 * logw, axis=1) - np.log(n_samples)
+            logw *= 2.0
+            log_mean_sq = _logsumexp_rows(logw) - np.log(n_samples)
             ratio = np.exp(log_mean_sq - 2.0 * log_mean[start:stop])
             var[start:stop] = np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
     return float(np.sum(log_mean)), float(np.sqrt(np.sum(var)))
@@ -145,8 +171,8 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     the conditional densities of the observations; the log of that
     average is the individual's contribution.  Off-domain draws carry
     zero weight.  The result is bitwise deterministic given the seed and
-    unchanged by dataset reordering.  Individuals are scored in blocks of
-    about 8k rows, one density call per block.
+    unchanged by dataset reordering.  Draws are scored in density calls
+    of about 2k rows, whole individuals where they fit.
 
     Returns
     -------

@@ -10,8 +10,13 @@ approximation) updates stabilize the iteration: full replacement
 during the first ``warmup`` iterations, then the decaying gain
 ``gamma_a / (k - warmup)^gamma_b`` of ``FitConfig.gamma``.
 
-Chains are pre-generated: every proposal of an iteration is drawn and
-scored in one vectorized pass.  The sequential accept loop then runs
+Chains are pre-generated: every proposal of an iteration is drawn up
+front and scored by the density in row blocks of ``models.row_blocks``
+(about 2k rows per call, whole chains where they fit).  The normals,
+uniforms, proposals and per-row scores live in buffers that ``fit``
+allocates once and every iteration overwrites, and the density's
+temporaries stay small enough for the allocator to recycle, so an
+iteration touches no fresh pages.  The sequential accept loop then runs
 time-major over all chains at once, three in-place ufuncs per step
 that only record accept decisions; each chain's pointer into its
 proposal block is recovered afterwards as the running maximum of its
@@ -30,7 +35,7 @@ import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
 from .exceptions import DegenerateDrawError, ValueOutOfRangeError
-from .models import NlmeModel
+from .models import NlmeModel, row_blocks
 
 __all__ = [
     "FitConfig",
@@ -171,6 +176,24 @@ class EStepOutput:
     last_states: np.ndarray
 
 
+class _EStepBuffers:
+    """The per-iteration arrays of ``run_estep`` for one batch shape.
+
+    ``fit`` makes one and passes it to every iteration's E-step, so the
+    draws, the proposals and the density pass's outputs are written
+    into the same memory each time.
+    """
+
+    def __init__(self, n, t_total, q):
+        rows = n * (t_total + 1)
+        self.z = np.empty((n, t_total + 1, q))
+        self.u = np.empty((n, t_total))
+        self.prop = np.empty((rows, q))
+        self.logp = np.empty(rows)
+        self.ok = np.empty(rows, dtype=bool)
+        self.stat = np.empty(rows)
+
+
 def _accept_pointers(logp, logu, burn_in):
     """Independence-sampler accept loop over a batch of pre-scored chains.
 
@@ -199,17 +222,19 @@ def _accept_pointers(logp, logu, burn_in):
     return np.ascontiguousarray(ptr[burn_in:].T), accepted.sum(axis=0)
 
 
-def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None):
+def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None,
+              buffers=None):
     """Metropolis-Hastings E-step over a batch of individuals.
 
     All proposals are drawn from N(m, Sigma) and scored up front, each
-    with its log density and theta statistic; each individual's normals
-    and uniforms come from its own seed.  The accept loop steps all
-    chains together and records, per step and individual, whether the
-    proposal was accepted; a chain's state at step t is the proposal of
-    its last accepted step up to t (its start, index 0, before any).
-    Moments average the ``chain_length`` states after ``burn_in``, and
-    the theta statistic is gathered at the same pointers.
+    with its log density and theta statistic, in row blocks of
+    ``models.row_blocks``; each individual's normals and uniforms come
+    from its own seed.  The accept loop steps all chains together and
+    records, per step and individual, whether the proposal was accepted;
+    a chain's state at step t is the proposal of its last accepted step
+    up to t (its start, index 0, before any).  Moments average the
+    ``chain_length`` states after ``burn_in``, and the theta statistic
+    is gathered at the same pointers.
 
     Parameters
     ----------
@@ -220,6 +245,9 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     x0 : ndarray (n, q), optional
         Warm-start states (previous iteration's chain ends); when
         absent each chain starts from its own extra proposal draw.
+    buffers : _EStepBuffers, optional
+        Working arrays for this batch size, chain length and burn-in,
+        reused across calls; fresh ones are made when absent.
 
     Raises
     ------
@@ -231,28 +259,31 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     n = ys.shape[0]
     q = model.q
     t_total = burn_in + chain_length
-    chol = sigma.chol_lower
+    per_chain = t_total + 1  # proposal rows per individual, the start first
+    if buffers is None:
+        buffers = _EStepBuffers(n, t_total, q)
+    z, u, prop = buffers.z, buffers.u, buffers.prop
+    logp, ok, stat = buffers.logp, buffers.ok, buffers.stat
 
-    z = np.empty((n, t_total + 1, q))
-    u = np.empty((n, t_total))
     for i in range(n):
         rng = np.random.default_rng(seeds[i])
         rng.standard_normal(out=z[i])
         rng.random(out=u[i])
-    prop = (m + z.reshape(-1, q) @ chol.T).reshape(n, t_total + 1, q)
+    np.matmul(z.reshape(-1, q), sigma.chol_lower.T, out=prop)
+    prop += m
     if x0 is not None:
-        prop[:, 0, :] = x0
+        prop[::per_chain] = x0
 
-    ys_rep = np.repeat(ys, t_total + 1, axis=0)
-    logp_flat, ok_flat, stat_flat = model.log_cond_density_pairs(
-        ys_rep, prop.reshape(-1, q), theta
-    )
-    logp = logp_flat.reshape(n, t_total + 1)
-    ok = ok_flat.reshape(n, t_total + 1)
-    stat = stat_flat.reshape(n, t_total + 1)
+    for first, _, y, pieces in row_blocks(ys, per_chain):
+        base = first * per_chain
+        for start, stop in pieces:
+            rows = slice(base + start, base + stop)
+            logp[rows], ok[rows], stat[rows] = model.log_cond_density_pairs(y, prop[rows], theta)
 
-    ptr_ret, accepts = _accept_pointers(logp, np.log(u), burn_in)
-    lp_ret = np.take_along_axis(logp, ptr_ret, axis=1)
+    ptr_ret, accepts = _accept_pointers(logp.reshape(n, per_chain), np.log(u, out=u), burn_in)
+    # flat row indices of the retained states
+    ptr_ret += np.arange(0, n * per_chain, per_chain)[:, None]
+    lp_ret = logp.take(ptr_ret)
     if np.any(lp_ret == -np.inf):
         bad = [ids[i] for i in np.nonzero(np.any(lp_ret == -np.inf, axis=1))[0]]
         raise DegenerateDrawError(
@@ -260,17 +291,17 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
             "parameters are implausible" % ", ".join(map(str, bad))
         )
 
-    states = np.take_along_axis(prop, ptr_ret[:, :, None], axis=1)
+    states = prop.take(ptr_ret, axis=0)
     ex = states.mean(axis=1)
     exx = np.einsum("nlq,nlr->nqr", states, states) / chain_length
-    tstat = np.take_along_axis(stat, ptr_ret, axis=1).mean(axis=1)
+    tstat = stat.take(ptr_ret).mean(axis=1)
 
     return EStepOutput(
         ex=ex,
         exx=exx,
         tstat=tstat,
         accept_rate=accepts / float(t_total),
-        domain_rejects=np.sum(~ok[:, 1:], axis=1),
+        domain_rejects=np.sum(~ok.reshape(n, per_chain)[:, 1:], axis=1),
         last_states=states[:, -1, :].copy(),
     )
 
@@ -362,6 +393,7 @@ def fit(model, data, pattern, init, config=None):
     trace = []
     deltas = []
     x_last = None
+    buffers = _EStepBuffers(data.n, config.burn_in + config.chain_length, model.q)
     converged = False
     accept_mean = 1.0
     rejects_total = 0
@@ -379,6 +411,7 @@ def fit(model, data, pattern, init, config=None):
             config.burn_in,
             data.seeds(config.seed, k),
             x0=x_last,
+            buffers=buffers,
         )
         x_last = estep.last_states
 

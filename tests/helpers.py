@@ -34,13 +34,14 @@ def record_pools(monkeypatch):
 
 
 def record_density_calls(monkeypatch, model_class):
-    """List ``(theta, hash of the latent draws)`` of every
+    """List ``(theta, hash of the latent draws, row count)`` of every
     ``log_cond_density_pairs`` call on ``model_class`` from now on."""
     calls = []
     density = model_class.log_cond_density_pairs
 
     def recording(self, ys, xs, theta):
-        calls.append((float(theta), hash(np.asarray(xs).tobytes())))
+        xs = np.asarray(xs)
+        calls.append((float(theta), hash(xs.tobytes()), xs.shape[0]))
         return density(self, ys, xs, theta)
 
     monkeypatch.setattr(model_class, "log_cond_density_pairs", recording)

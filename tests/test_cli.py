@@ -341,6 +341,27 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, command, old, new
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize("which", ["data", "config"])
+def test_a_file_that_is_not_utf8_exits_with_one_error_line(tmp_path, capsys, which):
+    # a Latin-1 e-acute (byte 0xE9) in the first id, or in a key
+    csv_path, _ = example_paths()
+    data = Path(csv_path).read_bytes()
+    header, first = data.split(b"\n", 1)
+    files = {"data": header + b"\n\xe9" + first,
+             "config": QUICK_INI.encode().replace(b"seed", b"s\xe9ed")}
+    path = tmp_path / ("bad.csv" if which == "data" else "bad.ini")
+    path.write_bytes(files[which])
+    good_ini = tmp_path / "quick.ini"
+    good_ini.write_text(QUICK_INI)
+    argv = ["fit", "--data", str(path) if which == "data" else csv_path,
+            "--config", str(path) if which == "config" else str(good_ini),
+            "--out-dir", str(tmp_path / "out"), "--no-se", "--loglik-samples", "300"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0] and "not UTF-8 text" in lines[0] and "0xe9" in lines[0]
+
+
 def test_simulate_writes_a_loadable_dataset(tmp_path, capsys):
     ini = tmp_path / "study.ini"
     ini.write_text(STUDY_INI)

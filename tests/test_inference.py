@@ -7,20 +7,27 @@ tail formulas (exp(-s/2) at two constraints, erfc at one).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from helpers import record_density_calls, record_pools
-from zeromix import _pool
+from zeromix import _pool, models
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
                                 ValueOutOfRangeError)
 from zeromix.harness import cortisol_example
-from zeromix.inference import (_unpack_params, fisher_se, free_param_labels, loglik_is,
-                               lr_test, pack_params)
+from zeromix.inference import (_logsumexp_rows, _unpack_params, fisher_se, free_param_labels,
+                               loglik_is, lr_test, pack_params)
 from zeromix.mcem import fit
-from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
+from zeromix.models import (CortisolModel, Dataset, LinearGaussianModel, row_blocks,
+                            simulate_dataset)
+
+# scoring works in place; a NaN or overflow it lets escape fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _linear_setup(n=40, seed=1):
@@ -66,7 +73,8 @@ def test_importance_sampler_is_deterministic_and_order_free():
 
 @pytest.mark.parametrize("n_samples", [1000, 5000])
 def test_estimate_is_the_id_ordered_sum_of_one_individual_estimates(n_samples):
-    # 1000 samples put several individuals in one density call, 5000 one
+    # 1000 samples put two individuals in one density call, 5000 one
+    # individual in three calls
     data, cfg = cortisol_example()
     st = cfg.init
     est = loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=n_samples, seed=2)
@@ -98,6 +106,103 @@ def test_all_zero_weights_raise():
     bad = NoDomain(2)
     with pytest.raises(DegenerateWeightError):
         loglik_is(bad, data, m, sigma, theta, n_samples=50, seed=0)
+
+
+def _lse_case(rng):
+    rows, cols = int(rng.integers(1, 7)), int(rng.choice([1, 2, 3, 8, 9, 17, 130, 1000]))
+    a = rng.normal(0.0, float(rng.choice([0.1, 5.0, 300.0])), (rows, cols))
+    if rng.random() < 0.3:
+        a = np.round(a)  # ties anywhere
+    for r in range(rows):
+        kind = rng.integers(0, 6)
+        if kind == 1:  # ties at the maximum
+            a[r, rng.integers(0, cols, 3)] = a[r].max()
+        elif kind == 2:
+            a[r, rng.random(cols) < 0.5] = -np.inf
+        elif kind == 3:
+            a[r] = -np.inf
+        elif kind == 4:
+            a[r, rng.integers(0, cols, int(rng.integers(1, 3)))] = np.inf
+        elif kind == 5:  # one finite entry among -inf
+            a[r] = -np.inf
+            a[r, rng.integers(0, cols)] = rng.normal()
+    return a
+
+
+def test_row_logsumexp_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(20071)
+    for _ in range(3000):
+        a = _lse_case(rng)
+        before = a.tobytes()
+        assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+        assert a.tobytes() == before
+
+
+class DeadRows(LinearGaussianModel):
+    """Linear-Gaussian model whose densities underflow for the
+    individuals whose first observation is above ``cut``."""
+
+    def __init__(self, q, cut):
+        super().__init__(q)
+        self.cut = cut
+
+    def log_cond_density_pairs(self, ys, xs, theta):
+        logp, ok, stat = super().log_cond_density_pairs(ys, xs, theta)
+        dead = np.broadcast_to(np.atleast_2d(ys)[:, 0] > self.cut, logp.shape)
+        return np.where(dead, -np.inf, logp), ok & ~dead, stat
+
+
+@pytest.mark.parametrize("block_rows", [50, 10**9])
+def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_rows):
+    # the three individuals with the largest first observation underflow;
+    # with 50 rows a block holds one individual, with 10**9 all of them
+    model, data, m, sigma, theta = _linear_setup(n=12, seed=3)
+    ordered = data.for_model(model)
+    bad = DeadRows(2, np.sort(ordered.y[:, 0])[-4])
+    dead = [i for i, y in zip(ordered.ids, ordered.y) if y[0] > bad.cut]
+    assert len(dead) == 3 and dead[0] != ordered.ids[0]
+    monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
+    match = "all 50 importance weights underflowed for individual %s$" % dead[0]
+    with pytest.raises(DegenerateWeightError, match=match):
+        loglik_is(bad, data, m, sigma, theta, n_samples=50, seed=0)
+    with pytest.raises(DegenerateWeightError, match=match):
+        fisher_se(bad, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=50, seed=0)
+
+
+@pytest.mark.parametrize("block_rows", [300, 128, 10**9])
+def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # one individual per block; an individual cut into 128-row pieces;
+    # every row in one block
+    data, cfg = cortisol_example()
+    st = cfg.init
+    args = (cfg.model, data, st.m, st.sigma, st.theta)
+    ref = loglik_is(*args, n_samples=300, seed=4)
+    model, lin, m, sigma, theta = _linear_setup(n=10, seed=2)
+    lin_args = (model, lin, m, sigma, theta, ZeroPattern([], dim=2))
+    ref_se = fisher_se(*lin_args, n_samples=300, seed=4)
+    monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
+    calls = record_density_calls(monkeypatch, CortisolModel)
+    est = loglik_is(*args, n_samples=300, seed=4)
+    assert (est.loglik, est.mc_se) == (ref.loglik, ref.mc_se)
+    assert max(rows for _, _, rows in calls) == min(block_rows, 300 * data.n)
+    assert sum(rows for _, _, rows in calls) == 300 * data.n
+    se = fisher_se(*lin_args, n_samples=300, seed=4)
+    assert (se.se, se.flagged) == (ref_se.se, ref_se.flagged)
+
+
+def test_no_density_call_exceeds_a_block():
+    # a 5000-draw likelihood, the standard errors and a fit of the example
+    data, cfg = cortisol_example()
+    st = cfg.init
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_density_calls(mp, CortisolModel)
+        loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=5000, seed=1)
+        fisher_se(cfg.model, data, st.m, st.sigma, st.theta, cfg.pattern, n_samples=300,
+                  seed=1)
+        fit(cfg.model, data, cfg.pattern, cfg.init, replace(cfg.fit, max_outer=2))
+    rows = [r for _, _, r in calls]
+    assert max(rows) <= models._BLOCK_ROWS
+    assert sum(rows) == 5000 * 30 + 183 * 300 * 30 + 2 * 30 * 601
 
 
 def test_free_parameter_labels_skip_constrained_entries():
@@ -193,7 +298,8 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
 
 @pytest.mark.parametrize("example", [False, True])
 def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
-    # one density call per point: every individual's draws fit one block
+    # each point is one density call per block of individuals, each on
+    # its own draws, so a point scored twice repeats a call
     if example:
         data, cfg = cortisol_example()
         model, st, pattern = cfg.model, cfg.init, cfg.pattern
@@ -205,7 +311,9 @@ def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
     res = fisher_se(model, data, m, sigma, theta, pattern, n_samples=200, seed=1)
     p = len(res.labels)
     assert p == (13 if example else 6)
-    assert len(calls) == 1 + 2 * p + p * (p - 1)  # 183 for the example
+    blocks = len(list(row_blocks(data.y, 200)))
+    assert blocks == (3 if example else 4)
+    assert len(calls) == (1 + 2 * p + p * (p - 1)) * blocks  # 183 points for the example
     assert len(set(calls)) == len(calls)
 
 
@@ -220,8 +328,9 @@ def test_the_cross_points_of_a_bad_coordinate_are_not_scored(monkeypatch):
     res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
                     n_samples=200, seed=1)
     # f0, 10 diagonal points, 7 pairs of good coordinates and the (+, +)
-    # point of (sigma_2_2, sigma_1_1)
-    assert len(calls) == 1 + 10 + 2 * 7 + 1
+    # point of (sigma_2_2, sigma_1_1), each in 4 blocks of 10 individuals;
+    # an unscored point raises in its first block's factorization
+    assert len(calls) == (1 + 10 + 2 * 7 + 1) * len(list(row_blocks(data.y, 200)))
     assert len(set(calls)) == len(calls)
     assert res.flagged
     assert set(res.se) == {"m1", "m2", "theta"}

@@ -6,18 +6,25 @@ reference model; update formulas against direct recomputation from the
 E-step arrays; the driver against EM monotonicity with exact moments.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import exact_estep
-from zeromix import mcem
+import zeromix
+from helpers import exact_estep, record_density_calls
+from zeromix import mcem, models
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateDrawError, ValueOutOfRangeError
 from zeromix.harness import cortisol_example
 from zeromix.mcem import FitConfig, FitState, fit, run_estep, saem_damp, xtilde_update
-from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
+from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, simulate_dataset
+
+# the E-step works in reused buffers; a NaN or overflow it lets escape fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_gamma_is_one_through_warmup_then_decays():
@@ -138,6 +145,46 @@ def test_estep_rows_track_ids_not_positions():
     for pos, orig in enumerate(perm):
         assert np.array_equal(bwd.ex[pos], fwd.ex[orig])
         assert np.array_equal(bwd.exx[pos], fwd.exx[orig])
+
+
+def _example_estep_args(n=12):
+    data, run = cortisol_example()
+    data = data.for_model(run.model)
+    return dict(model=run.model, ys=data.y[:n], ids=data.ids[:n], m=run.init.m,
+                sigma=run.init.sigma, theta=run.init.theta, chain_length=200,
+                burn_in=40, seeds=data.seeds(3, 1)[:n])
+
+
+def _estep_bytes(out):
+    return [getattr(out, name).tobytes() for name in
+            ("ex", "exx", "tstat", "accept_rate", "domain_rejects", "last_states")]
+
+
+@pytest.mark.parametrize("block_rows", [241, 100, 10**9])
+def test_estep_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # 12 chains of 241 rows: 8 chains per default block; one chain per
+    # block; a chain cut into 100-row pieces; every row in one block
+    args = _example_estep_args()
+    x0 = run_estep(**args).last_states
+    ref = [_estep_bytes(run_estep(**args)), _estep_bytes(run_estep(**args, x0=x0))]
+    monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
+    calls = record_density_calls(monkeypatch, CortisolModel)
+    assert [_estep_bytes(run_estep(**args)), _estep_bytes(run_estep(**args, x0=x0))] == ref
+    assert max(rows for _, _, rows in calls) == min(block_rows, 12 * 241)
+    assert sum(rows for _, _, rows in calls) == 2 * 12 * 241
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_estep_leaves_its_inputs_unchanged(order):
+    args = _example_estep_args(n=5)
+    ys = np.array(args["ys"], order=order)
+    ys.setflags(write=False)
+    x0 = np.array(run_estep(**args).last_states, order=order)
+    m = np.array(args["m"])
+    kept = [a.copy(order="K") for a in (ys, x0, m, args["sigma"].values)]
+    run_estep(**dict(args, ys=ys, m=m), x0=x0)
+    for before, after in zip(kept, (ys, x0, m, args["sigma"].values)):
+        assert after.tobytes(order="A") == before.tobytes(order="A")
 
 
 def test_estep_raises_when_an_individual_never_enters_the_domain():
@@ -303,3 +350,50 @@ def test_fit_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="outer_tol must be finite and > 0"):
             FitConfig(outer_tol=tol)
+
+
+_FIT_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from zeromix.covariance import SpdMatrix, ZeroPattern
+from zeromix.mcem import FitConfig, FitState, fit
+from zeromix.models import LinearGaussianModel, simulate_dataset
+
+def fit_digest(n):
+    model = LinearGaussianModel(3)
+    truth = SpdMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 1.1]]))
+    data, _ = simulate_dataset(model, np.array([0.5, -0.5, 1.0]), truth, 0.4, n, n)
+    init = FitState(m=np.zeros(3), sigma=SpdMatrix(np.eye(3)), theta=0.5)
+    res = fit(model, data, ZeroPattern([(1, 3)], dim=3), init,
+              FitConfig(chain_length=60, burn_in=10, max_outer=12, outer_tol=1e-12, seed=4))
+    h = hashlib.sha256()
+    for row in res.trace:
+        h.update(row.m.tobytes() + row.sigma.tobytes() + np.float64(row.theta).tobytes()
+                 + np.float64(row.accept_rate).tobytes())
+    return h.hexdigest()
+
+if __name__ == "__main__":
+    print(fit_digest(int(sys.argv[1])))
+"""
+
+
+def test_fits_in_one_process_equal_fits_in_fresh_processes(tmp_path):
+    # the E-step buffers belong to one fit: a second fit, and a fit after
+    # one of another dataset size, must not see the earlier fit's state
+    script = tmp_path / "fit_digest.py"
+    script.write_text(_FIT_SCRIPT)
+    src = os.path.dirname(os.path.dirname(zeromix.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def fresh(n):
+        out = subprocess.run([sys.executable, str(script), str(n)], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    namespace = {}
+    exec(compile(_FIT_SCRIPT, str(script), "exec"), namespace)
+    in_process = [namespace["fit_digest"](n) for n in (7, 7, 11, 7)]
+    seven, eleven = fresh(7), fresh(11)
+    assert in_process == [seven, seven, eleven, seven]
+    assert seven != eleven

@@ -20,6 +20,9 @@ from zeromix.models import (DEFAULT_DOSES, CortisolModel, Dataset,
                             LinearGaussianModel, load_dataset, save_dataset,
                             simulate_dataset, simulate_individual)
 
+# the density works in place; a NaN or overflow it lets escape fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_default_dose_grid():
     assert DEFAULT_DOSES == (0.005, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0)
@@ -125,6 +128,31 @@ def test_paired_density_agrees_with_one_row_calls():
             assert stat_i[0] == stat[i]
         else:
             assert logp[i] == -np.inf and logp_i[0] == -np.inf
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_density_leaves_its_inputs_unchanged(order):
+    # off-domain, zero-mean and overflowing rows take every in-place branch
+    model = CortisolModel()
+    rng = np.random.default_rng(8)
+    xs = np.column_stack([rng.normal(50, 5, 40), rng.normal(70, 5, 40),
+                          rng.normal(1.2, 0.2, 40), rng.normal(0.1, 0.02, 40)])
+    xs[3, 3] = -0.01
+    xs[5, :2] = 0.0
+    xs[7, 2] = 900.0
+    xs = np.array(xs, order=order)
+    ys = rng.normal(80, 5, (40, 7))
+    ys.setflags(write=False)
+    xs_before, ys_before = xs.copy(order="K"), ys.copy()
+    logp, ok, stat = model.log_cond_density_pairs(ys, xs, 0.03)
+    assert xs.tobytes(order="A") == xs_before.tobytes(order="A")
+    assert xs.flags.f_contiguous == (order == "F")
+    assert ys.tobytes() == ys_before.tobytes()
+    assert not ok[3] and not ok[5] and np.isneginf(logp[[3, 5]]).all()
+    # one observation row scored against every latent row, read-only too
+    one, _, _ = model.log_cond_density_pairs(ys[0], xs, 0.03)
+    assert ys.tobytes() == ys_before.tobytes()
+    assert one[0] == logp[0]
 
 
 def test_draw_ok_requires_positive_response():

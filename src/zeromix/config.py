@@ -208,8 +208,7 @@ def _build_init(values, q, pattern):
         key, entries = "sigma", values["sigma"]
         if entries.shape != (q, q):
             raise ConfigError(f"sigma: expected a {q}x{q} matrix")
-    sigma = _spd(entries, key, pattern if not pattern.is_empty() else None)
-    return FitState(m=m, sigma=sigma, theta=values["theta"])
+    return FitState(m=m, sigma=_spd(entries, key, pattern), theta=values["theta"])
 
 
 def _build_study(values, q):

@@ -140,7 +140,7 @@ def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
         xs += m
         logw = np.empty(xs.shape[0])
         for lo, hi in pieces:
-            logw[lo:hi] = model.log_cond_density_pairs(y, xs[lo:hi], theta)[0]
+            logw[lo:hi], _ = model.log_cond_density_pairs(y, xs[lo:hi], theta)
         logw = logw.reshape(-1, n_samples)
         lse1 = _logsumexp_rows(logw)
         if not np.all(np.isfinite(lse1)):

@@ -4,10 +4,10 @@ The E-step runs, per individual, a Metropolis-Hastings independence
 sampler whose proposal is the current latent prior N(m_k, Sigma_k);
 the prior then cancels from the acceptance ratio, which reduces to the
 conditional likelihood ratio of the observations.  The M-step combines
-the closed-form mean update, the model-owned residual variance update
-and the zero-constrained covariance solve.  Damped (stochastic
-approximation) updates stabilize the iteration: full replacement
-during the first ``warmup`` iterations, then the decaying gain
+the closed-form mean and residual variance updates and the
+zero-constrained covariance solve.  Damped (stochastic approximation)
+updates stabilize the iteration: full replacement during the first
+``warmup`` iterations, then the decaying gain
 ``gamma_a / (k - warmup)^gamma_b`` of ``FitConfig.gamma``.
 
 Chains are pre-generated: every proposal of an iteration is drawn up
@@ -164,8 +164,9 @@ class EStepOutput:
 
     Arrays are aligned with the rows of the E-step's ``ys``.  ``ex`` and
     ``exx`` are chain averages of X and XX'; ``tstat`` is the chain
-    average of the model's theta statistic; ``last_states`` seed the
-    next iteration's chains.
+    average of the model's theta statistic; ``domain_rejects`` counts
+    each chain's proposals with log density -inf, its start excluded;
+    ``last_states`` seed the next iteration's chains.
     """
 
     ex: np.ndarray
@@ -190,7 +191,6 @@ class _EStepBuffers:
         self.u = np.empty((n, t_total))
         self.prop = np.empty((rows, q))
         self.logp = np.empty(rows)
-        self.ok = np.empty(rows, dtype=bool)
         self.stat = np.empty(rows)
 
 
@@ -263,7 +263,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     if buffers is None:
         buffers = _EStepBuffers(n, t_total, q)
     z, u, prop = buffers.z, buffers.u, buffers.prop
-    logp, ok, stat = buffers.logp, buffers.ok, buffers.stat
+    logp, stat = buffers.logp, buffers.stat
 
     for i in range(n):
         rng = np.random.default_rng(seeds[i])
@@ -278,7 +278,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
         base = first * per_chain
         for start, stop in pieces:
             rows = slice(base + start, base + stop)
-            logp[rows], ok[rows], stat[rows] = model.log_cond_density_pairs(y, prop[rows], theta)
+            logp[rows], stat[rows] = model.log_cond_density_pairs(y, prop[rows], theta)
 
     ptr_ret, accepts = _accept_pointers(logp.reshape(n, per_chain), np.log(u, out=u), burn_in)
     # flat row indices of the retained states
@@ -301,7 +301,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
         exx=exx,
         tstat=tstat,
         accept_rate=accepts / float(t_total),
-        domain_rejects=np.sum(~ok.reshape(n, per_chain)[:, 1:], axis=1),
+        domain_rejects=np.sum(logp.reshape(n, per_chain)[:, 1:] == -np.inf, axis=1),
         last_states=states[:, -1, :].copy(),
     )
 
@@ -416,11 +416,9 @@ def fit(model, data, pattern, init, config=None):
         x_last = estep.last_states
 
         m_next = estep.ex.mean(axis=0)
-        theta_next = model.theta_update(float(estep.tstat.mean()))
+        theta_next = float(estep.tstat.mean()) / model.n_obs
         stats = xtilde_update(estep, m_next)
-        sigma_next, icf = icf_solve(
-            stats, pattern, init=None if pattern.is_empty() else state.sigma
-        )
+        sigma_next, icf = icf_solve(stats, pattern, init=state.sigma)
         icf_sweeps += icf.sweeps
         icf_unconverged += not icf.converged
         icf_ridged += icf.ridged

@@ -1,13 +1,14 @@
 """Observation models and datasets for nonlinear mixed effects estimation.
 
-An observation model supplies the mean response F(x) and the residual
-scale matrix g(x, theta) of one latent vector, which simulation uses,
-and one vectorized density pass, ``log_cond_density_pairs``, which
-scores many latent rows against their observations and returns each
-row's log conditional density, domain flag and theta statistic (the
-quantity whose conditional expectation drives the theta update).  The
-E-step and the importance-sampling likelihood both go through that
-pass; the estimation engine owns everything else.
+An observation model is the four members the engine calls: the mean
+response F(x), the residual standard deviations g(x, theta) and
+``draw_ok`` of one latent vector, which simulation uses, and one
+vectorized density pass, ``log_cond_density_pairs``, which scores many
+latent rows against their observations and returns each row's log
+conditional density, -inf off the model domain, and theta statistic
+(whose conditional expectation drives the theta update).  The E-step
+and the importance-sampling likelihood both go through that pass; the
+estimation engine owns everything else.
 
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
@@ -87,7 +88,7 @@ def row_blocks(ys, unit):
 
 
 class NlmeModel:
-    """Base observation model: Y = F(X) + g(X, theta) eps, eps standard normal.
+    """Base observation model: Y = F(X) + g(X, theta) * eps, eps standard normal.
 
     Attributes
     ----------
@@ -98,11 +99,11 @@ class NlmeModel:
     design : ndarray, shape (n_obs,)
         Per-observation design value (dose for the Emax model).
 
-    Subclasses implement ``mean`` and ``scale`` for one latent vector,
-    which simulation uses, and ``log_cond_density_pairs``, the one
-    density path: it scores many latent rows in a single vectorized
-    pass and returns each row's theta statistic alongside its log
-    density.  ``theta_update`` and ``draw_ok`` have defaults.
+    A model is the four members the engine calls: ``mean``, ``scale``
+    and ``draw_ok`` (default: always) of one latent vector, for
+    simulation, and ``log_cond_density_pairs``, the one density path,
+    whose -inf rows are exactly the off-domain rows.  The theta update
+    divides the mean theta statistic by ``n_obs``.
     """
 
     name = "base"
@@ -123,7 +124,7 @@ class NlmeModel:
         raise NotImplementedError
 
     def scale(self, x, theta):
-        """Residual scale matrix g(x, theta), an (n_obs, n_obs) factor."""
+        """Residual standard deviations g(x, theta), shape (n_obs,), for theta >= 0."""
         raise NotImplementedError
 
     def log_cond_density_pairs(self, ys, xs, theta):
@@ -139,21 +140,13 @@ class NlmeModel:
 
         Returns
         -------
-        (logp, ok, stat) : three (n,) arrays
-            ``logp`` is -inf and ``ok`` False on rows outside the model
-            domain.  ``stat`` is the per-row statistic whose conditional
-            expectation drives the theta update; it is meaningful on
-            ``ok`` rows only.
+        (logp, stat) : two (n,) arrays
+            ``logp`` is -inf exactly on rows outside the model domain.
+            ``stat`` is the per-row statistic whose conditional
+            expectation drives the theta update; it is finite wherever
+            ``logp`` is.
         """
         raise NotImplementedError
-
-    def theta_update(self, stat_mean):
-        """Map the across-individual mean of the theta statistic to the new theta.
-
-        The default divides by n_obs so that a variance theta lands on
-        the per-observation scale.
-        """
-        return float(stat_mean) / self.n_obs
 
     def draw_ok(self, x):
         """Whether a simulated latent vector keeps the model well defined."""
@@ -165,14 +158,14 @@ class CortisolModel(NlmeModel):
 
     The mean at dose d is F(x) = x1 + x2 * d^x3 / (x4^x3 + d^x3): basal
     response x1, maximal increase x2, shape x3, half-effect dose x4.
-    Residuals scale with the mean, g(x, sigma2) = sigma * diag(F(x)),
+    Residuals scale with the mean, g(x, sigma2) = sigma * F(x),
     so theta = sigma2 is the squared per-observation coefficient of
     variation, and the theta statistic is the sum of squared relative
     residuals (y - F(x)) / F(x).
 
     The domain requires x4 > 0 (the half-effect dose enters through
     x4^x3) and, for densities and simulation, F(x) bounded away from
-    zero so the scale matrix stays invertible.
+    zero so the residual scale stays positive.
 
     ``log_cond_density_pairs`` works observation-major: the latent rows
     are transposed to (q, n), and means, residuals and log scales are
@@ -188,10 +181,6 @@ class CortisolModel(NlmeModel):
         if np.any(doses <= 0.0):
             raise ValueOutOfRangeError("doses must be positive")
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
-
-    @property
-    def doses(self):
-        return self.design
 
     def mean(self, x):
         x = np.asarray(x, dtype=float)
@@ -210,9 +199,7 @@ class CortisolModel(NlmeModel):
         return f
 
     def scale(self, x, theta):
-        if theta < 0.0:
-            raise DomainError("residual variance must be nonnegative")
-        return np.sqrt(theta) * np.diag(self.mean(x))
+        return np.sqrt(theta) * self.mean(x)
 
     def draw_ok(self, x):
         try:
@@ -248,9 +235,8 @@ class CortisolModel(NlmeModel):
             half = np.multiply(0.5, stat)
             half /= theta
             logp -= half
-        ok &= np.isfinite(logp)
-        logp[~ok] = -np.inf
-        return logp, ok, stat
+        logp[~(ok & np.isfinite(logp))] = -np.inf
+        return logp, stat
 
 
 class LinearGaussianModel(NlmeModel):
@@ -275,16 +261,14 @@ class LinearGaussianModel(NlmeModel):
         return x.copy()
 
     def scale(self, x, theta):
-        if theta < 0.0:
-            raise DomainError("residual variance must be nonnegative")
-        return np.sqrt(theta) * np.eye(self.n_obs)
+        return np.full(self.n_obs, np.sqrt(theta))
 
     def log_cond_density_pairs(self, ys, xs, theta):
         r = np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)
         stat = np.sum(r * r, axis=1)
         logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * stat / theta
-        ok = np.isfinite(logp)
-        return np.where(ok, logp, -np.inf), ok, stat
+        logp[~np.isfinite(logp)] = -np.inf
+        return logp, stat
 
     # -- closed forms used as oracles -----------------------------------
 
@@ -315,19 +299,15 @@ class LinearGaussianModel(NlmeModel):
         )
 
 
-def _as_generator(rng_seed):
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
+_MAX_DRAWS = 100  # latent draws of simulate_individual before it gives up
 
 
-def simulate_individual(model, m, sigma, theta, rng_seed, max_retries=100):
-    """Draw one individual: X ~ N(m, Sigma), Y = F(X) + g(X, theta) eps.
+def simulate_individual(model, m, sigma, theta, rng_seed):
+    """Draw one individual: X ~ N(m, Sigma), Y = F(X) + g(X, theta) * eps.
 
-    The latent draw is redrawn (up to ``max_retries`` times) while
-    ``model.draw_ok`` rejects it, which keeps the residual scale
-    invertible for models like the Emax one.  Deterministic given the
-    seed.
+    The latent draw is redrawn (up to 100 times) while ``model.draw_ok``
+    rejects it, which keeps the residual scale positive for models like
+    the Emax one.  Deterministic given the seed or Generator.
 
     Returns
     -------
@@ -335,25 +315,29 @@ def simulate_individual(model, m, sigma, theta, rng_seed, max_retries=100):
 
     Raises
     ------
+    DomainError
+        If theta is negative.
     DegenerateDrawError
-        If every retry lands outside the model domain; the parameters
+        If every draw lands outside the model domain; the parameters
         are implausible for the model.
     """
-    rng = _as_generator(rng_seed)
+    if theta < 0.0:
+        raise DomainError("residual variance must be nonnegative")
+    rng = np.random.default_rng(rng_seed)
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
     m = np.asarray(m, dtype=float)
     chol = sigma.chol_lower
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         x = m + chol @ rng.standard_normal(model.q)
         if model.draw_ok(x):
             break
     else:
         raise DegenerateDrawError(
-            "no domain-valid latent draw in %d attempts" % max_retries
+            "no domain-valid latent draw in %d attempts" % _MAX_DRAWS
         )
     eps = rng.standard_normal(model.n_obs)
-    y = model.mean(x) + model.scale(x, theta) @ eps
+    y = model.mean(x) + model.scale(x, theta) * eps
     return x, y
 
 

@@ -77,6 +77,8 @@ def test_missing_optional_sections_fall_back_to_defaults(tmp_path):
             "[init]\nm = 50, 70, 1, 0.1\nsigma_diag = 1,1,1,1\ntheta = 0.1\n")
     cfg = load_config(_write(tmp_path, text))
     assert cfg.pattern.is_empty()
+    # the empty pattern tags the start like any other, so fit keeps it as is
+    assert cfg.init.sigma.pattern == cfg.pattern
     assert cfg.fit.chain_length == 500
     assert cfg.study is None
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_constrained_objective, oracle_starts,
-                     random_pattern, random_spd)
+                     random_pattern, random_spd, reference_icf_solve)
 from zeromix.covariance import (
     SpdMatrix,
     SufficientStats,
@@ -251,6 +251,44 @@ def test_singular_scatter_takes_the_ridge_path():
     assert diag.ridged
     np.linalg.cholesky(sol.values)
     assert sol.values[0, 2] == 0.0
+
+
+def _factors(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.slow
+def test_every_rank_deficient_scatter_is_ridged_and_solved():
+    # X-tilde = G'G with G of rank 1..q-1 and columns scaled by 1e-3..1e3,
+    # some of which factor by rounding: each solve returns a PD matrix
+    # with its zeros exact, flagged as ridged.  A full-rank X-tilde whose
+    # variances span six orders, as a fit's do, is solved unridged, bit
+    # for bit as by plain sweeps.
+    rng = np.random.default_rng(20071)
+    factored = 0
+    for case in range(300):
+        q = int(rng.integers(3, 7))
+        pat = random_pattern(rng, q)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, q)
+        g = rng.standard_normal((int(rng.integers(1, q)), q)) * scales
+        stats = SufficientStats(g.T @ g, n=5)
+        factored += _factors(stats.xtilde)
+        sol, diag = icf_solve(stats, pat)
+        assert diag.ridged, case
+        assert pat.conforms(sol.values), case
+        assert _factors(sol.values), case
+        if case % 10 == 0:
+            h = rng.standard_normal((q + 3, q)) * 10.0 ** rng.uniform(-1.5, 1.5, q)
+            full = SufficientStats(h.T @ h, n=5)
+            sol, diag = icf_solve(full, pat)
+            ref, sweeps = reference_icf_solve(full.xtilde, pat)
+            assert not diag.ridged and diag.sweeps == sweeps, case
+            assert sol.values.tobytes() == ref.tobytes(), case
+    assert factored > 0
 
 
 def test_indefinite_moments_fail_the_schur_check():

@@ -31,9 +31,8 @@ class HalfDomain(LinearGaussianModel):
         self.cut = cut
 
     def log_cond_density_pairs(self, ys, xs, theta):
-        logp, ok, stat = super().log_cond_density_pairs(ys, xs, theta)
-        ok = ok & (np.asarray(xs)[:, 0] < self.cut)
-        return np.where(ok, logp, -np.inf), ok, stat
+        logp, stat = super().log_cond_density_pairs(ys, xs, theta)
+        return np.where(np.asarray(xs)[:, 0] < self.cut, logp, -np.inf), stat
 
 
 def _reference_chain(logp, logu, burn_in):
@@ -58,14 +57,15 @@ def _reference_estep(model, ys, m, sigma, theta, chain_length, burn_in, seeds, x
         logu = np.log(rng.random(t_total))
         if x0 is not None:
             prop[0] = x0[i]
-        logp, ok, stat = model.log_cond_density_pairs(ys[i], prop, theta)
+        logp, stat = model.log_cond_density_pairs(ys[i], prop, theta)
         ptr, accepts = _reference_chain(logp, logu, burn_in)
         if np.any(logp[ptr] == -np.inf):
             return None
         states.append(prop[ptr])
         stats.append(stat[ptr])
         rates.append(accepts / float(t_total))
-        rejects.append(int(np.sum(~ok[1:])))
+        # off-domain proposals are the -inf rows, the start excluded
+        rejects.append(int(np.sum(logp[1:] == -np.inf)))
     states = np.array(states)
     return {
         "ex": states.mean(axis=1),

@@ -198,7 +198,7 @@ def test_failed_factorizations_raise_package_errors_without_warnings():
         SingularNormalEquationsError,
         "free-coordinate Gram matrix at pivot 1 is singular; the moment matrix is degenerate",
         lambda: icf_column_update(eye3, SufficientStats(np.zeros((3, 3)), n=5), 1, empty3))
-    # rank one: the ridge probe fails; from a start of order 1e200 the
+    # rank one: X-tilde is ridged; from a start of order 1e200 the
     # Gram matrix A^-1 M A^-1 underflows to zero, so the sweep fails too
     v = np.array([1.0, -2.0, 0.5])
     pat13 = ZeroPattern([(1, 3)], dim=3)

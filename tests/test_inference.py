@@ -100,7 +100,7 @@ def test_all_zero_weights_raise():
     class NoDomain(LinearGaussianModel):
         def log_cond_density_pairs(self, ys, xs, theta):
             n = np.asarray(xs).shape[0]
-            return np.full(n, -np.inf), np.zeros(n, dtype=bool), np.zeros(n)
+            return np.full(n, -np.inf), np.zeros(n)
 
     model, data, m, sigma, theta = _linear_setup(n=2)
     bad = NoDomain(2)
@@ -147,9 +147,9 @@ class DeadRows(LinearGaussianModel):
         self.cut = cut
 
     def log_cond_density_pairs(self, ys, xs, theta):
-        logp, ok, stat = super().log_cond_density_pairs(ys, xs, theta)
+        logp, stat = super().log_cond_density_pairs(ys, xs, theta)
         dead = np.broadcast_to(np.atleast_2d(ys)[:, 0] > self.cut, logp.shape)
-        return np.where(dead, -np.inf, logp), ok & ~dead, stat
+        return np.where(dead, -np.inf, logp), stat
 
 
 @pytest.mark.parametrize("block_rows", [50, 10**9])

@@ -191,7 +191,7 @@ def test_estep_raises_when_an_individual_never_enters_the_domain():
     class NoDomain(LinearGaussianModel):
         def log_cond_density_pairs(self, ys, xs, theta):
             n = np.asarray(xs).shape[0]
-            return np.full(n, -np.inf), np.zeros(n, dtype=bool), np.zeros(n)
+            return np.full(n, -np.inf), np.zeros(n)
 
     model = NoDomain(2)
     state = FitState(m=np.zeros(2), sigma=SpdMatrix(np.eye(2)), theta=1.0)
@@ -221,9 +221,15 @@ def test_update_formulas_recompute_from_estep_arrays():
     assert np.allclose(stats.xtilde, direct, atol=1e-12)
     assert stats.n == 5
 
-    theta_next = model.theta_update(estep.tstat.mean())
-    assert theta_next == pytest.approx(estep.tstat.mean() / model.n_obs,
-                                       abs=1e-12)
+    # one undamped iteration of fit sets theta to the mean statistic per
+    # observation, from the same E-step, bit for bit
+    data = Dataset(ids, ys, model.design)
+    res = fit(model, data, ZeroPattern([], dim=2), state,
+              FitConfig(chain_length=150, burn_in=15, max_outer=1))
+    ordered = data.for_model(model)
+    first = run_estep(model, ordered.y, ordered.ids, state.m, state.sigma, state.theta,
+                      150, 15, ordered.seeds(0, 1))
+    assert res.state.theta == first.tstat.mean() / model.n_obs
 
 
 def test_estep_theta_statistic_is_gathered_at_the_retained_states():

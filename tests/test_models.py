@@ -28,7 +28,7 @@ def test_default_dose_grid():
     assert DEFAULT_DOSES == (0.005, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0)
     model = CortisolModel()
     assert model.q == 4 and model.n_obs == 7
-    assert np.array_equal(model.doses, np.asarray(DEFAULT_DOSES))
+    assert np.array_equal(model.design, np.asarray(DEFAULT_DOSES))
 
 
 def test_mean_response_by_hand():
@@ -60,9 +60,17 @@ def test_scale_is_proportional_to_the_mean():
     model = CortisolModel()
     x = np.array([50.0, 70.0, 1.0, 0.1])
     g = model.scale(x, 0.04)
-    assert np.allclose(np.diag(g), 0.2 * model.mean(x), atol=1e-12)
-    with pytest.raises(DomainError):
-        model.scale(x, -1.0)
+    assert g.shape == (7,)
+    assert np.allclose(g, 0.2 * model.mean(x), atol=1e-12)
+    assert np.array_equal(LinearGaussianModel(3).scale(x[:3], 0.25), np.full(3, 0.5))
+
+
+def test_simulation_rejects_a_negative_residual_variance():
+    sigma = SpdMatrix(np.eye(4))
+    m = np.array([50.0, 70.0, 1.0, 0.1])
+    for model in (CortisolModel(), LinearGaussianModel(4)):
+        with pytest.raises(DomainError, match="nonnegative"):
+            simulate_individual(model, m, sigma, -1.0, 0)
 
 
 def test_conditional_density_matches_scipy():
@@ -72,8 +80,8 @@ def test_conditional_density_matches_scipy():
     f = model.mean(x)
     rng = np.random.default_rng(0)
     ys = f * (1.0 + 0.1 * rng.standard_normal((5, 7)))
-    logp, ok, _ = model.log_cond_density_pairs(ys, np.tile(x, (5, 1)), theta)
-    assert np.all(ok)
+    logp, _ = model.log_cond_density_pairs(ys, np.tile(x, (5, 1)), theta)
+    assert np.all(np.isfinite(logp))
     for i in range(5):
         expected = multivariate_normal(mean=f, cov=theta * np.diag(f * f)).logpdf(ys[i])
         assert logp[i] == pytest.approx(expected, abs=1e-10)
@@ -87,8 +95,7 @@ def test_conditional_density_handles_negative_means():
     assert np.any(f < 0.0) and np.all(f != 0.0)
     y = np.array([-0.4, -1.5])
     expected = multivariate_normal(mean=f, cov=0.05 * np.diag(f * f)).logpdf(y)
-    logp, ok, _ = model.log_cond_density_pairs(y, x[None, :], 0.05)
-    assert ok[0]
+    logp, _ = model.log_cond_density_pairs(y, x[None, :], 0.05)
     assert logp[0] == pytest.approx(expected, abs=1e-10)
 
 
@@ -97,8 +104,8 @@ def test_theta_stat_sums_squared_relative_residuals():
     x = np.array([50.0, 70.0, 1.0, 0.1])
     f = model.mean(x)
     y = f * 1.1
-    _, ok, stat = model.log_cond_density_pairs(y, x[None, :], 0.03)
-    assert ok[0]
+    logp, stat = model.log_cond_density_pairs(y, x[None, :], 0.03)
+    assert np.isfinite(logp[0])
     assert stat[0] == pytest.approx(7 * 0.01, abs=1e-12)
 
 
@@ -113,12 +120,11 @@ def test_paired_density_agrees_with_one_row_calls():
     xs[3, 3] = -0.01  # off-domain row
     xs[5, :2] = 0.0  # zero mean response: singular residual scale
     ys = rng.normal(80, 5, (8, 7))
-    logp, ok, stat = model.log_cond_density_pairs(ys, xs, theta)
-    assert not ok[3] and not ok[5]
+    logp, stat = model.log_cond_density_pairs(ys, xs, theta)
+    assert np.isneginf(logp[[3, 5]]).all()
     for i in range(8):
-        logp_i, ok_i, stat_i = model.log_cond_density_pairs(ys[i], xs[i:i + 1], theta)
-        assert ok_i[0] == ok[i]
-        if ok[i]:
+        logp_i, stat_i = model.log_cond_density_pairs(ys[i], xs[i:i + 1], theta)
+        if i not in (3, 5):
             f = model.mean(xs[i])
             expected = multivariate_normal(mean=f, cov=theta * np.diag(f * f)).logpdf(ys[i])
             assert logp[i] == pytest.approx(expected, abs=1e-10)
@@ -144,13 +150,13 @@ def test_density_leaves_its_inputs_unchanged(order):
     ys = rng.normal(80, 5, (40, 7))
     ys.setflags(write=False)
     xs_before, ys_before = xs.copy(order="K"), ys.copy()
-    logp, ok, stat = model.log_cond_density_pairs(ys, xs, 0.03)
+    logp, stat = model.log_cond_density_pairs(ys, xs, 0.03)
     assert xs.tobytes(order="A") == xs_before.tobytes(order="A")
     assert xs.flags.f_contiguous == (order == "F")
     assert ys.tobytes() == ys_before.tobytes()
-    assert not ok[3] and not ok[5] and np.isneginf(logp[[3, 5]]).all()
+    assert np.isneginf(logp[[3, 5]]).all()
     # one observation row scored against every latent row, read-only too
-    one, _, _ = model.log_cond_density_pairs(ys[0], xs, 0.03)
+    one, _ = model.log_cond_density_pairs(ys[0], xs, 0.03)
     assert ys.tobytes() == ys_before.tobytes()
     assert one[0] == logp[0]
 
@@ -209,8 +215,8 @@ def test_simulate_individual_gives_up_after_retries():
 
     model = Hopeless()
     sigma = SpdMatrix(np.eye(4))
-    with pytest.raises(DegenerateDrawError):
-        simulate_individual(model, np.zeros(4), sigma, 0.01, 0, max_retries=5)
+    with pytest.raises(DegenerateDrawError, match="in 100 attempts"):
+        simulate_individual(model, np.zeros(4), sigma, 0.01, 0)
 
 
 def test_simulate_dataset_shape_ids_and_determinism():

@@ -25,7 +25,8 @@ import sys
 import numpy as np
 
 from .config import _parse_pairs, load_config
-from .covariance import SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective
+from .covariance import (SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective,
+                         solved_xtilde)
 from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
 from .harness import (SimStudyConfig, fit_and_test, fit_report, qq_data,
                       run_simulation_study, write_json, write_qq_csv,
@@ -132,10 +133,11 @@ def _cmd_icf(args):
                           dim=stats.dim)
     sol, diag = icf_solve(stats, pattern, tol=args.tol,
                           max_sweeps=args.max_sweeps)
+    solved = SufficientStats(solved_xtilde(stats.xtilde)[0], n=1)
     for row in sol.values:
         print(",".join(repr(float(v)) for v in row))
-    print(f"objective {objective(sol, stats)!r}")
-    print(f"sweeps {diag.sweeps}  kkt {kkt_residual(sol, stats, pattern):.3e}  "
+    print(f"objective {objective(sol, solved)!r}")
+    print(f"sweeps {diag.sweeps}  kkt {kkt_residual(sol, solved, pattern):.3e}  "
           f"converged {diag.converged}  ridged {diag.ridged}")
     return 0
 

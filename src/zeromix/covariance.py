@@ -59,6 +59,7 @@ __all__ = [
     "min_eig_repair",
     "icf_column_update",
     "icf_solve",
+    "solved_xtilde",
     "objective",
     "kkt_residual",
 ]
@@ -492,6 +493,20 @@ _SINGULAR = 1e-10
 _RIDGE = 1e-6
 
 
+def solved_xtilde(xtilde):
+    """The X-tilde that ``icf_solve`` solves, and whether it was ridged.
+
+    A rank-deficient X-tilde (smallest eigenvalue at most 1e-10 * tr/q,
+    whether or not it factors by rounding) gets 1e-6 * tr/q added to its
+    diagonal; any other is returned as it is.
+    """
+    q = xtilde.shape[0]
+    level = float(np.trace(xtilde)) / max(q, 1) * np.eye(q)  # tr/q on the diagonal
+    with np.errstate(invalid="ignore"):
+        ridged = _chol(xtilde - _SINGULAR * level) is None
+    return (xtilde + _RIDGE * level if ridged else xtilde), ridged
+
+
 def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     """Constrained maximum-likelihood covariance by cyclic column updates.
 
@@ -504,9 +519,8 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     in place, each column update checking that its new Schur complement
     s_opt is positive, and the result is validated once, as an SpdMatrix.
 
-    A rank-deficient X-tilde (smallest eigenvalue at most 1e-10 * tr/q,
-    whether or not it factors by rounding) is ridged by 1e-6 * tr/q on
-    the diagonal before solving, and the diagnostics flag it.
+    A rank-deficient X-tilde is ridged before solving (see
+    ``solved_xtilde``), and the diagnostics flag it.
 
     Parameters
     ----------
@@ -530,12 +544,7 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     q = stats.dim
     _require_order(pattern, q)
 
-    xt = stats.xtilde
-    level = float(np.trace(xt)) / max(q, 1) * np.eye(q)  # tr/q on the diagonal
-    with np.errstate(invalid="ignore"):
-        ridged = _chol(xt - _SINGULAR * level) is None
-    if ridged:
-        xt = xt + _RIDGE * level
+    xt, ridged = solved_xtilde(stats.xtilde)
 
     if pattern.is_empty():
         return SpdMatrix(xt), IcfDiagnostics(sweeps=0, converged=True, ridged=ridged)

@@ -6,14 +6,15 @@ importance sampling with the latent prior N(m, Sigma) as proposal, so
 the weights are conditional densities and log-sum-exp keeps them from
 underflowing.  Rows come in id order from ``Dataset.for_model`` and
 draws from the id-keyed ``Dataset.seeds`` streams, so results do not
-depend on dataset order.  Individuals are scored in the row blocks of
-``models.row_blocks``: whole individuals, about 2k draws per density
-call, an individual with more draws than that in several calls.  Each
-block's log weights go through a plain-numpy row-wise log-sum-exp, one
-row per individual.  Standard errors come from a central
+depend on dataset order.  Draws are made and scored through
+``models.Draws``, the draw-and-score path the E-step shares: the
+likelihood streams one block of ``models.row_blocks`` at a time
+through a block-sized one, so its memory does not grow with the
+number of individuals.  Each individual's log weights go through a
+plain-numpy row-wise log-sum-exp.  Standard errors come from a central
 finite-difference Hessian of the negative log likelihood, scored in
 this process; every stencil point is scored on the same standard-normal
-draws (common random numbers), drawn once.  The
+draws (common random numbers), drawn once for the whole dataset.  The
 prescribed zero pattern is tested by a chi-square likelihood ratio
 with one degree of freedom per constrained pair.  This module alone
 lays out the free parameter vector that the standard errors, the study
@@ -30,7 +31,7 @@ from scipy.stats import chi2
 
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
-from .models import row_blocks
+from .models import Draws, row_blocks
 
 __all__ = [
     "LikelihoodEstimate",
@@ -105,58 +106,27 @@ def _logsumexp_rows(a):
     return out
 
 
-def _draw_blocks(model, data, n_samples, seed):
-    """Common random numbers for ``_score_blocks``, one block at a time.
+def _log_mean_weights(logw, ids, variance=True):
+    """Per row of log weights ``logw`` (k, S), overwritten, the log mean
+    weight and, if ``variance``, the delta-method variance of that log.
 
-    Blocks are ``models.row_blocks`` of individuals.  Yields ``(start,
-    y, pieces, z)``: the block's first individual, its observation rows
-    and density-call pieces as ``row_blocks`` gives them, and the
-    standard-normal draws, ``n_samples`` rows per individual from the
-    individual's own id-keyed stream.
+    Raises DegenerateWeightError naming the first of ``ids`` whose
+    weights all underflow.
     """
-    seeds = data.seeds(seed)
-    for start, stop, y, pieces in row_blocks(data.y, n_samples):
-        z = np.empty((stop - start, n_samples, model.q))
-        for j in range(stop - start):
-            np.random.default_rng(seeds[start + j]).standard_normal(out=z[j])
-        yield start, y, pieces, z.reshape(-1, model.q)
-
-
-def _score_blocks(model, data, blocks, m, sigma, theta, n_samples):
-    """Log likelihood and its MC standard error at (m, sigma, theta).
-
-    Each block's latent draws m + z L' are scored in its density-call
-    pieces; per individual, log-sum-exp of the log weights gives the log
-    mean weight and, for the delta-method variance, of their doubles the
-    log mean squared weight.  Per-individual terms are summed in row
-    order.
-    """
-    m = np.asarray(m, dtype=float)
-    chol = sigma.chol_lower
-    log_mean = np.empty(data.n)
-    var = np.zeros(data.n)
-    for start, y, pieces, z in blocks:
-        xs = z @ chol.T
-        xs += m
-        logw = np.empty(xs.shape[0])
-        for lo, hi in pieces:
-            logw[lo:hi], _ = model.log_cond_density_pairs(y, xs[lo:hi], theta)
-        logw = logw.reshape(-1, n_samples)
-        lse1 = _logsumexp_rows(logw)
-        if not np.all(np.isfinite(lse1)):
-            raise DegenerateWeightError(
-                "all %d importance weights underflowed for individual %s"
-                % (n_samples, data.ids[start + int(np.argmin(np.isfinite(lse1)))])
-            )
-        stop = start + logw.shape[0]
-        log_mean[start:stop] = lse1 - np.log(n_samples)
-        if n_samples > 1:
-            # delta method: var(log W-bar) ~ sample_var(w) / (S * w-bar^2)
-            logw *= 2.0
-            log_mean_sq = _logsumexp_rows(logw) - np.log(n_samples)
-            ratio = np.exp(log_mean_sq - 2.0 * log_mean[start:stop])
-            var[start:stop] = np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
-    return float(np.sum(log_mean)), float(np.sqrt(np.sum(var)))
+    n_samples = logw.shape[1]
+    lse1 = _logsumexp_rows(logw)
+    if not np.all(np.isfinite(lse1)):
+        raise DegenerateWeightError(
+            "all %d importance weights underflowed for individual %s"
+            % (n_samples, ids[int(np.argmin(np.isfinite(lse1)))])
+        )
+    log_mean = lse1 - np.log(n_samples)
+    if not variance or n_samples == 1:
+        return log_mean, np.zeros(len(log_mean))
+    # var(log W-bar) ~ sample_var(w) / (S * w-bar^2)
+    logw *= 2.0
+    ratio = np.exp(_logsumexp_rows(logw) - np.log(n_samples) - 2.0 * log_mean)
+    return log_mean, np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
 
 
 def _check_samples(n_samples):
@@ -190,9 +160,17 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
         sigma = SpdMatrix(sigma)
     _check_samples(n_samples)
     data = data.for_model(model)
-    blocks = _draw_blocks(model, data, n_samples, seed)
-    loglik, mc_se = _score_blocks(model, data, blocks, m, sigma, theta, n_samples)
-    return LikelihoodEstimate(loglik=loglik, mc_se=mc_se, n_samples=n_samples, seed=int(seed))
+    seeds = data.seeds(seed)
+    log_mean, var = np.empty(data.n), np.empty(data.n)
+    # streamed one block at a time; the first block, the largest, sizes the one Draws
+    for first, last, _ in row_blocks(data.y, n_samples):
+        draws = draws if first else Draws((last - first) * n_samples, model.q)
+        draws.draw(seeds[first:last], n_samples)
+        _, logw, _ = draws.score(model, data.y[first:last], n_samples, m, sigma.chol_lower, theta)
+        log_mean[first:last], var[first:last] = _log_mean_weights(
+            logw.reshape(-1, n_samples), data.ids[first:last])
+    return LikelihoodEstimate(loglik=float(np.sum(log_mean)), mc_se=float(np.sqrt(np.sum(var))),
+                              n_samples=n_samples, seed=int(seed))
 
 
 def _free_entries(pattern):
@@ -255,15 +233,18 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
-    blocks = list(_draw_blocks(model, data, n_samples, seed))
+    draws = Draws(data.n * n_samples, model.q)
+    draws.draw(data.seeds(seed), n_samples)
 
     def f(*moves):
         # -loglik at v0 moved by mult * steps[i] along each (i, mult)
         v = v0.copy()
         for i, mult in moves:
             v[i] += mult * steps[i]
-        loglik, _ = _score_blocks(model, data, blocks, *_unpack_params(v, pattern), n_samples)
-        return -loglik
+        m_v, sigma_v, theta_v = _unpack_params(v, pattern)
+        _, logw, _ = draws.score(model, data.y, n_samples, m_v, sigma_v.chol_lower, theta_v)
+        log_mean, _ = _log_mean_weights(logw.reshape(-1, n_samples), data.ids, variance=False)
+        return -float(np.sum(log_mean))
 
     f0 = f()
     up = np.zeros(p)

@@ -11,14 +11,12 @@ updates stabilize the iteration: full replacement during the first
 ``gamma_a / (k - warmup)^gamma_b`` of ``FitConfig.gamma``.
 
 Chains are pre-generated: every proposal of an iteration is drawn up
-front and scored by the density in row blocks of ``models.row_blocks``
-(about 2k rows per call, whole chains where they fit).  The normals,
-uniforms, proposals and per-row scores live in buffers that ``fit``
-allocates once and every iteration overwrites, and the density's
-temporaries stay small enough for the allocator to recycle, so an
-iteration touches no fresh pages.  The sequential accept loop then runs
-time-major over all chains at once, three in-place ufuncs per step
-that only record accept decisions; each chain's pointer into its
+front and scored through ``models.Draws``, the draw-and-score path the
+likelihood and the standard errors share, in density calls of about 2k
+rows.  ``fit`` allocates one ``Draws`` that every iteration overwrites,
+so an iteration touches no fresh pages.  The sequential accept loop
+then runs time-major over all chains at once, three in-place ufuncs per
+step that only record accept decisions; each chain's pointer into its
 proposal block is recovered afterwards as the running maximum of its
 accepted step indices.  ``fit`` takes its rows in id order from
 ``Dataset.for_model`` and its randomness from the id-keyed
@@ -35,7 +33,7 @@ import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
 from .exceptions import DegenerateDrawError, ValueOutOfRangeError
-from .models import NlmeModel, row_blocks
+from .models import Draws, NlmeModel
 
 __all__ = [
     "FitConfig",
@@ -44,8 +42,6 @@ __all__ = [
     "FitResult",
     "EStepOutput",
     "run_estep",
-    "xtilde_update",
-    "saem_damp",
     "fit",
 ]
 
@@ -177,23 +173,6 @@ class EStepOutput:
     last_states: np.ndarray
 
 
-class _EStepBuffers:
-    """The per-iteration arrays of ``run_estep`` for one batch shape.
-
-    ``fit`` makes one and passes it to every iteration's E-step, so the
-    draws, the proposals and the density pass's outputs are written
-    into the same memory each time.
-    """
-
-    def __init__(self, n, t_total, q):
-        rows = n * (t_total + 1)
-        self.z = np.empty((n, t_total + 1, q))
-        self.u = np.empty((n, t_total))
-        self.prop = np.empty((rows, q))
-        self.logp = np.empty(rows)
-        self.stat = np.empty(rows)
-
-
 def _accept_pointers(logp, logu, burn_in):
     """Independence-sampler accept loop over a batch of pre-scored chains.
 
@@ -223,18 +202,18 @@ def _accept_pointers(logp, logu, burn_in):
 
 
 def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=None,
-              buffers=None):
+              draws=None):
     """Metropolis-Hastings E-step over a batch of individuals.
 
     All proposals are drawn from N(m, Sigma) and scored up front, each
-    with its log density and theta statistic, in row blocks of
-    ``models.row_blocks``; each individual's normals and uniforms come
-    from its own seed.  The accept loop steps all chains together and
-    records, per step and individual, whether the proposal was accepted;
-    a chain's state at step t is the proposal of its last accepted step
-    up to t (its start, index 0, before any).  Moments average the
-    ``chain_length`` states after ``burn_in``, and the theta statistic
-    is gathered at the same pointers.
+    with its log density and theta statistic, through ``models.Draws``;
+    each individual's normals and uniforms come from its own seed.  The
+    accept loop steps all chains together and records, per step and
+    individual, whether the proposal was accepted; a chain's state at
+    step t is the proposal of its last accepted step up to t (its start,
+    index 0, before any).  Moments average the ``chain_length`` states
+    after ``burn_in``, and the theta statistic is gathered at the same
+    pointers.
 
     Parameters
     ----------
@@ -245,9 +224,9 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     x0 : ndarray (n, q), optional
         Warm-start states (previous iteration's chain ends); when
         absent each chain starts from its own extra proposal draw.
-    buffers : _EStepBuffers, optional
-        Working arrays for this batch size, chain length and burn-in,
-        reused across calls; fresh ones are made when absent.
+    draws : models.Draws, optional
+        Reused working arrays of ``n * (t_total + 1)`` rows and uniforms
+        ``(n, t_total)``; fresh ones are made when absent.
 
     Raises
     ------
@@ -257,30 +236,15 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
-    q = model.q
     t_total = burn_in + chain_length
     per_chain = t_total + 1  # proposal rows per individual, the start first
-    if buffers is None:
-        buffers = _EStepBuffers(n, t_total, q)
-    z, u, prop = buffers.z, buffers.u, buffers.prop
-    logp, stat = buffers.logp, buffers.stat
+    if draws is None:
+        draws = Draws(n * per_chain, model.q, uniforms=(n, t_total))
+    draws.draw(seeds, per_chain)
+    prop, logp, stat = draws.score(model, ys, per_chain, m, sigma.chol_lower, theta, starts=x0)
 
-    for i in range(n):
-        rng = np.random.default_rng(seeds[i])
-        rng.standard_normal(out=z[i])
-        rng.random(out=u[i])
-    np.matmul(z.reshape(-1, q), sigma.chol_lower.T, out=prop)
-    prop += m
-    if x0 is not None:
-        prop[::per_chain] = x0
-
-    for first, _, y, pieces in row_blocks(ys, per_chain):
-        base = first * per_chain
-        for start, stop in pieces:
-            rows = slice(base + start, base + stop)
-            logp[rows], stat[rows] = model.log_cond_density_pairs(y, prop[rows], theta)
-
-    ptr_ret, accepts = _accept_pointers(logp.reshape(n, per_chain), np.log(u, out=u), burn_in)
+    logu = np.log(draws.u, out=draws.u)
+    ptr_ret, accepts = _accept_pointers(logp.reshape(n, per_chain), logu, burn_in)
     # flat row indices of the retained states
     ptr_ret += np.arange(0, n * per_chain, per_chain)[:, None]
     lp_ret = logp.take(ptr_ret)
@@ -292,14 +256,10 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
         )
 
     states = prop.take(ptr_ret, axis=0)
-    ex = states.mean(axis=1)
-    exx = np.einsum("nlq,nlr->nqr", states, states) / chain_length
-    tstat = stat.take(ptr_ret).mean(axis=1)
-
     return EStepOutput(
-        ex=ex,
-        exx=exx,
-        tstat=tstat,
+        ex=states.mean(axis=1),
+        exx=np.einsum("nlq,nlr->nqr", states, states) / chain_length,
+        tstat=stat.take(ptr_ret).mean(axis=1),
         accept_rate=accepts / float(t_total),
         domain_rejects=np.sum(logp.reshape(n, per_chain)[:, 1:] == -np.inf, axis=1),
         last_states=states[:, -1, :].copy(),
@@ -393,26 +353,17 @@ def fit(model, data, pattern, init, config=None):
     trace = []
     deltas = []
     x_last = None
-    buffers = _EStepBuffers(data.n, config.burn_in + config.chain_length, model.q)
+    t_total = config.burn_in + config.chain_length
+    draws = Draws(data.n * (t_total + 1), model.q, uniforms=(data.n, t_total))
     converged = False
     accept_mean = 1.0
     rejects_total = 0
     icf_sweeps = icf_unconverged = icf_ridged = 0
 
     for k in range(1, config.max_outer + 1):
-        estep = run_estep(
-            model,
-            data.y,
-            data.ids,
-            state.m,
-            state.sigma,
-            state.theta,
-            config.chain_length,
-            config.burn_in,
-            data.seeds(config.seed, k),
-            x0=x_last,
-            buffers=buffers,
-        )
+        estep = run_estep(model, data.y, data.ids, state.m, state.sigma, state.theta,
+                          config.chain_length, config.burn_in, data.seeds(config.seed, k),
+                          x0=x_last, draws=draws)
         x_last = estep.last_states
 
         m_next = estep.ex.mean(axis=0)

@@ -6,9 +6,11 @@ response F(x), the residual standard deviations g(x, theta) and
 vectorized density pass, ``log_cond_density_pairs``, which scores many
 latent rows against their observations and returns each row's log
 conditional density, -inf off the model domain, and theta statistic
-(whose conditional expectation drives the theta update).  The E-step
-and the importance-sampling likelihood both go through that pass; the
-estimation engine owns everything else.
+(whose conditional expectation drives the theta update).  The E-step,
+the importance-sampling likelihood and the standard errors draw their
+latent rows from N(m, Sigma) and score them through one ``Draws``,
+whose density calls are the pieces of ``row_blocks``; the estimation
+engine owns everything else.
 
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
@@ -45,6 +47,7 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "row_blocks",
+    "Draws",
 ]
 
 DEFAULT_DOSES = (0.005, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0)
@@ -68,23 +71,66 @@ def row_blocks(ys, unit):
     """Blocks of latent rows for density calls, ``unit`` rows per row of ``ys``.
 
     Latent rows come ``unit`` to an observation row (one individual's
-    chain or importance draws).  Yields ``(first, last, y, pieces)`` per
+    chain or importance draws).  Yields ``(first, last, pieces)`` per
     block of individuals ``first`` to ``last - 1``: as many whole
-    individuals as fit in one block of rows, and at least one.  ``y``
-    is their observation rows, each repeated ``unit`` times, or the one
-    row itself for a single individual.  ``pieces`` are the ``(start,
-    stop)`` latent-row ranges of the density calls, relative to the
-    block's first row: the whole block, or consecutive full-block pieces
-    of an individual with more rows than a block.
+    individuals as fit in one block of rows, and at least one.
+    ``pieces`` are the ``(start, stop)`` latent-row ranges of the
+    density calls, relative to the block's first row: the whole block,
+    or consecutive full-block pieces of an individual with more rows
+    than a block.
     """
     per = max(1, _BLOCK_ROWS // unit)
     for first in range(0, len(ys), per):
         last = min(first + per, len(ys))
         rows = (last - first) * unit
-        y = ys[first] if last - first == 1 else np.repeat(ys[first:last], unit, axis=0)
-        pieces = [(start, min(start + _BLOCK_ROWS, rows))
-                  for start in range(0, rows, _BLOCK_ROWS)]
-        yield first, last, y, pieces
+        yield first, last, [(start, min(start + _BLOCK_ROWS, rows))
+                            for start in range(0, rows, _BLOCK_ROWS)]
+
+
+class Draws:
+    """Latent draws from N(m, Sigma) and their densities, in reused arrays.
+
+    The one draw-and-score path of the E-step, the likelihood and the
+    standard errors: ``rows`` standard-normal rows ``z``, their map
+    ``x``, the density's ``logp`` and ``stat``, and ``u`` (shape
+    ``uniforms``, one row per individual), the E-step's accept coins.
+    """
+
+    def __init__(self, rows, q, uniforms=None):
+        self.z, self.x = np.empty((rows, q)), np.empty((rows, q))
+        self.logp, self.stat = np.empty(rows), np.empty(rows)
+        self.u = None if uniforms is None else np.empty(uniforms)
+
+    def draw(self, seeds, unit):
+        """Per seed, ``unit`` rows of ``z`` from ``default_rng(seed)``, then its row of ``u``."""
+        z = self.z[:len(seeds) * unit].reshape(len(seeds), unit, -1)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=z[i])
+            if self.u is not None:
+                rng.random(out=self.u[i])
+
+    def score(self, model, ys, unit, m, chol, theta, starts=None):
+        """Views ``(x, logp, stat)`` of the first ``len(ys) * unit`` rows.
+
+        ``x = m + z L'``, each individual's first row replaced by its row
+        of ``starts`` if given, is scored against ``ys`` (``unit`` rows per
+        row) one density call per piece of ``row_blocks``: against the
+        block's rows each repeated ``unit`` times, or one individual's row
+        itself.
+        """
+        rows = len(ys) * unit
+        x = self.x[:rows]
+        np.matmul(self.z[:rows], chol.T, out=x)
+        x += m
+        if starts is not None:
+            x[::unit] = starts
+        for first, last, pieces in row_blocks(ys, unit):
+            y = ys[first] if last - first == 1 else np.repeat(ys[first:last], unit, axis=0)
+            for start, stop in pieces:
+                r = slice(first * unit + start, first * unit + stop)
+                self.logp[r], self.stat[r] = model.log_cond_density_pairs(y, x[r], theta)
+        return x, self.logp[:rows], self.stat[:rows]
 
 
 class NlmeModel:
@@ -264,9 +310,10 @@ class LinearGaussianModel(NlmeModel):
         return np.full(self.n_obs, np.sqrt(theta))
 
     def log_cond_density_pairs(self, ys, xs, theta):
-        r = np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)
-        stat = np.sum(r * r, axis=1)
-        logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * stat / theta
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            r = np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)
+            stat = np.sum(r * r, axis=1)
+            logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - 0.5 * stat / theta
         logp[~np.isfinite(logp)] = -np.inf
         return logp, stat
 

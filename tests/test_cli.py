@@ -16,6 +16,8 @@ from helpers import record_pools
 from zeromix import _pool, cli, harness
 from zeromix.cli import main
 from zeromix.config import load_config
+from zeromix.covariance import (SpdMatrix, SufficientStats, ZeroPattern, kkt_residual,
+                                objective)
 from zeromix.harness import example_paths
 from zeromix.models import load_dataset
 
@@ -121,6 +123,25 @@ def test_icf_prints_the_constrained_optimum(tmp_path, capsys):
     assert sol[0, 2] == 0.0
     assert sol[0, 1] == pytest.approx(-12.0 / 7.0, abs=1e-9)
     assert "objective" in out and "kkt" in out
+
+
+def test_icf_scores_a_ridged_solve_against_the_ridged_matrix(tmp_path, capsys):
+    # a rank-1 X-tilde is solved ridged by 1e-6 * tr/q; the printed
+    # objective and KKT residual are those of the matrix solved (against
+    # the input the residual reads 4.5e5)
+    v = np.array([1.0, 2.0, -1.0, 0.5])
+    xt = np.outer(v, v)
+    mat = tmp_path / "xt.csv"
+    np.savetxt(mat, xt, delimiter=",")
+    assert main(["icf", "--xtilde", str(mat), "--pattern", "(1,3),(2,4)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sol = SpdMatrix(np.array([[float(t) for t in row.split(",")] for row in lines[:4]]))
+    solved = SufficientStats(xt + 1e-6 * (np.trace(xt) / 4) * np.eye(4), n=1)
+    kkt = kkt_residual(sol, solved, ZeroPattern([(1, 3), (2, 4)], dim=4))
+    assert lines[4] == f"objective {objective(sol, solved)!r}"
+    assert lines[5].startswith(f"sweeps 500  kkt {kkt:.3e}  ")
+    assert lines[5].endswith("ridged True")
+    assert kkt < 1.0
 
 
 def test_icf_rejects_bad_inputs(tmp_path, capsys):

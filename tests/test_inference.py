@@ -188,6 +188,16 @@ def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, block_row
     assert sum(rows for _, _, rows in calls) == 300 * data.n
     se = fisher_se(*lin_args, n_samples=300, seed=4)
     assert (se.se, se.flagged) == (ref_se.se, ref_se.flagged)
+    # a block streamed alone draws the bytes a whole-dataset draw holds
+    # for its rows, normals and uniforms alike
+    seeds = lin.for_model(model).seeds(4)
+    whole = models.Draws(lin.n * 300, 2, uniforms=(lin.n, 7))
+    whole.draw(seeds, 300)
+    for first, last, _ in row_blocks(lin.y, 300):
+        part = models.Draws((last - first) * 300, 2, uniforms=(last - first, 7))
+        part.draw(seeds[first:last], 300)
+        assert part.z.tobytes() == whole.z[first * 300:last * 300].tobytes()
+        assert part.u.tobytes() == whole.u[first:last].tobytes()
 
 
 def test_no_density_call_exceeds_a_block():

@@ -5,8 +5,11 @@ A model written here against ``NlmeModel`` alone (``mean``, ``scale``,
 get standard errors.  For the shipped models, off-domain rows are
 exactly the rows of log density -inf, the theta statistic is finite
 wherever the log density is, and the E-step's domain rejects count the
--inf proposal rows.
+-inf proposal rows.  The E-step, the likelihood and the standard errors
+reach the density through ``models.Draws.score`` alone.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DomainError
 from zeromix.inference import fisher_se, loglik_is
 from zeromix.mcem import FitConfig, FitState, fit, run_estep
-from zeromix.models import (CortisolModel, LinearGaussianModel, NlmeModel,
+from zeromix.models import (CortisolModel, LinearGaussianModel, NlmeModel, row_blocks,
                             simulate_dataset)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -98,8 +101,7 @@ def test_off_domain_rows_are_exactly_the_minus_inf_rows(model):
         xs[hit] = rng.choice(_SPECIALS, int(hit.sum()))
         ys = f * (1.0 + 0.1 * rng.standard_normal((n, model.n_obs)))
         theta = 10.0 ** rng.uniform(-300.0, 300.0)
-        with np.errstate(all="ignore"):
-            logp, stat = model.log_cond_density_pairs(ys, xs, theta)
+        logp, stat = model.log_cond_density_pairs(ys, xs, theta)
         assert logp.shape == stat.shape == (n,)
         finite = np.isfinite(logp)
         # the only non-finite log density is -inf, and a latent row with a
@@ -133,3 +135,38 @@ def test_domain_rejects_count_the_minus_inf_proposal_rows(monkeypatch):
     expected = np.sum(logp[:, 1:] == -np.inf, axis=1)
     assert np.all(expected > 0)
     assert np.array_equal(out.domain_rejects, expected)
+
+
+def test_every_density_call_on_latent_draws_comes_from_draws_score(monkeypatch):
+    # 25 individuals: 181-row chains, 11 to a block; 3000 draws, one
+    # individual in two calls; 200 draws, 10 individuals to a block
+    model = LinearGaussianModel(2)
+    m = np.array([1.0, -0.5])
+    sigma = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.8]]))
+    data, _ = simulate_dataset(model, m, sigma, 0.5, 25, 1)
+    data = data.for_model(model)
+    callers = []
+    density = LinearGaussianModel.log_cond_density_pairs
+
+    def recording(self, ys, xs, theta):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_qualname))
+        return density(self, ys, xs, theta)
+
+    monkeypatch.setattr(LinearGaussianModel, "log_cond_density_pairs", recording)
+
+    def pieces(unit):
+        return sum(len(block[-1]) for block in row_blocks(data.y, unit))
+
+    run_estep(model, data.y, data.ids, m, sigma, 0.5, 150, 30, data.seeds(0, 1))
+    assert pieces(181) == 3
+    assert callers == [("zeromix.models", "Draws.score")] * 3
+    callers.clear()
+    loglik_is(model, data, m, sigma, 0.5, n_samples=3000, seed=1)
+    assert pieces(3000) == 50
+    assert callers == [("zeromix.models", "Draws.score")] * 50
+    callers.clear()
+    res = fisher_se(model, data, m, sigma, 0.5, ZeroPattern([], dim=2), n_samples=200, seed=1)
+    points = 1 + 2 * len(res.labels) + len(res.labels) * (len(res.labels) - 1)
+    assert pieces(200) == 3
+    assert callers == [("zeromix.models", "Draws.score")] * (3 * points)

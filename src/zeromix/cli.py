@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -115,9 +116,14 @@ def _cmd_study(args):
 
 def _cmd_icf(args):
     try:
-        xtilde = np.loadtxt(args.xtilde, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no rows; the size check below reports it
+            warnings.simplefilter("ignore", UserWarning)
+            xtilde = np.loadtxt(args.xtilde, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read matrix from {args.xtilde}: {exc}") from exc
+    if xtilde.size == 0:
+        raise UsageError(f"{args.xtilde}: file holds no matrix")
     try:
         stats = SufficientStats(xtilde, n=1)  # the solver reads only X-tilde
     except ValueError as exc:

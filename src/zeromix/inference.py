@@ -16,7 +16,9 @@ finite-difference Hessian of the negative log likelihood, scored in
 this process; every stencil point is scored on the same standard-normal
 draws (common random numbers), drawn once for the whole dataset.  The
 prescribed zero pattern is tested by a chi-square likelihood ratio
-with one degree of freedom per constrained pair.  This module alone
+with one degree of freedom per constrained pair; its tail is
+``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` calls,
+so the package never imports ``scipy.stats``.  This module alone
 lays out the free parameter vector that the standard errors, the study
 table and the trace share (``pack_params``, ``free_param_labels``).
 """
@@ -27,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
@@ -313,5 +315,5 @@ def lr_test(loglik_h0, loglik_h1, pattern):
     if df == 0:
         p = 1.0
     else:
-        p = float(chi2.sf(stat, df))
+        p = float(chdtrc(df, stat))
     return LrTestResult(stat=stat, df=df, p_value=p)

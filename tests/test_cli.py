@@ -155,6 +155,15 @@ def test_icf_rejects_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")  # loadtxt's no-data warning would reach stderr
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"])
+def test_icf_on_a_file_without_a_matrix_exits_with_one_error_line(tmp_path, capsys, text):
+    mat = tmp_path / "xt.csv"
+    mat.write_text(text)
+    assert main(["icf", "--xtilde", str(mat)]) == 1
+    assert capsys.readouterr().err == f"error: {mat}: file holds no matrix\n"
+
+
 def test_fit_rejects_missing_and_malformed_inputs(tmp_path, capsys):
     csv_path, ini_path = example_paths()
     assert main(["fit", "--data", str(tmp_path / "no.csv"),

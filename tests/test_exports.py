@@ -1,8 +1,12 @@
-"""Export consistency: every public name resolves, and the package's
-re-exports are the covariance module's own objects."""
+"""Export consistency: every public name resolves, the package's
+re-exports are the covariance module's own objects, and importing the
+command line loads no ``scipy.stats``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +34,15 @@ def test_package_reexports_are_the_covariance_objects():
     for n in reexported:
         assert getattr(zeromix, n) is getattr(covariance, n), n
         assert n in covariance.__all__, n
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    # a fresh interpreter: this one has scipy.stats from the test oracles
+    src = os.path.dirname(os.path.dirname(zeromix.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, zeromix.cli; print('scipy.stats' in sys.modules)"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -3,9 +3,11 @@ likelihood, finite-difference standard errors, likelihood ratio test.
 
 The importance sampler is checked against the closed-form marginal of
 the linear reference model; the ratio test against analytic chi-square
-tail formulas (exp(-s/2) at two constraints, erfc at one).
+tail formulas (exp(-s/2) at two constraints, erfc at one) and, bit for
+bit, against ``scipy.stats.chi2.sf``.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from scipy.special import logsumexp
+from scipy.stats import chi2
 
 from helpers import record_density_calls, record_pools
 from zeromix import _pool, models
@@ -430,6 +433,15 @@ def test_lr_without_constraints_is_vacuous():
     assert res.stat == 0.0
     assert res.df == 0
     assert res.p_value == 1.0
+
+
+@pytest.mark.parametrize("df", range(1, 13))
+def test_lr_pvalue_bits_equal_scipy_stats(df):
+    pat = ZeroPattern(list(itertools.combinations(range(1, 7), 2))[:df], dim=6)
+    for stat in (0.0, 1e-300, 1e-12, 0.5, 1.0, float(df), 5.0 * df, 50.0, 700.0, 1e4):
+        res = lr_test(0.0, stat / 2.0, pat)
+        assert (res.stat, res.df) == (stat, df)
+        assert res.p_value.hex() == float(chi2.sf(stat, df)).hex(), stat
 
 
 def test_lr_clips_small_negative_statistics_with_a_warning():

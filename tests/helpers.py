@@ -1,7 +1,8 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
-column update, process-pool and density-call recorders, and the exact
-E-step of models with closed-form posterior moments.
+column update with plain-sweep and SQUAREM reference solves built on
+it, process-pool and density-call recorders, and the exact E-step of
+models with closed-form posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -169,6 +170,61 @@ def reference_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500):
         if np.linalg.norm(cur - prev) / np.linalg.norm(prev) < tol:
             break
     return cur, sweeps
+
+
+def _reference_objective(sigma, xtilde):
+    """logdet(Sigma) + tr(Sigma^-1 Xtilde) through numpy's factor and
+    scipy's ``cho_solve``; inf where Sigma does not factor."""
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return (float(np.trace(cho_solve((chol, True), xtilde)))
+            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
+
+
+def reference_squarem_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500,
+                                update=reference_column_update):
+    """Cold-start SQUAREM cycles of ``update`` sweeps; returns the plain
+    array and the sweep count.
+
+    A cycle sweeps x1 = F(x0) and x2 = F(x1), stopping at the first
+    sweep whose relative Frobenius change drops below ``tol`` or at the
+    ``max_sweeps``-th sweep.  Then, scaled by 2^-e with max|x0| in
+    [2^(e-1), 2^e), r = x1 - x0, v = x2 - 2 x1 + x0 and
+    alpha = min(-|r|/|v|, -1) (SqS3, Varadhan & Roland 2008); the next
+    cycle starts from x0 - 2 alpha r + alpha^2 v when alpha < -1, the
+    candidate factors and its scaled objective is below x2's, else from
+    x2.  ``update(sigma, xtilde, j, pattern)`` returns the plain array
+    after one column update.
+    """
+    def sweep(sigma):
+        for j in range(1, pattern.dim + 1):
+            sigma = update(sigma, xtilde, j, pattern)
+        return sigma
+
+    x0 = np.diag(np.diag(xtilde))
+    sweeps = 0
+    while True:
+        iterates = [x0]
+        for _ in range(2):
+            prev = iterates[-1]
+            iterates.append(sweep(prev))
+            sweeps += 1
+            e = np.frexp(np.abs(prev).max())[1]
+            change = np.linalg.norm(np.ldexp(iterates[-1] - prev, -e))
+            if change / np.linalg.norm(np.ldexp(prev, -e)) < tol or sweeps == max_sweeps:
+                return iterates[-1], sweeps
+        e = np.frexp(np.abs(x0).max())[1]
+        s0, s1, s2 = (np.ldexp(x, -e) for x in iterates)
+        r, v = s1 - s0, s2 - 2.0 * s1 + s0
+        x0 = iterates[2]
+        if np.linalg.norm(v) > 0.0:
+            alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+            cand = s0 - 2.0 * alpha * r + alpha * alpha * v
+            xts = np.ldexp(xtilde, -e)
+            if alpha < -1.0 and _reference_objective(cand, xts) < _reference_objective(s2, xts):
+                x0 = np.ldexp(cand, e)
 
 
 def exact_estep(model, ys, ids, m, sigma, theta, *sampler_args, **sampler_kwargs):

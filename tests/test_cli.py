@@ -422,7 +422,8 @@ def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["iterations"] == 12 and report["converged"] is False
     sigma = np.array(report["params"]["sigma"])
-    assert sigma[0, 3] == 0.0 and sigma[2, 3] == 0.0
+    zeros = sigma[[0, 3, 2, 3], [3, 0, 3, 2]]  # (1,4), (3,4) and transposes
+    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
     assert report["loglik"] is not None and report["mc_se"] > 0.0
     assert report["lr"] is not None and report["lr"]["df"] == 2
     assert report["se"] is None
@@ -430,6 +431,10 @@ def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
             report["icf_ridged"]) == (34, 67, 0, 0)
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + 12
+    header = trace[0].split(",")
+    for row in trace[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert cells["sigma_4_1"] == cells["sigma_4_3"] == "0.0"
 
 
 def test_study_one_replicate_emits_all_outputs(tmp_path, capsys):

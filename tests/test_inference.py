@@ -17,7 +17,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
-from helpers import record_density_calls, record_pools
+from helpers import block_size_case, record_density_calls, record_pools, slice_rows
 from zeromix import _pool, models
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
@@ -26,8 +26,7 @@ from zeromix.harness import cortisol_example
 from zeromix.inference import (_logsumexp_rows, _unpack_params, fisher_se, free_param_labels,
                                loglik_is, lr_test, pack_params)
 from zeromix.mcem import fit
-from zeromix.models import (CortisolModel, Dataset, LinearGaussianModel, row_blocks,
-                            simulate_dataset)
+from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, simulate_dataset
 
 # scoring works in place; a NaN or overflow it lets escape fails here
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -158,7 +157,7 @@ class DeadRows(LinearGaussianModel):
 @pytest.mark.parametrize("block_rows", [50, 10**9])
 def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_rows):
     # the three individuals with the largest first observation underflow;
-    # with 50 rows a block holds one individual, with 10**9 all of them
+    # with 50 rows a call holds one individual, with 10**9 all of a score's
     model, data, m, sigma, theta = _linear_setup(n=12, seed=3)
     ordered = data.for_model(model)
     bad = DeadRows(2, np.sort(ordered.y[:, 0])[-4])
@@ -172,35 +171,59 @@ def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_
         fisher_se(bad, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=50, seed=0)
 
 
-@pytest.mark.parametrize("block_rows", [300, 128, 10**9])
-def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
-    # one individual per block; an individual cut into 128-row pieces;
-    # every row in one block
-    data, cfg = cortisol_example()
-    st = cfg.init
-    args = (cfg.model, data, st.m, st.sigma, st.theta)
+@pytest.mark.parametrize("case, block_rows", [
+    pytest.param("example", 300, id="300"),
+    pytest.param("example", 128, id="128"),
+    pytest.param("example", 10**9, id="1000000000"),
+    pytest.param("example", 1, id="example-1"),
+    pytest.param("cortisol12", 1, id="cortisol12-1"),
+    pytest.param("cortisol12", 128, id="cortisol12-128"),
+    pytest.param("linear8", 1, id="linear8-1"),
+    pytest.param("linear8", 128, id="linear8-128"),
+])
+def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, case, block_rows):
+    # 300 draws per individual: an individual per call; every row alone;
+    # individuals cut into 128-row slices; each score in one call.  The
+    # standard errors score 3 individuals at 20 draws, where most are
+    # flagged, so every score of every stencil point is compared too.
+    model, data, m, sigma, theta, pattern = block_size_case(case)
+    args = (model, data, m, sigma, theta)
+    few = Dataset(data.ids[:3], data.y[:3], data.design)
+    se_args = (model, few, m, sigma, theta, pattern)
+    scores = []
+    density = type(model).log_cond_density_pairs
+
+    def recording(self, ys, xs, th):
+        scores.append(density(self, ys, xs, th))
+        return scores[-1]
+
+    def scored():
+        joined = [np.concatenate(out).tobytes() for out in zip(*scores)]
+        scores.clear()
+        return joined
+
+    monkeypatch.setattr(type(model), "log_cond_density_pairs", recording)
     ref = loglik_is(*args, n_samples=300, seed=4)
-    model, lin, m, sigma, theta = _linear_setup(n=10, seed=2)
-    lin_args = (model, lin, m, sigma, theta, ZeroPattern([], dim=2))
-    ref_se = fisher_se(*lin_args, n_samples=300, seed=4)
+    ref_se = fisher_se(*se_args, n_samples=20, seed=4)
+    ref_scores = scored()
     monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
-    calls = record_density_calls(monkeypatch, CortisolModel)
+    calls = record_density_calls(monkeypatch, type(model))
     est = loglik_is(*args, n_samples=300, seed=4)
     assert (est.loglik, est.mc_se) == (ref.loglik, ref.mc_se)
-    assert max(rows for _, _, rows in calls) == min(block_rows, 300 * data.n)
-    assert sum(rows for _, _, rows in calls) == 300 * data.n
-    se = fisher_se(*lin_args, n_samples=300, seed=4)
+    assert [rows for _, _, rows in calls] == slice_rows(300) * data.n
+    se = fisher_se(*se_args, n_samples=20, seed=4)
     assert (se.se, se.flagged) == (ref_se.se, ref_se.flagged)
-    # a block streamed alone draws the bytes a whole-dataset draw holds
-    # for its rows, normals and uniforms alike
-    seeds = lin.for_model(model).seeds(4)
-    whole = models.Draws(lin.n * 300, 2, uniforms=(lin.n, 7))
+    assert scored() == ref_scores
+    # an individual streamed alone draws the bytes a whole-dataset draw
+    # holds for its rows, normals and uniforms alike
+    seeds = data.seeds(4)
+    whole = models.Draws(data.n * 300, model.q, uniforms=(data.n, 7))
     whole.draw(seeds, 300)
-    for first, last, _ in row_blocks(lin.y, 300):
-        part = models.Draws((last - first) * 300, 2, uniforms=(last - first, 7))
-        part.draw(seeds[first:last], 300)
-        assert part.z.tobytes() == whole.z[first * 300:last * 300].tobytes()
-        assert part.u.tobytes() == whole.u[first:last].tobytes()
+    one = models.Draws(300, model.q, uniforms=(1, 7))
+    for i, seed in enumerate(seeds):
+        one.draw([seed], 300)
+        assert one.z.tobytes() == whole.z[i * 300:(i + 1) * 300].tobytes()
+        assert one.u.tobytes() == whole.u[i].tobytes()
 
 
 def test_no_density_call_exceeds_a_block():
@@ -311,8 +334,8 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
 
 @pytest.mark.parametrize("example", [False, True])
 def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
-    # each point is one density call per block of individuals, each on
-    # its own draws, so a point scored twice repeats a call
+    # each point is one density call per slice of its rows, each on its
+    # own draws, so a point scored twice repeats a call
     if example:
         data, cfg = cortisol_example()
         model, st, pattern = cfg.model, cfg.init, cfg.pattern
@@ -324,9 +347,9 @@ def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
     res = fisher_se(model, data, m, sigma, theta, pattern, n_samples=200, seed=1)
     p = len(res.labels)
     assert p == (13 if example else 6)
-    blocks = len(list(row_blocks(data.y, 200)))
-    assert blocks == (3 if example else 4)
-    assert len(calls) == (1 + 2 * p + p * (p - 1)) * blocks  # 183 points for the example
+    assert slice_rows(data.n * 200) == ([2048, 2048, 1904] if example else [2048] * 3 + [1856])
+    points = 1 + 2 * p + p * (p - 1)  # 183 for the example
+    assert [rows for _, _, rows in calls] == slice_rows(data.n * 200) * points
     assert len(set(calls)) == len(calls)
 
 
@@ -341,9 +364,9 @@ def test_the_cross_points_of_a_bad_coordinate_are_not_scored(monkeypatch):
     res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
                     n_samples=200, seed=1)
     # f0, 10 diagonal points, 7 pairs of good coordinates and the (+, +)
-    # point of (sigma_2_2, sigma_1_1), each in 4 blocks of 10 individuals;
-    # an unscored point raises in its first block's factorization
-    assert len(calls) == (1 + 10 + 2 * 7 + 1) * len(list(row_blocks(data.y, 200)))
+    # point of (sigma_2_2, sigma_1_1), each in the 4 slices of its 8000
+    # rows; an unscored point raises in its factorization before any call
+    assert [rows for _, _, rows in calls] == slice_rows(40 * 200) * (1 + 10 + 2 * 7 + 1)
     assert len(set(calls)) == len(calls)
     assert res.flagged
     assert set(res.se) == {"m1", "m2", "theta"}

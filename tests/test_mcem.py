@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import zeromix
-from helpers import exact_estep, record_density_calls
+from helpers import block_size_case, exact_estep, record_density_calls, slice_rows
 from zeromix import mcem, models
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DegenerateDrawError, ValueOutOfRangeError
 from zeromix.harness import cortisol_example
 from zeromix.mcem import FitConfig, FitState, fit, run_estep, saem_damp, xtilde_update
-from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, simulate_dataset
+from zeromix.models import Dataset, LinearGaussianModel, simulate_dataset
 
 # the E-step works in reused buffers; a NaN or overflow it lets escape fails here
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -147,12 +147,10 @@ def test_estep_rows_track_ids_not_positions():
         assert np.array_equal(bwd.exx[pos], fwd.exx[orig])
 
 
-def _example_estep_args(n=12):
-    data, run = cortisol_example()
-    data = data.for_model(run.model)
-    return dict(model=run.model, ys=data.y[:n], ids=data.ids[:n], m=run.init.m,
-                sigma=run.init.sigma, theta=run.init.theta, chain_length=200,
-                burn_in=40, seeds=data.seeds(3, 1)[:n])
+def _estep_args(case="example", n=12):
+    model, data, m, sigma, theta, _ = block_size_case(case)
+    return dict(model=model, ys=data.y[:n], ids=data.ids[:n], m=m, sigma=sigma, theta=theta,
+                chain_length=200, burn_in=40, seeds=data.seeds(3, 1)[:n])
 
 
 def _estep_bytes(out):
@@ -160,23 +158,32 @@ def _estep_bytes(out):
             ("ex", "exx", "tstat", "accept_rate", "domain_rejects", "last_states")]
 
 
-@pytest.mark.parametrize("block_rows", [241, 100, 10**9])
-def test_estep_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
-    # 12 chains of 241 rows: 8 chains per default block; one chain per
-    # block; a chain cut into 100-row pieces; every row in one block
-    args = _example_estep_args()
+@pytest.mark.parametrize("case, block_rows", [
+    pytest.param("example", 241, id="241"),
+    pytest.param("example", 100, id="100"),
+    pytest.param("example", 10**9, id="1000000000"),
+    pytest.param("example", 1, id="example-1"),
+    pytest.param("cortisol12", 1, id="cortisol12-1"),
+    pytest.param("cortisol12", 100, id="cortisol12-100"),
+    pytest.param("linear8", 1, id="linear8-1"),
+    pytest.param("linear8", 100, id="linear8-100"),
+])
+def test_estep_bytes_do_not_depend_on_the_block_size(monkeypatch, case, block_rows):
+    # chains of 241 rows, 12 of the example's or 8 of the simulated sets:
+    # a chain per call; every row alone; chains cut into 100-row slices;
+    # each score in one call
+    args = _estep_args(case)
     x0 = run_estep(**args).last_states
     ref = [_estep_bytes(run_estep(**args)), _estep_bytes(run_estep(**args, x0=x0))]
     monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
-    calls = record_density_calls(monkeypatch, CortisolModel)
+    calls = record_density_calls(monkeypatch, type(args["model"]))
     assert [_estep_bytes(run_estep(**args)), _estep_bytes(run_estep(**args, x0=x0))] == ref
-    assert max(rows for _, _, rows in calls) == min(block_rows, 12 * 241)
-    assert sum(rows for _, _, rows in calls) == 2 * 12 * 241
+    assert [rows for _, _, rows in calls] == slice_rows(len(args["ids"]) * 241) * 2
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_estep_leaves_its_inputs_unchanged(order):
-    args = _example_estep_args(n=5)
+    args = _estep_args(n=5)
     ys = np.array(args["ys"], order=order)
     ys.setflags(write=False)
     x0 = np.array(run_estep(**args).last_states, order=order)

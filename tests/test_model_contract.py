@@ -14,12 +14,12 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import slice_rows
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DomainError
 from zeromix.inference import fisher_se, loglik_is
 from zeromix.mcem import FitConfig, FitState, fit, run_estep
-from zeromix.models import (CortisolModel, LinearGaussianModel, NlmeModel, row_blocks,
-                            simulate_dataset)
+from zeromix.models import CortisolModel, LinearGaussianModel, NlmeModel, simulate_dataset
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -138,8 +138,8 @@ def test_domain_rejects_count_the_minus_inf_proposal_rows(monkeypatch):
 
 
 def test_every_density_call_on_latent_draws_comes_from_draws_score(monkeypatch):
-    # 25 individuals: 181-row chains, 11 to a block; 3000 draws, one
-    # individual in two calls; 200 draws, 10 individuals to a block
+    # 25 individuals: 181-row chains, 4525 rows in 2048-row slices; 3000
+    # draws, two calls per individual; 200 draws, 5000 rows per point
     model = LinearGaussianModel(2)
     m = np.array([1.0, -0.5])
     sigma = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.8]]))
@@ -150,23 +150,21 @@ def test_every_density_call_on_latent_draws_comes_from_draws_score(monkeypatch):
 
     def recording(self, ys, xs, theta):
         frame = sys._getframe(1)
-        callers.append((frame.f_globals["__name__"], frame.f_code.co_qualname))
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_qualname, len(xs)))
         return density(self, ys, xs, theta)
 
     monkeypatch.setattr(LinearGaussianModel, "log_cond_density_pairs", recording)
 
-    def pieces(unit):
-        return sum(len(block[-1]) for block in row_blocks(data.y, unit))
+    def scored(rows):
+        return [("zeromix.models", "Draws.score", r) for r in slice_rows(rows)]
 
     run_estep(model, data.y, data.ids, m, sigma, 0.5, 150, 30, data.seeds(0, 1))
-    assert pieces(181) == 3
-    assert callers == [("zeromix.models", "Draws.score")] * 3
+    assert slice_rows(25 * 181) == [2048, 2048, 429]
+    assert callers == scored(25 * 181)
     callers.clear()
     loglik_is(model, data, m, sigma, 0.5, n_samples=3000, seed=1)
-    assert pieces(3000) == 50
-    assert callers == [("zeromix.models", "Draws.score")] * 50
+    assert callers == scored(3000) * 25
     callers.clear()
     res = fisher_se(model, data, m, sigma, 0.5, ZeroPattern([], dim=2), n_samples=200, seed=1)
     points = 1 + 2 * len(res.labels) + len(res.labels) * (len(res.labels) - 1)
-    assert pieces(200) == 3
-    assert callers == [("zeromix.models", "Draws.score")] * (3 * points)
+    assert callers == scored(25 * 200) * points

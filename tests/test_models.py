@@ -14,7 +14,7 @@ from scipy.stats import multivariate_normal
 from zeromix import covariance
 from zeromix.covariance import SpdMatrix
 from zeromix.exceptions import (DataFormatError, DegenerateDrawError,
-                                DomainError)
+                                DomainError, ValueOutOfRangeError)
 from zeromix.harness import example_paths
 from zeromix.models import (DEFAULT_DOSES, CortisolModel, Dataset,
                             LinearGaussianModel, load_dataset, save_dataset,
@@ -41,6 +41,12 @@ def test_mean_response_by_hand():
     f2 = CortisolModel(doses=(0.5,)).mean(np.array([50.0, 70.0, 2.0, 0.25]))
     # 0.5^2 / (0.25^2 + 0.5^2) = 0.8
     assert f2[0] == pytest.approx(106.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("doses", [(), (0.5, 0.0), (-1.0,), ((0.5, 1.0),)])
+def test_doses_must_be_positive_numbers_at_least_one(doses):
+    with pytest.raises(ValueOutOfRangeError, match="doses must be positive numbers, at least one"):
+        CortisolModel(doses)
 
 
 def test_mean_rejects_off_domain_points():
@@ -109,8 +115,11 @@ def test_theta_stat_sums_squared_relative_residuals():
     assert stat[0] == pytest.approx(7 * 0.01, abs=1e-12)
 
 
-def test_paired_density_agrees_with_one_row_calls():
-    model = CortisolModel()
+@pytest.mark.parametrize("n_doses", [7, 8, 12])
+def test_paired_density_agrees_with_one_row_calls(n_doses):
+    # from 8 observations on, numpy sums one column pairwise, not in row
+    # order; the per-row sums must add in row order whatever the call size
+    model = CortisolModel((DEFAULT_DOSES + (20.0, 0.02, 0.05, 0.2, 5.0))[:n_doses])
     theta = 0.03
     rng = np.random.default_rng(4)
     xs = np.column_stack([
@@ -119,7 +128,7 @@ def test_paired_density_agrees_with_one_row_calls():
     ])
     xs[3, 3] = -0.01  # off-domain row
     xs[5, :2] = 0.0  # zero mean response: singular residual scale
-    ys = rng.normal(80, 5, (8, 7))
+    ys = rng.normal(80, 5, (8, n_doses))
     logp, stat = model.log_cond_density_pairs(ys, xs, theta)
     assert np.isneginf(logp[[3, 5]]).all()
     for i in range(8):

@@ -143,7 +143,8 @@ def _cmd_icf(args):
     for row in sol.values:
         print(",".join(repr(float(v)) for v in row))
     print(f"objective {objective(sol, solved)!r}")
-    print(f"sweeps {diag.sweeps}  kkt {kkt_residual(sol, solved, pattern):.3e}  "
+    print(f"sweeps {diag.sweeps}  newton_steps {diag.newton_steps}  "
+          f"kkt {kkt_residual(sol, solved, pattern):.3e}  "
           f"converged {diag.converged}  ridged {diag.ridged}")
     return 0
 
@@ -190,7 +191,8 @@ def _build_parser():
     p.add_argument("--pattern", default="",
                    help="prescribed zeros as 1-based pairs, e.g. '(1,3)'")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=500)
+    p.add_argument("--max-sweeps", type=int, default=500,
+                   help="cap on the solver's iterations, column sweeps plus Newton steps")
     p.set_defaults(func=_cmd_icf)
 
     return parser

@@ -12,15 +12,16 @@ with the complementary principal block held fixed, the optimal column
 is a least-squares solve in which the zero-constrained coordinates are
 dropped, and positive definiteness is preserved through the Schur
 complement of the fixed block, which each column update checks.  A
-sweep is one such update of every column, a monotone map x -> F(x)
-that converges linearly.  The solver runs it in SQUAREM cycles
-(Varadhan & Roland 2008): two sweeps, x1 = F(x0) and x2 = F(x1), then
-one squared-extrapolation step from x0 along r = x1 - x0 and
-v = x2 - 2 x1 + x0, computed in a frame scaled by a power of two and
-taken only when the extrapolated matrix factors and has a lower
-objective than x2.  r and v vanish at the pattern, so its zeros stay
-exact.  The sweeps run on one plain array; the solver validates its
-inputs once and its result once, as an SpdMatrix.
+sweep is one such update of every column, a monotone map that
+converges linearly.  After two sweeps, each iteration first tries one
+damped Newton step on the free lower-triangle entries, whose gradient
+and Hessian have closed forms, so the solve ends quadratically; the
+step is computed in a frame scaled by a power of two and taken only
+when the Hessian and the stepped matrix factor and the objective
+strictly falls, and the iteration is a sweep where it is not.  Neither
+writes a constrained entry, so the pattern's zeros stay exact.  The
+iterations run on one plain array; the solver validates its inputs once
+and its result once, as an SpdMatrix.
 
 Every factorization is one call of ``cholesky_lo``, the gufunc inside
 ``np.linalg.cholesky`` (``_chol``): the same LAPACK ``potrf`` on the
@@ -30,10 +31,14 @@ fills its output with NaN and sets the floating-point invalid flag,
 from which the wrapper raises ``LinAlgError``; a factor's upper
 triangle is otherwise zero, so ``_chol`` returns None when its
 top-right entry is NaN.  Callers hold ``np.errstate(invalid="ignore")``,
-once per solve on the sweep path, so a failed factorization raises the
-package's own error and never a RuntimeWarning.  Every solve against a
+once per solve on the solver's path, so a failed factorization raises
+the package's own error, or makes the Newton step fall back to a sweep,
+and never a RuntimeWarning.  Every solve against a
 factor is one direct LAPACK ``potrs`` call (``_cho_solve``), bitwise
 equal to scipy's ``cho_solve`` without its per-call finiteness scan.
+The Newton step inverts a factor by one LAPACK ``trtri`` call and takes
+eigenvalues by ``eigvalsh_lo``, the gufunc inside ``np.linalg.eigvalsh``
+(same bits; where it fails, its NaN output rejects the step).
 Finiteness is checked where data enters instead: SufficientStats and
 SpdMatrix reject non-finite entries, and a NaN arising inside a sweep
 fails the column update's Schur test.
@@ -45,7 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 from scipy.linalg.lapack import dpotrs as _dpotrs
+from scipy.linalg.lapack import dtrtri as _dtrtri
 
 from .exceptions import (
     DiagonalZeroError,
@@ -301,14 +308,16 @@ class SufficientStats:
 
 @dataclass
 class IcfDiagnostics:
-    """Solver diagnostics: sweep count (column sweeps; extrapolation
-    steps are not counted), convergence and whether X-tilde, being rank
-    deficient, was ridged (see ``icf_solve``).
+    """Solver diagnostics: the column sweeps and the Newton steps taken
+    (their sum is the iteration count that ``max_sweeps`` caps),
+    convergence and whether X-tilde, being rank deficient, was ridged
+    (see ``icf_solve``).
 
     ``objective`` and ``kkt_residual`` evaluate the solution on demand.
     """
 
     sweeps: int
+    newton_steps: int
     converged: bool
     ridged: bool
 
@@ -520,53 +529,117 @@ def solved_xtilde(xtilde):
     return (xtilde + _RIDGE * level if ridged else xtilde), ridged
 
 
-def _squarem_step(x0, x1, x2, xt):
-    # the SqS3 step ending the cycle x0 -> x1 -> x2 (see icf_solve): the
-    # extrapolated matrix, or x2.  alpha < -1 exactly when |r| > |v|; a
-    # candidate beats an x2 that does not factor
-    e = -int(np.frexp(np.max(np.abs(x0)))[1])
-    s0, s1, s2 = np.ldexp(x0, e), np.ldexp(x1, e), np.ldexp(x2, e)
-    r = s1 - s0
-    v = s2 - 2.0 * s1 + s0
-    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
-    if not norm_r > norm_v > 0.0:
-        return x2
-    alpha = -norm_r / norm_v
-    cand = s0 - 2.0 * alpha * r + alpha * alpha * v
-    chol_c = _chol(cand)
-    if chol_c is None:
-        return x2
-    xts = np.ldexp(xt, e)
-    chol_2 = _chol(s2)
-    if chol_2 is not None and not _objective(chol_c, xts) < _objective(chol_2, xts):
-        return x2
-    return np.ldexp(cand, -e)
+def _newton_layout(pattern):
+    """Flat ``take``/``put`` indices of the free lower-triangle entries
+    (r, c), r >= c, diagonal included: the entries themselves, their
+    transposes, the four gathers of the Hessian, and the weights of the
+    gradient and the Hessian (see ``_newton_system``)."""
+    q = pattern.dim
+    rows, cols = np.tril_indices(q)
+    keep = ~pattern.mask()[rows, cols]
+    r, c = rows[keep], cols[keep]
+    w = np.where(r == c, 0.5, 1.0)
+    return (r * q + c, c * q + r,
+            r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,
+            2.0 * w, np.outer(w, w))
+
+
+def _newton_system(chol, xt, layout):
+    """S X-tilde, and the gradient and Hessian of the objective over the
+    free entries, at L L' for a lower Cholesky factor L.
+
+    With S = Sigma^-1 and P = S X-tilde S, the gradient at a = (i, j) is
+    (2 - delta_ij) (S - P)_ij, and the Hessian at a, b = (k, l) is
+    w_a w_b t(S, 2P - S)_ab, where t(A, B)_ab = A_jk B_li + A_jl B_ki
+    + A_ik B_lj + A_il B_kj and w is 1/2 on the diagonal, 1 elsewhere:
+    the objective's second differential is tr(dSigma S dSigma (2P - S)).
+    """
+    lo, _, rr, rc, cr, cc, w_grad, w_hess = layout
+    inv = _cho_solve(chol, np.eye(chol.shape[0]))
+    sx = _cho_solve(chol, xt)
+    p = _cho_solve(chol, sx.T)
+    grad = w_grad * (inv - p).take(lo)
+    b = 2.0 * p - inv
+    hess = w_hess * (inv.take(cr) * b.take(rc) + inv.take(cc) * b.take(rr)
+                     + inv.take(rr) * b.take(cc) + inv.take(rc) * b.take(cr))
+    return sx, grad, hess
+
+
+def _objective_change(linv, sx, chol_c, delta):
+    # objective(Sigma + delta) - objective(Sigma) for Sigma = L L' with
+    # linv = L^-1 and sx = Sigma^-1 X-tilde, and Sigma + delta = L_c L_c',
+    # as the sum of -tr(Sigma^-1 X-tilde (Sigma + delta)^-1 delta) and
+    # sum(log1p(eig(L^-1 delta L^-T))).  Near the optimum the change is
+    # second order in delta, below the rounding of the objective itself,
+    # while these terms are first order and round only relative to
+    # delta, so the sign of the change does not depend on the scale
+    trace = -float(np.sum(sx * _cho_solve(chol_c, delta).T))
+    eig = _eigvalsh_lo(linv @ delta @ linv.T, signature="d->d")
+    return trace + float(np.sum(np.log1p(eig)))
+
+
+# Step halvings a Newton step may take before the iteration falls back
+# to a column sweep.
+_HALVINGS = 4
+
+
+def _newton_step(cur, xt, layout):
+    # the damped Newton step from cur (see icf_solve): the new iterate,
+    # or None where the step fails
+    e = -int(np.frexp(np.max(np.abs(cur)))[1])
+    s = np.ldexp(cur, e)
+    chol = _chol(s)
+    if chol is None:
+        return None
+    sx, grad, hess = _newton_system(chol, np.ldexp(xt, e), layout)
+    chol_h = _chol(hess)
+    if chol_h is None:
+        return None
+    step = _cho_solve(chol_h, -grad)
+    linv = _dtrtri(chol, lower=1)[0]
+    lo, up = layout[0], layout[1]
+    delta = np.zeros_like(s)
+    for _ in range(_HALVINGS + 1):
+        delta.put(lo, step)
+        delta.put(up, step)
+        cand = s + delta
+        chol_c = _chol(cand)
+        if chol_c is not None and _objective_change(linv, sx, chol_c, delta) < 0.0:
+            return np.ldexp(cand, -e)
+        step *= 0.5
+    return None
 
 
 def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     """Constrained maximum-likelihood covariance by cyclic column updates,
-    accelerated by squared extrapolation.
+    finished by safeguarded Newton steps.
 
-    A sweep updates pivots 1..q once each.  The solve runs cycles of two
-    sweeps, x1 = F(x0) and x2 = F(x1), each ending the solve when its
-    relative Frobenius change drops below ``tol``.  A cycle that does not
-    converge ends with the SqS3 step of SQUAREM (Varadhan & Roland 2008,
-    Scand. J. Statist. 35:335): in the frame scaled by 2^-e, e from
-    max|x0|, with r = x1 - x0 and v = x2 - 2 x1 + x0, alpha is
-    min(-|r|/|v|, -1), and the next cycle starts from
-    x0 - 2 alpha r + alpha^2 v if alpha < -1, the candidate factors and
-    its objective in the same frame is strictly below that of x2, and
-    from x2 otherwise.  So every iterate is positive definite, the
-    objective never rises, pattern zeros stay +0.0 (r and v vanish
-    there), and the solve scales with X-tilde.
+    A sweep updates pivots 1..q once each.  The first two iterations are
+    sweeps; every later one first tries one damped Newton step on the
+    free lower-triangle entries, diagonal included, in the frame scaled
+    by 2^-e, e from the largest absolute entry of the iterate.  With
+    S = Sigma^-1 and P = S X-tilde S, the gradient of the objective at a
+    free entry (i, j) is (2 - delta_ij) (S - P)_ij, and its Hessian is
+    the closed form of ``_newton_system`` (as in scoring for linear
+    covariance structures, Anderson 1973, Ann. Statist. 1:135).  The
+    step is taken when the Hessian factors and, at the full step or
+    after at most four halvings, the stepped matrix factors and its
+    objective is strictly below the iterate's; the change is summed
+    from first-order terms, so its sign does not depend on the scale of
+    X-tilde.  Where the step fails, the iteration is a sweep.  So every
+    iterate is positive definite, the objective never rises, pattern
+    zeros are never written and stay +0.0, and the solve scales with
+    X-tilde.  An iteration whose relative Frobenius change drops below
+    ``tol`` ends the solve, as converged.
 
-    ``sweeps`` in the diagnostics counts sweeps only, and ``max_sweeps``
-    caps them exactly: the solve returns the cap's sweep, flagged as not
-    converged, not raised.  The empty pattern needs no iteration and
-    returns X-tilde itself.
+    ``sweeps`` in the diagnostics counts the sweeps and ``newton_steps``
+    the Newton steps taken, and ``max_sweeps`` caps their sum exactly:
+    the solve returns the cap's iterate, flagged as not converged, not
+    raised.  Under a cap of one or two, no Newton step runs.  The empty
+    pattern needs no iteration and returns X-tilde itself.
 
-    Inputs are validated once, here.  The sweeps update one plain array
-    in place, each column update checking that its new Schur complement
+    Inputs are validated once, here.  The iterations update one plain
+    array, each column update checking that its new Schur complement
     s_opt is positive, and the result is validated once, as an SpdMatrix.
 
     A rank-deficient X-tilde is ridged before solving (see
@@ -579,9 +652,9 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     init : SpdMatrix, optional
         Starting point; defaults to the diagonal of X-tilde.
     tol : float
-        Relative Frobenius sweep-change threshold; finite and > 0.
+        Relative Frobenius change threshold of an iteration; finite and > 0.
     max_sweeps : int
-        At least 1.
+        Cap on the iterations, sweeps plus Newton steps; at least 1.
 
     Returns
     -------
@@ -597,21 +670,28 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     xt, ridged = solved_xtilde(stats.xtilde)
 
     if pattern.is_empty():
-        return SpdMatrix(xt), IcfDiagnostics(sweeps=0, converged=True, ridged=ridged)
+        return SpdMatrix(xt), IcfDiagnostics(sweeps=0, newton_steps=0, converged=True,
+                                             ridged=ridged)
 
     if init is None:
         init = np.diag(np.diag(xt))
     cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
     pivots = [_pivot(xt, pattern, j) for j in range(1, q + 1)]
+    layout = _newton_layout(pattern)
 
-    sweeps = 0
+    sweeps = newton_steps = 0
     converged = False
     with np.errstate(invalid="ignore"):
-        while sweeps < max_sweeps:
-            prev = cur.copy()
-            for p in pivots:
-                _update_column(cur, p)
-            sweeps += 1
+        while sweeps + newton_steps < max_sweeps:
+            prev = cur
+            cur = _newton_step(prev, xt, layout) if sweeps >= 2 else None
+            if cur is None:
+                cur = prev.copy()
+                for p in pivots:
+                    _update_column(cur, p)
+                sweeps += 1
+            else:
+                newton_steps += 1
             # both norms scaled by one power of two, 2^-e with max|prev| in
             # [2^(e-1), 2^e): exact, so the ratio is the plain one wherever
             # that is finite, and nothing over- or underflows at extreme scales
@@ -620,9 +700,6 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
             if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
                 converged = True
                 break
-            if sweeps % 2:
-                start = prev  # x0 of this cycle
-            elif sweeps < max_sweeps:
-                cur = _squarem_step(start, prev, cur, xt)
     return (SpdMatrix(cur, pattern=pattern),
-            IcfDiagnostics(sweeps=sweeps, converged=converged, ridged=ridged))
+            IcfDiagnostics(sweeps=sweeps, newton_steps=newton_steps, converged=converged,
+                           ridged=ridged))

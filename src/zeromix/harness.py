@@ -338,6 +338,7 @@ def fit_report(result, se=None, loglik=None, lr=None):
         "accept_rate": float(result.accept_rate),
         "domain_rejects": int(result.domain_rejects),
         "icf_sweeps": int(result.icf_sweeps),
+        "icf_newton_steps": int(result.icf_newton_steps),
         "icf_unconverged": int(result.icf_unconverged),
         "icf_ridged": int(result.icf_ridged),
         "se": None,

@@ -60,7 +60,7 @@ class FitConfig:
     decaying like (k - warmup)^-0.8 and chains of a few hundred draws,
     per-iteration relative changes settle near 1e-3, so a much tighter
     tolerance would never be reached.  The M-step runs ``icf_solve`` at
-    its own tolerance and sweep cap.
+    its own tolerance and iteration cap.
     """
 
     chain_length: int = 500
@@ -138,9 +138,10 @@ class FitResult:
     """Final state with convergence flag and full iteration trace.
 
     ``domain_rejects`` totals the E-steps' off-domain proposals;
-    ``icf_sweeps``, ``icf_unconverged`` and ``icf_ridged`` total the
-    M-steps' ICF sweeps and count the M-steps that stopped at the sweep
-    cap and those whose X-tilde was ridged.
+    ``icf_sweeps`` and ``icf_newton_steps`` total the M-steps' ICF
+    column sweeps and Newton steps, and ``icf_unconverged`` and
+    ``icf_ridged`` count the M-steps that stopped at the solver's
+    iteration cap and those whose X-tilde was ridged.
     """
 
     state: FitState
@@ -150,6 +151,7 @@ class FitResult:
     accept_rate: float
     domain_rejects: int
     icf_sweeps: int
+    icf_newton_steps: int
     icf_unconverged: int
     icf_ridged: int
 
@@ -358,7 +360,7 @@ def fit(model, data, pattern, init, config=None):
     converged = False
     accept_mean = 1.0
     rejects_total = 0
-    icf_sweeps = icf_unconverged = icf_ridged = 0
+    icf_sweeps = icf_newton_steps = icf_unconverged = icf_ridged = 0
 
     for k in range(1, config.max_outer + 1):
         estep = run_estep(model, data.y, data.ids, state.m, state.sigma, state.theta,
@@ -371,6 +373,7 @@ def fit(model, data, pattern, init, config=None):
         stats = xtilde_update(estep, m_next)
         sigma_next, icf = icf_solve(stats, pattern, init=state.sigma)
         icf_sweeps += icf.sweeps
+        icf_newton_steps += icf.newton_steps
         icf_unconverged += not icf.converged
         icf_ridged += icf.ridged
 
@@ -402,6 +405,7 @@ def fit(model, data, pattern, init, config=None):
         accept_rate=accept_mean,
         domain_rejects=rejects_total,
         icf_sweeps=icf_sweeps,
+        icf_newton_steps=icf_newton_steps,
         icf_unconverged=icf_unconverged,
         icf_ridged=icf_ridged,
     )

@@ -1,7 +1,7 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
-column update with plain-sweep and SQUAREM reference solves built on
-it, process-pool and density-call recorders, the row counts of the
+column update with plain-sweep and Newton-finished reference solves
+built on it, process-pool and density-call recorders, the row counts of the
 density calls one ``Draws.score`` makes and the inputs that vary them,
 and the exact E-step of models with closed-form posterior moments.
 
@@ -16,6 +16,7 @@ import concurrent.futures
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 
 from zeromix import models
@@ -203,59 +204,96 @@ def reference_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500):
     return cur, sweeps
 
 
-def _reference_objective(sigma, xtilde):
-    """logdet(Sigma) + tr(Sigma^-1 Xtilde) through numpy's factor and
-    scipy's ``cho_solve``; inf where Sigma does not factor."""
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return (float(np.trace(cho_solve((chol, True), xtilde)))
-            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
+def reference_newton_step(sigma, xtilde, pattern):
+    """One damped Newton step of the solve on the free lower-triangle
+    entries, by numpy's factor and scipy's ``cho_solve``;
+    returns the plain array, or None where the step fails.
 
-
-def reference_squarem_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500,
-                                update=reference_column_update):
-    """Cold-start SQUAREM cycles of ``update`` sweeps; returns the plain
-    array and the sweep count.
-
-    A cycle sweeps x1 = F(x0) and x2 = F(x1), stopping at the first
-    sweep whose relative Frobenius change drops below ``tol`` or at the
-    ``max_sweeps``-th sweep.  Then, scaled by 2^-e with max|x0| in
-    [2^(e-1), 2^e), r = x1 - x0, v = x2 - 2 x1 + x0 and
-    alpha = min(-|r|/|v|, -1) (SqS3, Varadhan & Roland 2008); the next
-    cycle starts from x0 - 2 alpha r + alpha^2 v when alpha < -1, the
-    candidate factors and its scaled objective is below x2's, else from
-    x2.  ``update(sigma, xtilde, j, pattern)`` returns the plain array
-    after one column update.
+    In the frame scaled by 2^e, with max|Sigma| in [2^(e-1), 2^e),
+    S = Sigma^-1 and B = 2 S X-tilde S - S, the gradient at a free entry
+    a = (i, j) is (2 - delta_ij)(S - S X-tilde S)_ij and the Hessian at
+    a, b = (k, l) is w_a w_b (S_jk B_li + S_jl B_ki + S_ik B_lj + S_il B_kj),
+    w = 1/2 on the diagonal and 1 elsewhere.  S and B are symmetric; their
+    entries are read from the triangles the package reads, in its order
+    of operations, so the step has the package's bits.  The step solves
+    H d = -g and is halved at most four times; a candidate is taken when
+    it factors and its objective change, -tr(Sigma^-1 X-tilde
+    (Sigma + D)^-1 D) plus the sum of log1p of the eigenvalues of
+    L^-1 D L^-T (Sigma = L L', L^-1 by LAPACK ``trtri``), is negative,
+    summed in the package's order: where a step barely changes the
+    objective, the sign of that sum is the rounding of its terms.
     """
-    def sweep(sigma):
-        for j in range(1, pattern.dim + 1):
-            sigma = update(sigma, xtilde, j, pattern)
-        return sigma
+    e = np.frexp(np.abs(sigma).max())[1]
+    s, xts = np.ldexp(sigma, -e), np.ldexp(xtilde, -e)
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    rows, cols = free_positions(pattern)
+    inv = cho_solve((chol, True), np.eye(pattern.dim))
+    sx = cho_solve((chol, True), xts)
+    p = cho_solve((chol, True), sx.T)
+    grad = np.where(rows == cols, 1.0, 2.0) * (inv - p)[rows, cols]
+    b = 2.0 * p - inv
+    w = np.where(rows == cols, 0.5, 1.0)
+    r, c = rows[:, None], cols[:, None]
+    hess = np.outer(w, w) * (inv[c, rows] * b[r, cols] + inv[c, cols] * b[r, rows]
+                             + inv[r, rows] * b[c, cols] + inv[r, cols] * b[c, rows])
+    try:
+        chol_h = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return None
+    step = cho_solve((chol_h, True), -grad)
+    linv = dtrtri(chol, lower=1)[0]
+    for _ in range(5):
+        delta = np.zeros_like(s)
+        delta[rows, cols] = step
+        delta[cols, rows] = step
+        cand = s + delta
+        try:
+            chol_c = np.linalg.cholesky(cand)
+        except np.linalg.LinAlgError:
+            step = step * 0.5
+            continue
+        half = linv @ delta @ linv.T
+        change = (-float(np.sum(sx * cho_solve((chol_c, True), delta).T))
+                  + float(np.sum(np.log1p(np.linalg.eigvalsh(half)))))
+        if change < 0.0:
+            return np.ldexp(cand, e)
+        step = step * 0.5
+    return None
 
-    x0 = np.diag(np.diag(xtilde))
-    sweeps = 0
-    while True:
-        iterates = [x0]
-        for _ in range(2):
-            prev = iterates[-1]
-            iterates.append(sweep(prev))
+
+def reference_newton_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500,
+                               update=reference_column_update):
+    """Cold-start solve by ``update`` sweeps finished by Newton steps;
+    returns the plain array, the sweep count and the Newton step count.
+
+    The first two iterations are sweeps; each later one is a
+    ``reference_newton_step``, or a sweep where that fails.  The solve
+    stops at the first iteration whose relative Frobenius change, scaled
+    by 2^-e with max|previous iterate| in [2^(e-1), 2^e), drops below
+    ``tol``, or after ``max_sweeps`` iterations.
+    ``update(sigma, xtilde, j, pattern)`` returns the plain array after
+    one column update.
+    """
+    cur = np.diag(np.diag(xtilde))
+    sweeps = newton_steps = 0
+    while sweeps + newton_steps < max_sweeps:
+        prev = cur
+        cur = reference_newton_step(prev, xtilde, pattern) if sweeps >= 2 else None
+        if cur is None:
+            cur = prev
+            for j in range(1, pattern.dim + 1):
+                cur = update(cur, xtilde, j, pattern)
             sweeps += 1
-            e = np.frexp(np.abs(prev).max())[1]
-            change = np.linalg.norm(np.ldexp(iterates[-1] - prev, -e))
-            if change / np.linalg.norm(np.ldexp(prev, -e)) < tol or sweeps == max_sweeps:
-                return iterates[-1], sweeps
-        e = np.frexp(np.abs(x0).max())[1]
-        s0, s1, s2 = (np.ldexp(x, -e) for x in iterates)
-        r, v = s1 - s0, s2 - 2.0 * s1 + s0
-        x0 = iterates[2]
-        if np.linalg.norm(v) > 0.0:
-            alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
-            cand = s0 - 2.0 * alpha * r + alpha * alpha * v
-            xts = np.ldexp(xtilde, -e)
-            if alpha < -1.0 and _reference_objective(cand, xts) < _reference_objective(s2, xts):
-                x0 = np.ldexp(cand, e)
+        else:
+            newton_steps += 1
+        e = np.frexp(np.abs(prev).max())[1]
+        change = np.linalg.norm(np.ldexp(cur - prev, -e))
+        if change / np.linalg.norm(np.ldexp(prev, -e)) < tol:
+            break
+    return cur, sweeps, newton_steps
 
 
 def exact_estep(model, ys, ids, m, sigma, theta, *sampler_args, **sampler_kwargs):

@@ -139,7 +139,7 @@ def test_icf_scores_a_ridged_solve_against_the_ridged_matrix(tmp_path, capsys):
     solved = SufficientStats(xt + 1e-6 * (np.trace(xt) / 4) * np.eye(4), n=1)
     kkt = kkt_residual(sol, solved, ZeroPattern([(1, 3), (2, 4)], dim=4))
     assert lines[4] == f"objective {objective(sol, solved)!r}"
-    assert lines[5].startswith(f"sweeps 500  kkt {kkt:.3e}  ")
+    assert lines[5].startswith(f"sweeps 500  newton_steps 0  kkt {kkt:.3e}  ")
     assert lines[5].endswith("ridged True")
     assert kkt < 1.0
 
@@ -427,8 +427,8 @@ def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
     assert report["loglik"] is not None and report["mc_se"] > 0.0
     assert report["lr"] is not None and report["lr"]["df"] == 2
     assert report["se"] is None
-    assert (report["domain_rejects"], report["icf_sweeps"], report["icf_unconverged"],
-            report["icf_ridged"]) == (34, 67, 0, 0)
+    assert (report["domain_rejects"], report["icf_sweeps"], report["icf_newton_steps"],
+            report["icf_unconverged"], report["icf_ridged"]) == (34, 24, 35, 0, 0)
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + 12
     header = trace[0].split(",")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_constrained_objective, oracle_starts,
-                     random_pattern, random_spd, reference_squarem_icf_solve)
+                     random_pattern, random_spd, reference_newton_icf_solve)
 from zeromix.covariance import (
     SpdMatrix,
     SufficientStats,
@@ -267,7 +267,7 @@ def test_every_rank_deficient_scatter_is_ridged_and_solved():
     # some of which factor by rounding: each solve returns a PD matrix
     # with its zeros exact, flagged as ridged.  A full-rank X-tilde whose
     # variances span six orders, as a fit's do, is solved unridged, bit
-    # for bit and in sweep count as by the reference SQUAREM cycles.
+    # for bit and in both counts as by the reference solve.
     rng = np.random.default_rng(20071)
     factored = 0
     for case in range(300):
@@ -285,8 +285,9 @@ def test_every_rank_deficient_scatter_is_ridged_and_solved():
             h = rng.standard_normal((q + 3, q)) * 10.0 ** rng.uniform(-1.5, 1.5, q)
             full = SufficientStats(h.T @ h, n=5)
             sol, diag = icf_solve(full, pat)
-            ref, sweeps = reference_squarem_icf_solve(full.xtilde, pat)
-            assert not diag.ridged and diag.sweeps == sweeps, case
+            ref, sweeps, newton_steps = reference_newton_icf_solve(full.xtilde, pat)
+            assert not diag.ridged, case
+            assert (diag.sweeps, diag.newton_steps) == (sweeps, newton_steps), case
             assert sol.values.tobytes() == ref.tobytes(), case
     assert factored > 0
 
@@ -319,15 +320,20 @@ def test_solve_is_equivariant_under_extreme_scales(scale):
 
 @pytest.mark.parametrize("max_sweeps", range(1, 7))
 def test_sweep_cap_is_exact_and_keeps_zeros_positive(max_sweeps):
-    # this problem takes 10 sweeps, so every cap from 1 to 6 stops the
-    # solve, on the first sweep of a cycle or on the second, where the
-    # cycle ends without its extrapolation
-    pat = ZeroPattern([(1, 3), (2, 4)], dim=4)
-    stats = SufficientStats(random_spd(np.random.default_rng(11), 4, dof_extra=5), n=10)
+    # the cap counts sweeps and Newton steps together.  This problem
+    # takes 2 sweeps, 3 Newton steps, 3 sweeps where the Newton step
+    # fails, then 6 Newton steps, so every cap from 1 to 6 stops the
+    # solve: on a sweep before any Newton step, on a Newton step, or on
+    # a sweep taken in place of one
+    pat = ZeroPattern([(1, 3), (2, 4), (1, 5)], dim=5)
+    stats = SufficientStats(random_spd(np.random.default_rng(27), 5, dof_extra=5), n=10)
     sol, diag = icf_solve(stats, pat, max_sweeps=max_sweeps)
-    assert diag.sweeps == max_sweeps and not diag.converged
-    ref, sweeps = reference_squarem_icf_solve(stats.xtilde, pat, max_sweeps=max_sweeps)
-    assert sweeps == max_sweeps and sol.values.tobytes() == ref.tobytes()
+    assert diag.sweeps + diag.newton_steps == max_sweeps and not diag.converged
+    assert diag.newton_steps == [0, 0, 1, 2, 3, 3][max_sweeps - 1]
+    ref, sweeps, newton_steps = reference_newton_icf_solve(stats.xtilde, pat,
+                                                           max_sweeps=max_sweeps)
+    assert (sweeps, newton_steps) == (diag.sweeps, diag.newton_steps)
+    assert sol.values.tobytes() == ref.tobytes()
     zeros = sol.values[pat.mask()]
     assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
 

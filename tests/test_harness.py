@@ -296,7 +296,7 @@ def test_trace_writer_round_trip(tmp_path):
     state = FitState(m=trace[-1].m, sigma=SpdMatrix(sigma), theta=0.5)
     result = FitResult(state=state, converged=True, iterations=3, trace=trace,
                        accept_rate=0.4, domain_rejects=0, icf_sweeps=0,
-                       icf_unconverged=0, icf_ridged=0)
+                       icf_newton_steps=0, icf_unconverged=0, icf_ridged=0)
     path = tmp_path / "trace.csv"
     write_trace_csv(result, path)
     lines = path.read_text().splitlines()
@@ -310,7 +310,7 @@ def test_fit_report_assembles_the_documented_shape():
     state = FitState(m=np.array([0.5, -0.5]), sigma=sigma, theta=0.3)
     result = FitResult(state=state, converged=True, iterations=7,
                        trace=[], accept_rate=0.5, domain_rejects=5, icf_sweeps=40,
-                       icf_unconverged=1, icf_ridged=2)
+                       icf_newton_steps=9, icf_unconverged=1, icf_ridged=2)
     report = fit_report(result)
     assert report["params"]["m"] == [0.5, -0.5]
     assert report["params"]["sigma"] == [[1.0, 0.0], [0.0, 2.0]]
@@ -318,8 +318,8 @@ def test_fit_report_assembles_the_documented_shape():
     assert report["converged"] is True
     assert report["se"] is None and report["lr"] is None
     assert report["loglik"] is None and report["mc_se"] is None
-    assert (report["domain_rejects"], report["icf_sweeps"], report["icf_unconverged"],
-            report["icf_ridged"]) == (5, 40, 1, 2)
+    assert (report["domain_rejects"], report["icf_sweeps"], report["icf_newton_steps"],
+            report["icf_unconverged"], report["icf_ridged"]) == (5, 40, 9, 1, 2)
 
 
 def test_bundled_example_loads_with_the_documented_start_values():

@@ -1,20 +1,24 @@
 """Property tests of the constrained covariance solve at orders 3 to 8.
 
-Random moment matrices and random zero patterns; the solve must keep
-its zeros exact and +0.0, return a positive definite matrix, not
-increase the objective from its diagonal start, reach a scale-free
-stationary point when it reports convergence, and equal, bit for bit,
-a replay of its SQUAREM cycles through the public single-column
-update.  It must also equal, bit for bit and in sweep count, the
-reference SQUAREM cycles of helpers.py run on the reference update
-(numpy factors, scipy's ``cho_solve``), and the factorization's solves
-must equal ``cho_solve`` bitwise: faster kernels may not drift.
-Against the plain-sweep oracle of helpers.py, the solve must reach an
-objective no higher and, over a seeded battery, take at most 0.6 times
-its sweeps.  The factorization helper must equal ``np.linalg.cholesky``
-bitwise and fail exactly where it raises, and every failed
-factorization must surface as the package's own error, never as a
-RuntimeWarning: any warning the kernel leaks fails here.
+Random moment matrices and random zero patterns; at every iteration of
+the solve, column sweep or Newton step, the zeros must stay exact and
++0.0, the iterate positive definite and the objective must not rise
+beyond rounding;
+the solve must reach a scale-free stationary point when it reports
+convergence, and equal, bit for bit and in both counts, a replay of its
+iterations through the public single-column update.  It must also
+equal, bit for bit and in both counts, the reference solve of
+helpers.py run on the reference update (numpy factors, scipy's
+``cho_solve``), and the factorization's solves must equal ``cho_solve``
+bitwise: faster kernels may not drift.  The Newton step's gradient and
+Hessian must match central differences of the objective.  Against the
+plain-sweep oracle of helpers.py, the solve must reach an objective no
+higher and, over a seeded battery, take at most 0.6 times its sweeps
+in sweeps and Newton steps together.  The factorization helper must
+equal ``np.linalg.cholesky`` bitwise and fail exactly where it raises,
+and every failed factorization must surface as the package's own
+error, never as a RuntimeWarning: any warning the kernel leaks fails
+here.
 """
 
 import warnings
@@ -27,15 +31,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import reference_icf_solve, reference_squarem_icf_solve  # noqa: E402
+from helpers import (  # noqa: E402
+    _objective_and_gradient,
+    free_positions,
+    random_pattern,
+    random_spd,
+    reference_icf_solve,
+    reference_newton_icf_solve,
+)
 from zeromix.covariance import (  # noqa: E402
     SpdMatrix,
     SufficientStats,
     ZeroPattern,
     _chol,
+    _newton_layout,
+    _newton_system,
     icf_column_update,
     icf_solve,
+    min_eig_repair,
     objective,
+    zero_forced,
 )
 from zeromix.exceptions import (  # noqa: E402
     NotPositiveDefiniteError,
@@ -71,20 +86,34 @@ def test_icf_solve_properties(problem):
     xt, pat = problem
     stats = SufficientStats(xt, n=30)
     sol, diag = icf_solve(stats, pat)
-
-    zeros = sol.values[pat.mask()]
-    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
-    np.linalg.cholesky(sol.values)
     if diag.converged:
         assert _scale_free_kkt(sol.values, stats.xtilde, pat) <= 1e-5
-    start = SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pat)
-    assert objective(sol, stats) <= objective(start, stats)
+
+    start = objective(SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pat), stats)
+    assert objective(sol, stats) <= start
+
+    # the solve capped at k iterations returns its k-th iterate, so every
+    # iteration, sweep or Newton step, is checked here; the objective may
+    # not rise by more than the rounding of its evaluation
+    last = start
+    for k in range(1, diag.sweeps + diag.newton_steps + 1):
+        it, it_diag = icf_solve(stats, pat, max_sweeps=k)
+        assert it_diag.sweeps + it_diag.newton_steps == k
+        zeros = it.values[pat.mask()]
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+        np.linalg.cholesky(it.values)
+        obj = objective(it, stats)
+        assert obj <= last + 1e-12 * max(1.0, abs(last))
+        last = obj
+    assert it.values.tobytes() == sol.values.tobytes()
 
     def public_update(sigma, xtilde, j, pattern):
         return icf_column_update(sigma, stats, j, pattern).values
 
-    replay, sweeps = reference_squarem_icf_solve(stats.xtilde, pat, update=public_update)
-    assert sweeps == diag.sweeps and replay.tobytes() == sol.values.tobytes()
+    replay, sweeps, newton_steps = reference_newton_icf_solve(stats.xtilde, pat,
+                                                              update=public_update)
+    assert (sweeps, newton_steps) == (diag.sweeps, diag.newton_steps)
+    assert replay.tobytes() == sol.values.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -93,15 +122,42 @@ def test_icf_solve_replays_bitwise_through_the_reference_update(problem):
     xt, pat = problem
     stats = SufficientStats(xt, n=30)
     sol, diag = icf_solve(stats, pat)
-    ref, sweeps = reference_squarem_icf_solve(stats.xtilde, pat)
-    assert diag.sweeps == sweeps
+    ref, sweeps, newton_steps = reference_newton_icf_solve(stats.xtilde, pat)
+    assert (diag.sweeps, diag.newton_steps) == (sweeps, newton_steps)
     assert sol.values.tobytes() == ref.tobytes()
+
+
+def test_newton_gradient_and_hessian_match_central_differences():
+    # at a positive definite point off the optimum, against central
+    # differences of the objective (gradient) and of its analytic
+    # gradient (Hessian), over the free entries in row-major order
+    rng = np.random.default_rng(26)
+    h = 1e-5
+    for q in range(2, 9):
+        for _ in range(3):
+            pat = random_pattern(rng, q, max_pairs=q)
+            xt = random_spd(rng, q)
+            sigma = min_eig_repair(zero_forced(random_spd(rng, q) + np.eye(q), pat), 10).values
+            rows, cols = free_positions(pat)
+            _, grad, hess = _newton_system(np.linalg.cholesky(sigma), xt, _newton_layout(pat))
+            x = sigma[rows, cols]
+            fd_grad, fd_hess = np.zeros(len(x)), np.zeros((len(x), len(x)))
+            for a in range(len(x)):
+                e = np.zeros(len(x))
+                e[a] = h
+                f_plus, g_plus = _objective_and_gradient(x + e, rows, cols, xt)
+                f_minus, g_minus = _objective_and_gradient(x - e, rows, cols, xt)
+                fd_grad[a] = (f_plus - f_minus) / (2.0 * h)
+                fd_hess[:, a] = (g_plus - g_minus) / (2.0 * h)
+            assert np.max(np.abs(grad - fd_grad)) <= 1e-7 * max(1.0, np.max(np.abs(grad)))
+            assert np.max(np.abs(hess - fd_hess)) <= 1e-7 * np.max(np.abs(hess))
 
 
 @pytest.mark.slow
 def test_icf_solve_matches_plain_sweeps_in_fewer_sweeps():
     # the plain-sweep oracle reaches no lower objective, and over the
-    # 200 seeded problems the solve takes at most 0.6 times its sweeps
+    # 200 seeded problems the solve takes at most 0.6 times its sweeps,
+    # counting its sweeps and Newton steps together
     totals = []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -115,11 +171,11 @@ def test_icf_solve_matches_plain_sweeps_in_fewer_sweeps():
         obj = objective(sol, stats)
         assert obj <= objective(plain, stats) + 1e-12 * max(1.0, abs(obj))
         assert _scale_free_kkt(sol.values, stats.xtilde, pat) <= 1e-5
-        totals.append((diag.sweeps, plain_sweeps))
+        totals.append((diag.sweeps + diag.newton_steps, plain_sweeps))
 
     solve()
-    sweeps, plain_sweeps = np.sum(totals, axis=0)
-    assert len(totals) == 200 and sweeps <= 0.6 * plain_sweeps
+    iterations, plain_sweeps = np.sum(totals, axis=0)
+    assert len(totals) == 200 and iterations <= 0.6 * plain_sweeps
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

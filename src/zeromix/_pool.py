@@ -1,11 +1,12 @@
 """Independent tasks on the CPUs this process may use.
 
-The study's replicates and ``zeromix fit``'s free fit do not read
-each other's state.  ``run_tasks`` runs such tasks in min(usable CPUs,
-tasks) processes, or all in this process, in order, when that is one
-or this is a worker (pools never nest); either way it returns the
-results in task order, so callers produce the same bytes whatever the
-count.  Tasks are pickled, so must be module-level functions of picklable arguments.
+The study's replicates, ``zeromix fit``'s free fit and the shares of
+the SE stencil's cross points do not read each other's state.
+``run_tasks`` runs such tasks in min(usable CPUs, tasks) processes, or
+all in this process, in order, when that is one or this is a worker
+(pools never nest); either way it returns the results in task order,
+so callers produce the same bytes whatever the count.  Tasks are
+pickled, so must be module-level functions of picklable arguments.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ to the constrained optimum).
 with a non-empty pattern the free fit of the LR test and its log
 likelihood run in a worker process while this process runs the
 constrained fit and its log likelihood.  The standard errors are then
-computed in this process (see ``inference.fisher_se``).  The output
-files are the same bytes for any process count.  Sample counts are
+computed with the stencil's cross points in shares, one per usable CPU
+(see ``inference.fisher_se``).  The output files are the same bytes
+for any process count.  Sample counts are
 checked before any fit starts.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.

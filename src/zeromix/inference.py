@@ -12,13 +12,15 @@ likelihood streams one individual at a time through one of
 ``n_samples`` rows, so its memory does not grow with the number of
 individuals.  Each individual's log weights go through a
 plain-numpy row-wise log-sum-exp.  Standard errors come from a central
-finite-difference Hessian of the negative log likelihood, scored in
-this process; every stencil point is scored on the same standard-normal
-draws (common random numbers), drawn once for the whole dataset.  The
-prescribed zero pattern is tested by a chi-square likelihood ratio
-with one degree of freedom per constrained pair; its tail is
-``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` calls,
-so the package never imports ``scipy.stats``.  This module alone
+finite-difference Hessian of the negative log likelihood; every stencil
+point is scored on the same standard-normal draws for the whole
+dataset (common random numbers).  The centre and axis points are
+scored in this process, the cross points in contiguous shares on every
+usable CPU (``_pool.run_tasks``), each share drawing those numbers
+itself.  The prescribed zero pattern is tested by a chi-square
+likelihood ratio with one degree of freedom per constrained pair; its
+tail is ``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf``
+calls, so the package never imports ``scipy.stats``.  This module alone
 lays out the free parameter vector that the standard errors, the study
 table and the trace share (``pack_params``, ``free_param_labels``).
 """
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
+from . import _pool
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
 from .models import Draws
@@ -209,6 +212,37 @@ def _unpack_params(v, pattern):
     return v[:q], SpdMatrix(a, pattern=pattern), float(v[-1])
 
 
+def _stencil_f(model, data, v0, steps, pattern, n_samples, seed):
+    """``f(*moves)``: -loglik at v0 moved by mult * steps[i] along each
+    (i, mult), every point scored on the common draws of ``seed``."""
+    draws = Draws(data.n * n_samples, model.q)
+    draws.draw(data.seeds(seed), n_samples)
+
+    def f(*moves):
+        v = v0.copy()
+        for i, mult in moves:
+            v[i] += mult * steps[i]
+        m_v, sigma_v, theta_v = _unpack_params(v, pattern)
+        _, logw, _ = draws.score(model, data.y, n_samples, m_v, sigma_v.chol_lower, theta_v)
+        log_mean, _ = _log_mean_weights(logw.reshape(-1, n_samples), data.ids, variance=False)
+        return -float(np.sum(log_mean))
+
+    return f
+
+
+def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
+    """``_stencil_f``'s value at each of ``points``, or the NumericalError
+    its evaluation raised."""
+    f = _stencil_f(model, data, v0, steps, pattern, n_samples, seed)
+    values = []
+    for point in points:
+        try:
+            values.append(f(*point))
+        except NumericalError as exc:
+            values.append(exc.with_traceback(None))
+    return values
+
+
 def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """Standard errors from a finite-difference Hessian of -loglik.
 
@@ -222,13 +256,23 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     difference; each mixed entry reuses those points and adds only
     f(+h_i, +h_j) and f(-h_i, -h_j) (Abramowitz & Stegun 25.3.27), so
     a clean point costs 1 + 2p + p(p - 1) likelihoods, each scored
-    once, in this process.
+    once.
+
+    f0 and the 2p axis points are scored in this process.  The cross
+    points of every pair of coordinates whose axis points scored are
+    then split into contiguous shares, one per process of min(usable
+    CPUs, points) (``_pool.run_tasks``); this process scores the first
+    share, and every share draws the common random numbers itself.  The
+    Hessian reads the stored values in stencil order, so the result does
+    not depend on the process count.  The model and data are pickled to
+    the workers, so the model must be picklable (a module-level class).
 
     When a likelihood evaluation raises a NumericalError (a step that
     leaves Sigma indefinite, say) or the Hessian is not positive definite,
     coordinates that cannot be covered by a positive definite principal
-    submatrix are reported absent and the result is flagged; the cross
-    points of a coordinate already found bad are not scored.
+    submatrix are reported absent and the result is flagged; a
+    coordinate whose + axis point fails has neither its - axis point nor
+    its cross points scored.
     """
     _check_samples(n_samples)
     data = data.for_model(model)
@@ -236,18 +280,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
-    draws = Draws(data.n * n_samples, model.q)
-    draws.draw(data.seeds(seed), n_samples)
-
-    def f(*moves):
-        # -loglik at v0 moved by mult * steps[i] along each (i, mult)
-        v = v0.copy()
-        for i, mult in moves:
-            v[i] += mult * steps[i]
-        m_v, sigma_v, theta_v = _unpack_params(v, pattern)
-        _, logw, _ = draws.score(model, data.y, n_samples, m_v, sigma_v.chol_lower, theta_v)
-        log_mean, _ = _log_mean_weights(logw.reshape(-1, n_samples), data.ids, variance=False)
-        return -float(np.sum(log_mean))
+    f = _stencil_f(model, data, v0, steps, pattern, n_samples, seed)
 
     f0 = f()
     up = np.zeros(p)
@@ -261,17 +294,28 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
             bad[i] = True
             continue
         hess[i, i] = (up[i] - 2.0 * f0 + down[i]) / steps[i] ** 2
-    for i in range(p):
-        for j in range(i):
-            if bad[i] or bad[j]:
-                continue
-            try:
-                hess[i, j] = hess[j, i] = (
-                    f((i, 1), (j, 1)) + f((i, -1), (j, -1))
-                    - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
-                ) / (2.0 * steps[i] * steps[j])
-            except NumericalError:
-                bad[i] = bad[j] = True
+    del f  # frees its draws; each share draws its own
+
+    pairs = [(i, j) for i in range(p) for j in range(i) if not (bad[i] or bad[j])]
+    points = [((i, s), (j, s)) for i, j in pairs for s in (1, -1)]
+    count = min(_pool.usable_cpus(), len(points))
+    shares = _pool.run_tasks(
+        _score_share,
+        [(model, data, v0, steps, pattern, n_samples, seed,
+          points[k * len(points) // count:(k + 1) * len(points) // count])
+         for k in range(count)],
+        here_first=True,
+    )
+    values = [value for share in shares for value in share]
+    for (i, j), plus, minus in zip(pairs, values[::2], values[1::2]):
+        if bad[i] or bad[j]:
+            continue
+        if isinstance(plus, NumericalError) or isinstance(minus, NumericalError):
+            bad[i] = bad[j] = True
+            continue
+        hess[i, j] = hess[j, i] = (
+            plus + minus - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
+        ) / (2.0 * steps[i] * steps[j])
 
     se = np.full(p, np.nan)
     flagged = bool(np.any(bad))

@@ -214,8 +214,9 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     individual, whether the proposal was accepted; a chain's state at
     step t is the proposal of its last accepted step up to t (its start,
     index 0, before any).  Moments average the ``chain_length`` states
-    after ``burn_in``, and the theta statistic is gathered at the same
-    pointers.
+    after ``burn_in``, the second moments by one batched matmul (each
+    individual's ``s.T @ s``, bit for bit), and the theta statistic is
+    gathered at the same pointers.
 
     Parameters
     ----------
@@ -260,7 +261,7 @@ def run_estep(model, ys, ids, m, sigma, theta, chain_length, burn_in, seeds, x0=
     states = prop.take(ptr_ret, axis=0)
     return EStepOutput(
         ex=states.mean(axis=1),
-        exx=np.einsum("nlq,nlr->nqr", states, states) / chain_length,
+        exx=np.matmul(states.transpose(0, 2, 1), states) / chain_length,
         tstat=stat.take(ptr_ret).mean(axis=1),
         accept_rate=accepts / float(t_total),
         domain_rejects=np.sum(logp.reshape(n, per_chain)[:, 1:] == -np.inf, axis=1),

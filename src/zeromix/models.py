@@ -289,6 +289,8 @@ class LinearGaussianModel(NlmeModel):
     name = "linear_gaussian"
 
     def __init__(self, q):
+        if q < 1:
+            raise ValueOutOfRangeError("q must be >= 1, got %r" % (q,))
         super().__init__(q=q, n_obs=q, design=np.arange(1, q + 1, dtype=float))
 
     def mean(self, x):

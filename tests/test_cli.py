@@ -354,6 +354,9 @@ NOT_PD = "symmetric factorization failed"
        "error: truth_theta: must be >= 0, got -0.015") for command in ("simulate", "study")),
     ("study", "pairs = (1,4), (3,4)", "pairs =",
      "error: study pattern has no zero to test against the free fit"),
+    *((command, "name = cortisol", f"name = linear_gaussian\nq = {q}",
+       f"error: q must be >= 1, got {q}")
+      for command in ("fit", "simulate", "study") for q in (-1, 0)),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, command, old, new, message):
     csv_path, _ = example_paths()
@@ -486,8 +489,8 @@ def test_fit_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, ca
     ini.write_text(QUICK_INI)
     pools = record_pools(monkeypatch)
     # one CPU starts no pool; two run the free fit in one worker, and
-    # the standard errors in this process
-    expected_pools = {1: [], 2: [1]}
+    # the second share of the SE cross points in another
+    expected_pools = {1: [], 2: [1, 1] if "--se-samples" in se_options else [1]}
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)

@@ -2,8 +2,9 @@
 
 Random batch sizes, chain lengths, burn-ins, warm starts and forced
 off-domain proposals; the batched sampler must equal, bit for bit, a
-plain per-individual loop that accepts one proposal at a time, and its
-result must not depend on the order of the individuals.
+plain per-individual loop that accepts one proposal at a time and
+forms each individual's second moments as ``s.T @ s`` of its retained
+states, and its result must not depend on the order of the individuals.
 """
 
 import numpy as np
@@ -69,7 +70,7 @@ def _reference_estep(model, ys, m, sigma, theta, chain_length, burn_in, seeds, x
     states = np.array(states)
     return {
         "ex": states.mean(axis=1),
-        "exx": np.einsum("nlq,nlr->nqr", states, states) / chain_length,
+        "exx": np.array([s.T @ s for s in states]) / chain_length,
         "tstat": np.array(stats).mean(axis=1),
         "accept_rate": np.array(rates),
         "domain_rejects": np.array(rejects),

@@ -9,6 +9,7 @@ bit, against ``scipy.stats.chi2.sf``.
 
 import itertools
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -185,7 +186,9 @@ def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, case, blo
     # 300 draws per individual: an individual per call; every row alone;
     # individuals cut into 128-row slices; each score in one call.  The
     # standard errors score 3 individuals at 20 draws, where most are
-    # flagged, so every score of every stencil point is compared too.
+    # flagged, so every score of every stencil point is compared too, on
+    # one CPU so that every score is made in this process.
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     model, data, m, sigma, theta, pattern = block_size_case(case)
     args = (model, data, m, sigma, theta)
     few = Dataset(data.ids[:3], data.y[:3], data.design)
@@ -226,10 +229,12 @@ def test_likelihood_bytes_do_not_depend_on_the_block_size(monkeypatch, case, blo
         assert one.u.tobytes() == whole.u[i].tobytes()
 
 
-def test_no_density_call_exceeds_a_block():
-    # a 5000-draw likelihood, the standard errors and a fit of the example
+def test_no_density_call_exceeds_a_block(monkeypatch):
+    # a 5000-draw likelihood, the standard errors and a fit of the example,
+    # on one CPU so that every density call is made in this process
     data, cfg = cortisol_example()
     st = cfg.init
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     with pytest.MonkeyPatch.context() as mp:
         calls = record_density_calls(mp, CortisolModel)
         loglik_is(cfg.model, data, st.m, st.sigma, st.theta, n_samples=5000, seed=1)
@@ -335,7 +340,9 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
 @pytest.mark.parametrize("example", [False, True])
 def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
     # each point is one density call per slice of its rows, each on its
-    # own draws, so a point scored twice repeats a call
+    # own draws, so a point scored twice repeats a call; on one CPU, so
+    # that every call is made in this process
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     if example:
         data, cfg = cortisol_example()
         model, st, pattern = cfg.model, cfg.init, cfg.pattern
@@ -356,17 +363,22 @@ def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
 def test_the_cross_points_of_a_bad_coordinate_are_not_scored(monkeypatch):
     # with rho = 0.9993 the +0.1% step on sigma_2_1 leaves the cone, so
     # neither its -0.1% step nor its 10 cross points are scored; the
-    # (-, -) step on sigma_1_1 and sigma_2_2 leaves it too, which drops
-    # their 4 cross points with theta
+    # (-, -) step on sigma_1_1 and sigma_2_2 leaves it too, which flags
+    # both, but their cross points with theta are scored all the same,
+    # since every cross point of the axis-good coordinates is scored
+    # before the Hessian reads any; on one CPU, so that every call is
+    # made in this process
     model, data, m, _, theta = _linear_setup(n=40, seed=4)
     sigma = SpdMatrix(np.array([[1.0, 0.9993], [0.9993, 1.0]]))
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     calls = record_density_calls(monkeypatch, LinearGaussianModel)
     res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
                     n_samples=200, seed=1)
-    # f0, 10 diagonal points, 7 pairs of good coordinates and the (+, +)
-    # point of (sigma_2_2, sigma_1_1), each in the 4 slices of its 8000
-    # rows; an unscored point raises in its factorization before any call
-    assert [rows for _, _, rows in calls] == slice_rows(40 * 200) * (1 + 10 + 2 * 7 + 1)
+    # f0, 10 diagonal points and the 20 cross points of the 10 pairs of
+    # good coordinates but the (-, -) point of (sigma_2_2, sigma_1_1),
+    # each in the 4 slices of its 8000 rows; an unscored point raises in
+    # its factorization before any call
+    assert [rows for _, _, rows in calls] == slice_rows(40 * 200) * (1 + 10 + 2 * 10 - 1)
     assert len(set(calls)) == len(calls)
     assert res.flagged
     assert set(res.se) == {"m1", "m2", "theta"}
@@ -385,31 +397,76 @@ class BrokenOffCentre(LinearGaussianModel):
         return super().log_cond_density_pairs(ys, xs, th)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_programming_error_in_the_model_propagates(monkeypatch, cpus):
+class BrokenElsewhere(LinearGaussianModel):
+    """Fails with a programming error in any process but the one that made it."""
+
+    def __init__(self, q):
+        super().__init__(q)
+        self.home = os.getpid()
+
+    def log_cond_density_pairs(self, ys, xs, th):
+        if os.getpid() != self.home:
+            raise RuntimeError("model bug")
+        return super().log_cond_density_pairs(ys, xs, th)
+
+
+@pytest.mark.parametrize("cpus,where", [
+    pytest.param(1, "off_centre", id="1"),
+    pytest.param(2, "off_centre", id="2"),
+    pytest.param(2, "in_a_worker", id="2-in-a-worker"),
+])
+def test_a_programming_error_in_the_model_propagates(monkeypatch, cpus, where):
     monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
     model, data, m, sigma, theta = _linear_setup(n=5)
-    broken = BrokenOffCentre(2, theta)
+    broken = BrokenOffCentre(2, theta) if where == "off_centre" else BrokenElsewhere(2)
     with pytest.raises(RuntimeError, match="model bug"):
         fisher_se(broken, data, m, sigma, theta, ZeroPattern([], dim=2),
                   n_samples=50, seed=1)
 
 
-@pytest.mark.parametrize("rho", [0.3, 0.9995])
-def test_standard_errors_start_no_pool_at_any_cpu_count(monkeypatch, rho):
-    # at rho = 0.9995 some stencil points raise
-    model, data, m, _, theta = _linear_setup(n=40, seed=4)
-    sigma = SpdMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+@pytest.mark.parametrize("case", ["0.3", "0.9995", "example"])
+def test_standard_errors_are_the_same_at_any_cpu_count(monkeypatch, case):
+    # at rho = 0.9995 some cross points raise inside worker shares
+    if case == "example":
+        data, cfg = cortisol_example()
+        model, st, pattern = cfg.model, cfg.init, cfg.pattern
+        m, sigma, theta = st.m, st.sigma, st.theta
+    else:
+        model, data, m, _, theta = _linear_setup(n=40, seed=4)
+        rho = float(case)
+        sigma = SpdMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+        pattern = ZeroPattern([], dim=2)
     pools = record_pools(monkeypatch)
-    results = []
+    results, pools_per_count = [], []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
-        results.append(fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
+        results.append(fisher_se(model, data, m, sigma, theta, pattern,
                                  n_samples=200, seed=1))
-    assert pools == []
-    if rho == 0.9995:
+        pools_per_count.append(pools[:])
+        pools.clear()
+    # this process scores the first share of the cross points
+    assert pools_per_count == [[], [1], [2]]
+    if case == "0.9995":
         assert results[0].flagged and "sigma_2_1" not in results[0].se
     assert results[1] == results[0] and results[2] == results[0]
+
+
+def _se_in_a_worker(*args):
+    with pytest.MonkeyPatch.context() as mp:
+        pools = record_pools(mp)
+        return os.getpid(), fisher_se(*args), pools
+
+
+def test_standard_errors_in_a_worker_start_no_pool(monkeypatch):
+    model, data, m, sigma, theta = _linear_setup(n=40, seed=4)
+    args = (model, data, m, sigma, theta, ZeroPattern([], dim=2), 200, 1)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    alone = fisher_se(*args)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    for pid, res, pools in _pool.run_tasks(_se_in_a_worker, [args, args]):
+        assert pid != os.getpid()
+        assert pools == []
+        assert res == alone
 
 
 def test_sample_counts_below_one_are_range_errors():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import slice_rows
+from zeromix import _pool
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DomainError
 from zeromix.inference import fisher_se, loglik_is
@@ -139,7 +140,9 @@ def test_domain_rejects_count_the_minus_inf_proposal_rows(monkeypatch):
 
 def test_every_density_call_on_latent_draws_comes_from_draws_score(monkeypatch):
     # 25 individuals: 181-row chains, 4525 rows in 2048-row slices; 3000
-    # draws, two calls per individual; 200 draws, 5000 rows per point
+    # draws, two calls per individual; 200 draws, 5000 rows per point;
+    # on one CPU, so that every call is made in this process
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     model = LinearGaussianModel(2)
     m = np.array([1.0, -0.5])
     sigma = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.8]]))

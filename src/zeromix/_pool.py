@@ -1,7 +1,7 @@
 """Independent tasks on the CPUs this process may use.
 
 The study's replicates, ``zeromix fit``'s free fit and the shares of
-the SE stencil's cross points do not read each other's state.
+the SE stencil's points do not read each other's state.
 ``run_tasks`` runs such tasks in min(usable CPUs, tasks) processes, or
 all in this process, in order, when that is one or this is a worker
 (pools never nest); either way it returns the results in task order,

@@ -9,7 +9,7 @@ to the constrained optimum).
 with a non-empty pattern the free fit of the LR test and its log
 likelihood run in a worker process while this process runs the
 constrained fit and its log likelihood.  The standard errors are then
-computed with the stencil's cross points in shares, one per usable CPU
+computed with the stencil's points in shares, one per usable CPU
 (see ``inference.fisher_se``).  The output files are the same bytes
 for any process count.  Sample counts are
 checked before any fit starts.

@@ -14,15 +14,15 @@ individuals.  Each individual's log weights go through a
 plain-numpy row-wise log-sum-exp.  Standard errors come from a central
 finite-difference Hessian of the negative log likelihood; every stencil
 point is scored on the same standard-normal draws for the whole
-dataset (common random numbers).  The centre and axis points are
-scored in this process, the cross points in contiguous shares on every
-usable CPU (``_pool.run_tasks``), each share drawing those numbers
-itself.  The prescribed zero pattern is tested by a chi-square
-likelihood ratio with one degree of freedom per constrained pair; its
-tail is ``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf``
-calls, so the package never imports ``scipy.stats``.  This module alone
-lays out the free parameter vector that the standard errors, the study
-table and the trace share (``pack_params``, ``free_param_labels``).
+dataset (common random numbers).  All stencil points are scored in
+contiguous shares on every usable CPU (``_pool.run_tasks``), each
+share drawing those numbers once.  The prescribed zero pattern is
+tested by a chi-square likelihood ratio with one degree of freedom per
+constrained pair; its tail is ``scipy.special.chdtrc``, the function
+``scipy.stats.chi2.sf`` calls, so the package never imports
+``scipy.stats``.  This module alone lays out the free parameter vector
+that the standard errors, the study table and the trace share
+(``pack_params``, ``free_param_labels``).
 """
 
 from __future__ import annotations
@@ -212,32 +212,22 @@ def _unpack_params(v, pattern):
     return v[:q], SpdMatrix(a, pattern=pattern), float(v[-1])
 
 
-def _stencil_f(model, data, v0, steps, pattern, n_samples, seed):
-    """``f(*moves)``: -loglik at v0 moved by mult * steps[i] along each
-    (i, mult), every point scored on the common draws of ``seed``."""
+def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
+    """-loglik at each of ``points``, or the NumericalError its evaluation
+    raised; a point is v0 moved by mult * steps[i] along each (i, mult),
+    and every point is scored on the common draws of ``seed``."""
     draws = Draws(data.n * n_samples, model.q)
     draws.draw(data.seeds(seed), n_samples)
-
-    def f(*moves):
+    values = []
+    for moves in points:
         v = v0.copy()
         for i, mult in moves:
             v[i] += mult * steps[i]
-        m_v, sigma_v, theta_v = _unpack_params(v, pattern)
-        _, logw, _ = draws.score(model, data.y, n_samples, m_v, sigma_v.chol_lower, theta_v)
-        log_mean, _ = _log_mean_weights(logw.reshape(-1, n_samples), data.ids, variance=False)
-        return -float(np.sum(log_mean))
-
-    return f
-
-
-def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
-    """``_stencil_f``'s value at each of ``points``, or the NumericalError
-    its evaluation raised."""
-    f = _stencil_f(model, data, v0, steps, pattern, n_samples, seed)
-    values = []
-    for point in points:
         try:
-            values.append(f(*point))
+            m_v, sigma_v, theta_v = _unpack_params(v, pattern)
+            _, logw, _ = draws.score(model, data.y, n_samples, m_v, sigma_v.chol_lower, theta_v)
+            log_mean, _ = _log_mean_weights(logw.reshape(-1, n_samples), data.ids, variance=False)
+            values.append(-float(np.sum(log_mean)))
         except NumericalError as exc:
             values.append(exc.with_traceback(None))
     return values
@@ -250,29 +240,29 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     entries of Sigma, and theta.  Every stencil point is scored on the
     standard-normal draws of ``loglik_is`` at ``seed`` (common random
     numbers), so the stochastic part of the objective cancels through
-    the difference stencil; each point's value equals ``loglik_is``
-    there with that seed.  Steps are per-coordinate,
+    the difference stencil.  A point's value is ``loglik_is`` there on
+    the same normals, up to rounding: ``loglik_is`` maps each
+    individual's draws in a product of its own, which need not round
+    as the whole-dataset one does (tested to 1e-9 relative in the
+    standard errors).  Steps are per-coordinate,
     ``1e-3 * max(|v_i|, 1e-6)``.  The diagonal is the 3-point central
     difference; each mixed entry reuses those points and adds only
     f(+h_i, +h_j) and f(-h_i, -h_j) (Abramowitz & Stegun 25.3.27), so
-    a clean point costs 1 + 2p + p(p - 1) likelihoods, each scored
-    once.
+    the stencil is 1 + 2p + p(p - 1) likelihoods, each scored once.
 
-    f0 and the 2p axis points are scored in this process.  The cross
-    points of every pair of coordinates whose axis points scored are
-    then split into contiguous shares, one per process of min(usable
+    The stencil's points, in order (centre, axis points, cross points),
+    are split into contiguous shares, one per process of min(usable
     CPUs, points) (``_pool.run_tasks``); this process scores the first
-    share, and every share draws the common random numbers itself.  The
-    Hessian reads the stored values in stencil order, so the result does
-    not depend on the process count.  The model and data are pickled to
+    share, and every share draws the common random numbers once.  The
+    Hessian reads the values in stencil order, so the result does not
+    depend on the process count.  The model and data are pickled to
     the workers, so the model must be picklable (a module-level class).
 
-    When a likelihood evaluation raises a NumericalError (a step that
-    leaves Sigma indefinite, say) or the Hessian is not positive definite,
-    coordinates that cannot be covered by a positive definite principal
-    submatrix are reported absent and the result is flagged; a
-    coordinate whose + axis point fails has neither its - axis point nor
-    its cross points scored.
+    A NumericalError at the centre is raised.  When another point's
+    evaluation raises one (a step that leaves Sigma indefinite, say) or
+    the Hessian is not positive definite, coordinates that cannot be
+    covered by a positive definite principal submatrix are reported
+    absent and the result is flagged.
     """
     _check_samples(n_samples)
     data = data.for_model(model)
@@ -280,24 +270,10 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     labels = free_param_labels(pattern)
     p = v0.shape[0]
     steps = 1e-3 * np.maximum(np.abs(v0), 1e-6)
-    f = _stencil_f(model, data, v0, steps, pattern, n_samples, seed)
 
-    f0 = f()
-    up = np.zeros(p)
-    down = np.zeros(p)
-    hess = np.zeros((p, p))
-    bad = np.zeros(p, dtype=bool)
-    for i in range(p):
-        try:
-            up[i], down[i] = f((i, 1)), f((i, -1))
-        except NumericalError:
-            bad[i] = True
-            continue
-        hess[i, i] = (up[i] - 2.0 * f0 + down[i]) / steps[i] ** 2
-    del f  # frees its draws; each share draws its own
-
-    pairs = [(i, j) for i in range(p) for j in range(i) if not (bad[i] or bad[j])]
-    points = [((i, s), (j, s)) for i, j in pairs for s in (1, -1)]
+    # the axis points of coordinate i as the pair (i, i), then the cross points
+    pairs = [(i, i) for i in range(p)] + [(i, j) for i in range(p) for j in range(i)]
+    points = [()] + [((i, s),) if i == j else ((i, s), (j, s)) for i, j in pairs for s in (1, -1)]
     count = min(_pool.usable_cpus(), len(points))
     shares = _pool.run_tasks(
         _score_share,
@@ -306,16 +282,25 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
          for k in range(count)],
         here_first=True,
     )
-    values = [value for share in shares for value in share]
+    f0, *values = [value for share in shares for value in share]
+    if isinstance(f0, NumericalError):
+        raise f0
+    up = np.zeros(p)
+    down = np.zeros(p)
+    hess = np.zeros((p, p))
+    bad = np.zeros(p, dtype=bool)
     for (i, j), plus, minus in zip(pairs, values[::2], values[1::2]):
         if bad[i] or bad[j]:
             continue
         if isinstance(plus, NumericalError) or isinstance(minus, NumericalError):
             bad[i] = bad[j] = True
-            continue
-        hess[i, j] = hess[j, i] = (
-            plus + minus - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
-        ) / (2.0 * steps[i] * steps[j])
+        elif i == j:
+            up[i], down[i] = plus, minus
+            hess[i, i] = (up[i] - 2.0 * f0 + down[i]) / steps[i] ** 2
+        else:
+            hess[i, j] = hess[j, i] = (
+                plus + minus - up[i] - down[i] - up[j] - down[j] + 2.0 * f0
+            ) / (2.0 * steps[i] * steps[j])
 
     se = np.full(p, np.nan)
     flagged = bool(np.any(bad))

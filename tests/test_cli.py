@@ -489,7 +489,7 @@ def test_fit_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch, ca
     ini.write_text(QUICK_INI)
     pools = record_pools(monkeypatch)
     # one CPU starts no pool; two run the free fit in one worker, and
-    # the second share of the SE cross points in another
+    # the second share of the SE stencil in another
     expected_pools = {1: [], 2: [1, 1] if "--se-samples" in se_options else [1]}
     outputs = {}
     for cpus in (1, 2):

@@ -155,10 +155,14 @@ class DeadRows(LinearGaussianModel):
         return np.where(dead, -np.inf, logp), stat
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("block_rows", [50, 10**9])
-def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_rows):
+def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_rows, cpus):
     # the three individuals with the largest first observation underflow;
-    # with 50 rows a call holds one individual, with 10**9 all of a score's
+    # with 50 rows a call holds one individual, with 10**9 all of a score's;
+    # the standard errors' centre, where the error is raised, is scored in
+    # this process whatever the CPU count
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
     model, data, m, sigma, theta = _linear_setup(n=12, seed=3)
     ordered = data.for_model(model)
     bad = DeadRows(2, np.sort(ordered.y[:, 0])[-4])
@@ -170,6 +174,31 @@ def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_
         loglik_is(bad, data, m, sigma, theta, n_samples=50, seed=0)
     with pytest.raises(DegenerateWeightError, match=match):
         fisher_se(bad, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=50, seed=0)
+
+
+class DeadOffCentre(LinearGaussianModel):
+    """Every weight underflows at any theta but ``centre``."""
+
+    def __init__(self, q, centre):
+        super().__init__(q)
+        self.centre = centre
+
+    def log_cond_density_pairs(self, ys, xs, th):
+        logp, stat = super().log_cond_density_pairs(ys, xs, th)
+        return (logp if th == self.centre else np.full_like(logp, -np.inf)), stat
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_underflowing_weights_off_the_centre_flag_their_coordinate(monkeypatch, cpus):
+    # every point that moves theta underflows; its DegenerateWeightError
+    # comes back as that point's value, from a worker's share on 2 CPUs,
+    # so theta is flagged instead of the error ending the call
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+    model, data, m, sigma, theta = _linear_setup(n=40, seed=4)
+    res = fisher_se(DeadOffCentre(2, theta), data, m, sigma, theta, ZeroPattern([], dim=2),
+                    n_samples=200, seed=1)
+    assert res.flagged
+    assert "theta" not in res.se and {"m1", "m2"} <= set(res.se)
 
 
 @pytest.mark.parametrize("case, block_rows", [
@@ -341,7 +370,8 @@ def test_a_step_out_of_the_cone_flags_its_coordinate():
 def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
     # each point is one density call per slice of its rows, each on its
     # own draws, so a point scored twice repeats a call; on one CPU, so
-    # that every call is made in this process
+    # that every call is made in this process, which draws the common
+    # normals once
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     if example:
         data, cfg = cortisol_example()
@@ -351,7 +381,16 @@ def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
         model, data, m, sigma, theta = _linear_setup(n=40, seed=4)
         pattern = ZeroPattern([], dim=2)
     calls = record_density_calls(monkeypatch, type(model))
+    draw = models.Draws.draw
+    draws = []
+
+    def recording(self, seeds, unit):
+        draws.append(unit)
+        return draw(self, seeds, unit)
+
+    monkeypatch.setattr(models.Draws, "draw", recording)
     res = fisher_se(model, data, m, sigma, theta, pattern, n_samples=200, seed=1)
+    assert draws == [200]  # the common normals, drawn once
     p = len(res.labels)
     assert p == (13 if example else 6)
     assert slice_rows(data.n * 200) == ([2048, 2048, 1904] if example else [2048] * 3 + [1856])
@@ -360,25 +399,23 @@ def test_a_clean_point_scores_each_stencil_point_once(monkeypatch, example):
     assert len(set(calls)) == len(calls)
 
 
-def test_the_cross_points_of_a_bad_coordinate_are_not_scored(monkeypatch):
-    # with rho = 0.9993 the +0.1% step on sigma_2_1 leaves the cone, so
-    # neither its -0.1% step nor its 10 cross points are scored; the
-    # (-, -) step on sigma_1_1 and sigma_2_2 leaves it too, which flags
-    # both, but their cross points with theta are scored all the same,
-    # since every cross point of the axis-good coordinates is scored
-    # before the Hessian reads any; on one CPU, so that every call is
-    # made in this process
+def test_a_bad_coordinate_is_flagged_and_each_point_scored_at_most_once(monkeypatch):
+    # with rho = 0.9993 the +0.1% step on sigma_2_1 leaves the cone, which
+    # flags it, and so does the (-, -) step on sigma_1_1 and sigma_2_2,
+    # which flags both; every other point is scored all the same, once,
+    # its value unused when it involves a flagged coordinate; on one CPU,
+    # so that every call is made in this process
     model, data, m, _, theta = _linear_setup(n=40, seed=4)
     sigma = SpdMatrix(np.array([[1.0, 0.9993], [0.9993, 1.0]]))
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
     calls = record_density_calls(monkeypatch, LinearGaussianModel)
     res = fisher_se(model, data, m, sigma, theta, ZeroPattern([], dim=2),
                     n_samples=200, seed=1)
-    # f0, 10 diagonal points and the 20 cross points of the 10 pairs of
-    # good coordinates but the (-, -) point of (sigma_2_2, sigma_1_1),
-    # each in the 4 slices of its 8000 rows; an unscored point raises in
-    # its factorization before any call
-    assert [rows for _, _, rows in calls] == slice_rows(40 * 200) * (1 + 10 + 2 * 10 - 1)
+    # f0, 11 of the 12 axis points and 26 of the 30 cross points, each in
+    # the 4 slices of its 8000 rows: the + step on sigma_2_1, its (+, +)
+    # points with m1, m2 and theta, and the (-, -) point of (sigma_2_2,
+    # sigma_1_1) raise in their factorization before any call
+    assert [rows for _, _, rows in calls] == slice_rows(40 * 200) * (1 + 11 + 26)
     assert len(set(calls)) == len(calls)
     assert res.flagged
     assert set(res.se) == {"m1", "m2", "theta"}
@@ -444,7 +481,7 @@ def test_standard_errors_are_the_same_at_any_cpu_count(monkeypatch, case):
                                  n_samples=200, seed=1))
         pools_per_count.append(pools[:])
         pools.clear()
-    # this process scores the first share of the cross points
+    # this process scores the first share of the stencil
     assert pools_per_count == [[], [1], [2]]
     if case == "0.9995":
         assert results[0].flagged and "sigma_2_1" not in results[0].se

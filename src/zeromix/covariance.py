@@ -19,9 +19,10 @@ and Hessian have closed forms, so the solve ends quadratically; the
 step is computed in a frame scaled by a power of two and taken only
 when the Hessian and the stepped matrix factor and the objective
 strictly falls, and the iteration is a sweep where it is not.  Neither
-writes a constrained entry, so the pattern's zeros stay exact.  The
-iterations run on one plain array; the solver validates its inputs once
-and its result once, as an SpdMatrix.
+writes a constrained entry, so the pattern's zeros stay exact: both
+take their free coordinates from ``ZeroPattern``'s layout, built once
+per pattern.  The iterations run on one plain array; the solver
+validates its inputs once and its result once, as an SpdMatrix.
 
 Every factorization is one call of ``cholesky_lo``, the gufunc inside
 ``np.linalg.cholesky`` (``_chol``): the same LAPACK ``potrf`` on the
@@ -90,6 +91,11 @@ class ZeroPattern:
     [1, dim] and not a repeat of an earlier pair.  Whatever takes a
     pattern checks only that its order matches the matrix's.
 
+    The layout is built once, here: a read-only (dim, dim) boolean mask,
+    True at constrained positions (``mask()`` returns copies), and
+    ``free_entries``, read-only 0-based (rows, cols) index arrays of the
+    free lower-triangle entries, diagonal included, in row-major order.
+
     Parameters
     ----------
     pairs : iterable of (int, int)
@@ -99,6 +105,8 @@ class ZeroPattern:
 
     Raises
     ------
+    ValueOutOfRangeError
+        If ``dim`` is not an integer >= 1.
     DiagonalZeroError
         If a pair constrains a diagonal entry (i == j).
     IndexOutOfRangeError
@@ -108,6 +116,8 @@ class ZeroPattern:
     """
 
     def __init__(self, pairs, dim):
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueOutOfRangeError("pattern order must be an integer >= 1, got %r" % (dim,))
         canon = []
         for pair in pairs:
             i, j = int(pair[0]), int(pair[1])
@@ -117,7 +127,7 @@ class ZeroPattern:
         canon.sort()
         self.pairs = tuple(canon)
         self.dim = q = int(dim)
-        seen = set()
+        mask = np.zeros((q, q), dtype=bool)
         for i, j in self.pairs:
             if i == j:
                 raise DiagonalZeroError(
@@ -128,9 +138,12 @@ class ZeroPattern:
                 raise IndexOutOfRangeError(
                     "pair (%d, %d) outside [1, %d]" % (i, j, q)
                 )
-            if (i, j) in seen:
+            if mask[i - 1, j - 1]:
                 raise DuplicatePairError("pair (%d, %d) appears more than once" % (i, j))
-            seen.add((i, j))
+            mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+        self._mask, self.free_entries = mask, np.nonzero(np.tri(q, dtype=bool) & ~mask)
+        for a in (mask, *self.free_entries):
+            a.setflags(write=False)
 
     def __len__(self):
         return len(self.pairs)
@@ -155,21 +168,16 @@ class ZeroPattern:
     def is_empty(self):
         return not self.pairs
 
+    def __reduce__(self):  # rebuilt from the pairs, so unpickled arrays stay read-only
+        return ZeroPattern, (self.pairs, self.dim)
+
     def mask(self):
-        """Boolean (dim, dim) array, True at constrained positions (both triangles)."""
-        m = np.zeros((self.dim, self.dim), dtype=bool)
-        for i, j in self.pairs:
-            m[i - 1, j - 1] = True
-            m[j - 1, i - 1] = True
-        return m
+        """A writable copy of the (dim, dim) mask, True at constrained positions."""
+        return self._mask.copy()
 
     def conforms(self, entries):
         """True iff every constrained entry of ``entries`` equals 0.0 exactly."""
-        a = np.asarray(entries)
-        for i, j in self.pairs:
-            if a[i - 1, j - 1] != 0.0 or a[j - 1, i - 1] != 0.0:
-                return False
-        return True
+        return not np.count_nonzero(np.asarray(entries)[self._mask])
 
 
 def _require_order(pattern, q):
@@ -354,9 +362,7 @@ def zero_forced(sigma_uc, pattern):
     """
     a = np.array(_as_array(sigma_uc), dtype=float)
     _require_order(pattern, a.shape[0])
-    for i, j in pattern.pairs:
-        a[i - 1, j - 1] = 0.0
-        a[j - 1, i - 1] = 0.0
+    a[pattern._mask] = 0.0
     return a
 
 
@@ -406,7 +412,7 @@ def kkt_residual(sigma, stats, pattern):
     _require_order(pattern, sigma.dim)
     inv = sigma.inv()
     grad = inv - inv @ stats.xtilde @ inv
-    return float(np.max(np.abs(grad[~pattern.mask()])))
+    return float(np.max(np.abs(grad[~pattern._mask])))
 
 
 def _pivot(xt, pattern, j):
@@ -415,9 +421,7 @@ def _pivot(xt, pattern, j):
     q = xt.shape[0]
     jj = j - 1
     rest = np.array([t for t in range(q) if t != jj], dtype=np.intp)
-    # free coordinates of the column: positions (r+1, j) not constrained
-    free = np.array([t for t, r in enumerate(rest) if (r + 1, j) not in pattern],
-                    dtype=np.intp)
+    free = np.flatnonzero(~pattern._mask[rest, jj])  # the column's free coordinates
     block, col = rest[:, None] * q + rest, rest * q + jj
     return (j, block, free, free[:, None] * (q - 1) + free, col, jj * q + rest,
             xt.take(block), xt.take(col), float(xt[jj, jj]))
@@ -535,9 +539,7 @@ def _newton_layout(pattern):
     transposes, the four gathers of the Hessian, and the weights of the
     gradient and the Hessian (see ``_newton_system``)."""
     q = pattern.dim
-    rows, cols = np.tril_indices(q)
-    keep = ~pattern.mask()[rows, cols]
-    r, c = rows[keep], cols[keep]
+    r, c = pattern.free_entries
     w = np.where(r == c, 0.5, 1.0)
     return (r * q + c, c * q + r,
             r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,

@@ -21,8 +21,8 @@ tested by a chi-square likelihood ratio with one degree of freedom per
 constrained pair; its tail is ``scipy.special.chdtrc``, the function
 ``scipy.stats.chi2.sf`` calls, so the package never imports
 ``scipy.stats``.  This module alone lays out the free parameter vector
-that the standard errors, the study table and the trace share
-(``pack_params``, ``free_param_labels``).
+that the standard errors, the study table and the trace share: m,
+Sigma's entries in ``ZeroPattern.free_entries`` order, theta.
 """
 
 from __future__ import annotations
@@ -179,36 +179,28 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
                               n_samples=n_samples, seed=int(seed))
 
 
-def _free_entries(pattern):
-    """0-based lower-triangle (row, col) positions not constrained, diagonal
-    included, in row-major order: the Sigma block of the parameter vector."""
-    return [(i, j) for i in range(pattern.dim) for j in range(i + 1)
-            if i == j or (j + 1, i + 1) not in pattern]
-
-
 def free_param_labels(pattern):
     """Labels of the free parameter vector: m, lower-triangle Sigma entries, theta."""
     labels = ["m%d" % (t + 1) for t in range(pattern.dim)]
-    labels += ["sigma_%d_%d" % (i + 1, j + 1) for i, j in _free_entries(pattern)]
+    labels += ["sigma_%d_%d" % (i + 1, j + 1) for i, j in zip(*pattern.free_entries)]
     labels.append("theta")
     return labels
 
 
 def pack_params(m, sigma, theta, pattern):
     """The free parameter vector of ``free_param_labels``: m, the entries
-    of Sigma (an SpdMatrix or array-like) at ``pattern``'s free
-    lower-triangle positions, theta."""
+    of Sigma (an SpdMatrix or array-like) at ``pattern.free_entries``,
+    theta."""
     a = sigma.values if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
-    return np.concatenate([np.asarray(m, dtype=float),
-                           [a[i, j] for i, j in _free_entries(pattern)], [float(theta)]])
+    return np.concatenate([np.asarray(m, dtype=float), a[pattern.free_entries], [float(theta)]])
 
 
 def _unpack_params(v, pattern):
     """Inverse of ``pack_params``: (m, SpdMatrix tagged with ``pattern``, theta)."""
     q = pattern.dim
+    rows, cols = pattern.free_entries
     a = np.zeros((q, q))
-    for value, (i, j) in zip(v[q:-1], _free_entries(pattern)):
-        a[i, j] = a[j, i] = value
+    a[rows, cols] = a[cols, rows] = v[q:-1]
     return v[:q], SpdMatrix(a, pattern=pattern), float(v[-1])
 
 
@@ -230,6 +222,8 @@ def _score_share(model, data, v0, steps, pattern, n_samples, seed, points):
             values.append(-float(np.sum(log_mean)))
         except NumericalError as exc:
             values.append(exc.with_traceback(None))
+            if not moves:  # the centre failed: fisher_se raises, the rest is moot
+                break
     return values
 
 

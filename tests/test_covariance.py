@@ -7,10 +7,13 @@ brute-force oracle in helpers.py, and direct assertions of contracts
 (exact zeros, bitwise invariance).
 """
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 
-from helpers import (brute_force_constrained_objective, oracle_starts,
+from helpers import (brute_force_constrained_objective, free_positions, oracle_starts,
                      random_pattern, random_spd, reference_newton_icf_solve)
 from zeromix.covariance import (
     SpdMatrix,
@@ -73,6 +76,53 @@ def test_pattern_validation_errors():
         ZeroPattern([(1, 4)], dim=3)
     with pytest.raises(DuplicatePairError):
         ZeroPattern([(1, 3), (3, 1)], dim=3)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.7, "3", None])
+def test_pattern_rejects_an_order_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueOutOfRangeError, match="integer >= 1"):
+        ZeroPattern([], dim=dim)
+    assert ZeroPattern([(1, 2)], dim=np.int64(2)).dim == 2
+
+
+def _layout_cases():
+    # every pattern at q = 1..4, then 200 seeded random ones at q = 5..8
+    for q in range(1, 5):
+        pairs = list(itertools.combinations(range(1, q + 1), 2))
+        for k in range(len(pairs) + 1):
+            for chosen in itertools.combinations(pairs, k):
+                yield ZeroPattern(chosen, dim=q)
+    rng = np.random.default_rng(2929)
+    for _ in range(200):
+        q = int(rng.integers(5, 9))
+        yield random_pattern(rng, q, max_pairs=q * (q - 1) // 2)
+
+
+def test_pattern_layout_matches_the_independent_free_positions():
+    cases = list(_layout_cases())
+    assert len(cases) == 1 + 2 + 8 + 64 + 200
+    for pat in cases:
+        q = pat.dim
+        expected = free_positions(pat)
+        back = pickle.loads(pickle.dumps(pat))  # as pool workers receive it
+        assert back == pat and hash(back) == hash(pat)
+        for got in (pat.free_entries, back.free_entries):
+            assert len(got) == 2
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b) and not a.flags.writeable
+        mask = pat.mask()
+        assert mask.dtype == bool and mask.flags.writeable
+        assert np.array_equal(mask, mask.T) and int(mask.sum()) == 2 * len(pat)
+        assert not mask[expected].any() and np.array_equal(back.mask(), mask)
+        # -0.0 is a zero, NaN is not; the mask handed out is the caller's own
+        entries = np.where(mask, -0.0, 1.0)
+        assert pat.conforms(entries)
+        mask[:] = ~mask
+        assert pat.conforms(entries) and np.array_equal(pat.mask(), ~mask)
+        if len(pat):
+            entries[pat.pairs[-1][1] - 1, pat.pairs[-1][0] - 1] = np.nan
+            assert not pat.conforms(entries)
+        assert len(pat.free_entries[0]) == q * (q + 1) // 2 - len(pat)
 
 
 def test_spd_matrix_symmetrizes_bitwise():

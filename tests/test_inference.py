@@ -18,9 +18,10 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
-from helpers import block_size_case, record_density_calls, record_pools, slice_rows
+from helpers import (block_size_case, random_pattern, random_spd, record_density_calls,
+                     record_pools, slice_rows)
 from zeromix import _pool, models
-from zeromix.covariance import SpdMatrix, ZeroPattern
+from zeromix.covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
                                 ValueOutOfRangeError)
 from zeromix.harness import cortisol_example
@@ -172,8 +173,18 @@ def test_underflowing_weights_name_the_first_dead_individual(monkeypatch, block_
     match = "all 50 importance weights underflowed for individual %s$" % dead[0]
     with pytest.raises(DegenerateWeightError, match=match):
         loglik_is(bad, data, m, sigma, theta, n_samples=50, seed=0)
+    scores = []
+    score = models.Draws.score
+
+    def counted(self, *args, **kwargs):
+        scores.append(args[1].shape[0])
+        return score(self, *args, **kwargs)
+
+    monkeypatch.setattr(models.Draws, "score", counted)
     with pytest.raises(DegenerateWeightError, match=match):
         fisher_se(bad, data, m, sigma, theta, ZeroPattern([], dim=2), n_samples=50, seed=0)
+    # this process scores the first share, and stops it at the failed centre
+    assert scores == [data.n]
 
 
 class DeadOffCentre(LinearGaussianModel):
@@ -304,6 +315,25 @@ def test_parameter_packing_round_trip():
     assert np.array_equal(sigma_back.values, sigma.values)
     assert sigma_back.pattern == pat
     assert theta_back == 0.7
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_parameter_packing_round_trip_at_every_order(q):
+    rng = np.random.default_rng(2900 + q)
+    patterns = [ZeroPattern([], dim=q)]
+    if q > 1:
+        patterns += [random_pattern(rng, q, max_pairs=q * (q - 1) // 2) for _ in range(3)]
+    for pat in patterns:
+        sigma = SpdMatrix(min_eig_repair(zero_forced(random_spd(rng, q), pat), 100).values,
+                          pattern=pat)
+        m, theta = rng.standard_normal(q), float(rng.standard_normal())
+        vec = pack_params(m, sigma, theta, pat)
+        assert len(vec) == len(free_param_labels(pat)) == q + q * (q + 1) // 2 - len(pat) + 1
+        m_back, sigma_back, theta_back = _unpack_params(vec, pat)
+        assert m_back.tobytes() == m.tobytes()
+        assert sigma_back.values.tobytes() == sigma.values.tobytes()
+        assert sigma_back.pattern == pat
+        assert theta_back == theta
 
 
 def test_standard_errors_track_the_sampling_variance_of_the_mean():

@@ -243,6 +243,9 @@ class SpdMatrix:
         self._chol = chol
         self.pattern = pattern
 
+    def __reduce__(self):  # rebuilt from the entries, so unpickled arrays stay read-only
+        return SpdMatrix, (self._m, self.pattern)
+
     @property
     def values(self):
         """The (read-only) q x q array of entries."""

@@ -184,9 +184,12 @@ def _accept_pointers(logp, logu, burn_in):
     minus the log density of its current state; a NaN difference (both
     -inf) rejects.  Returns the pointers of the states after ``burn_in``,
     a C-ordered (n, t_total - burn_in) array, and the accept counts (n,).
+
+    The loop runs time-major over the rows of the transposed arrays,
+    which ``zip`` hands out as views: three in-place ufuncs per step on
+    contiguous rows, with no per-step indexing.
     """
     t_total = logu.shape[1]
-    # time-major: three in-place ufuncs per step on contiguous rows;
     # accepted[t - 1] records the decisions at step t
     logp_t = np.ascontiguousarray(logp.T)
     logu_t = np.ascontiguousarray(logu.T)
@@ -194,10 +197,10 @@ def _accept_pointers(logp, logu, burn_in):
     diff = np.empty(logp.shape[0])
     accepted = np.empty(logu_t.shape, dtype=bool)
     with np.errstate(invalid="ignore"):
-        for t in range(1, t_total + 1):
-            np.subtract(logp_t[t], lp_cur, out=diff)
-            np.less(logu_t[t - 1], diff, out=accepted[t - 1])
-            np.copyto(lp_cur, logp_t[t], where=accepted[t - 1])
+        for lp, lu, acc in zip(logp_t[1:], logu_t, accepted):
+            np.subtract(lp, lp_cur, out=diff)
+            np.less(lu, diff, out=acc)
+            np.copyto(lp_cur, lp, where=acc)
     # a chain's pointer is its last accepted step so far (0 before any)
     ptr = np.maximum.accumulate(np.arange(1, t_total + 1)[:, None] * accepted, axis=0)
     return np.ascontiguousarray(ptr[burn_in:].T), accepted.sum(axis=0)

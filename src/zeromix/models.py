@@ -9,8 +9,9 @@ conditional density, -inf off the model domain, and theta statistic
 (whose conditional expectation drives the theta update).  The E-step,
 the importance-sampling likelihood and the standard errors draw their
 latent rows from N(m, Sigma) and score them through one ``Draws``,
-whose ``score`` alone decides how many rows one density call takes;
-the estimation engine owns everything else.
+whose ``score`` alone decides how many rows one density call takes and
+hands each call its observation rows as the transpose of a C-contiguous
+(n_obs, rows) block; the estimation engine owns everything else.
 
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
@@ -95,7 +96,10 @@ class Draws:
         ``x = m + z L'``, each individual's first row replaced by its row
         of ``starts`` if given, is scored against ``ys`` (``unit`` rows per
         row) in density calls of ``_BLOCK_ROWS`` consecutive rows, the
-        last one shorter, each against its rows' observations.
+        last one shorter, each against its rows' observations.  These are
+        gathered observation-major from ``ys.T``, made contiguous once per
+        call, so a density call's ``ys.T`` is C-contiguous: the cortisol
+        density subtracts its (n_obs, rows) mean block from it row by row.
         """
         rows = len(ys) * unit
         x = self.x[:rows]
@@ -103,9 +107,10 @@ class Draws:
         x += m
         if starts is not None:
             x[::unit] = starts
+        yt = np.ascontiguousarray(ys.T)
         for start in range(0, rows, _BLOCK_ROWS):
             r = slice(start, min(start + _BLOCK_ROWS, rows))
-            y = ys.take(np.arange(r.start, r.stop) // unit, axis=0)
+            y = yt.take(np.arange(r.start, r.stop) // unit, axis=1).T
             self.logp[r], self.stat[r] = model.log_cond_density_pairs(y, x[r], theta)
         return x, self.logp[:rows], self.stat[:rows]
 
@@ -207,8 +212,15 @@ class CortisolModel(NlmeModel):
     ``log_cond_density_pairs`` works observation-major: the latent rows
     are transposed to (q, n), and means, residuals and log scales are
     (n_obs, n) blocks, so each per-row sum over the observations is a
-    chain of n_obs - 1 vector adds, for any n.  ``mean`` (one row, used by
-    simulation) evaluates the same formula on scalars.
+    chain of n_obs - 1 vector adds, for any n.  Its block writes the Emax
+    term as x2 / (1 + exp(x3 (log x4 - log d))), with log d computed once
+    per model: one ``exp`` per observation in place of two powers (on a
+    2-core Xeon VM, one BLAS thread, a 2048-row call took about 165 us
+    against 214 us).  Where d^x3 overflows, that form reaches its finite
+    limit (x1 below x4, x1 + x2 above it).  ``mean`` (one row, used by
+    simulation) keeps the power form on scalars, so simulated datasets,
+    the bundled example among them, keep their bits; the two forms agree
+    to a few units in the last place on in-domain rows.
     """
 
     name = "cortisol"
@@ -218,6 +230,7 @@ class CortisolModel(NlmeModel):
         if doses.ndim != 1 or doses.size == 0 or np.any(doses <= 0.0):
             raise ValueOutOfRangeError("doses must be positive numbers, at least one")
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
+        self._log_design = np.log(self.design)
 
     def mean(self, x):
         x = np.asarray(x, dtype=float)
@@ -225,8 +238,9 @@ class CortisolModel(NlmeModel):
             raise DomainError("latent vector must be a finite 4-vector")
         if x[3] <= 0.0:
             raise DomainError("half-effect dose x4 must be positive, got %r" % (x[3],))
-        # scalar latent effects against the design row: scalar and array
-        # powers may differ in the last bit, so one row stays on scalars
+        # the power form on scalars: the density block's exp form differs
+        # from it in the last bits, and simulated datasets (the bundled
+        # example among them) keep the bits of this one
         x1, x2, x3, x4 = x
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             da = self.design ** x3
@@ -245,23 +259,23 @@ class CortisolModel(NlmeModel):
             return False
 
     def log_cond_density_pairs(self, ys, xs, theta):
-        # the arithmetic of ``mean`` and the Gaussian log density, in that
-        # order, written in place into two (n_obs, n) blocks: ``f`` holds
-        # d^x3, then the mean, then its log; ``r`` the denominator, then
-        # the squared relative residuals
+        # the mean, then the Gaussian log density, written in place into
+        # two (n_obs, n) blocks: ``f`` holds x3 (log x4 - log d), its exp,
+        # then the mean, then its log; ``r`` the squared relative residuals
         xt = np.ascontiguousarray(np.asarray(xs, dtype=float).T)
         x1, x2, x3, x4 = xt
         f = np.empty((self.n_obs, xt.shape[1]))
         r = np.empty_like(f)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            np.power(self.design[:, None], x3, out=f)
-            np.add(x4 ** x3, f, out=r)
-            np.multiply(x2, f, out=f)
-            np.divide(f, r, out=f)
-            np.add(x1, f, out=f)
-            # a non-finite mean makes logp non-finite, which the last test catches
-            ok = np.all(np.isfinite(xt), axis=0) & (x4 > 0.0) & np.all(f != 0.0, axis=0)
-            np.copyto(f, 1.0, where=f == 0.0)
+            np.subtract(np.log(x4), self._log_design[:, None], out=f)
+            f *= x3
+            np.exp(f, out=f)
+            f += 1.0
+            np.divide(x2, f, out=f)
+            f += x1
+            # a non-finite or zero mean makes logp non-finite, which the
+            # last test catches
+            ok = np.all(np.isfinite(xt), axis=0) & (x4 > 0.0)
             np.subtract(np.atleast_2d(np.asarray(ys, dtype=float)).T, f, out=r)
             r /= f
             r *= r

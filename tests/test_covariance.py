@@ -164,6 +164,23 @@ def test_spd_matrix_is_read_only():
         spd.values[0, 0] = 5.0
 
 
+def test_an_unpickled_spd_matrix_stays_read_only():
+    # pool workers receive their start covariance pickled
+    rng = np.random.default_rng(12)
+    pat = ZeroPattern([(1, 4), (3, 4)], dim=4)
+    cases = [SpdMatrix(np.eye(2)), SpdMatrix(random_spd(rng, 3)),
+             SpdMatrix(np.where(pat.mask(), 0.0, random_spd(rng, 4) + 4.0 * np.eye(4)),
+                       pattern=pat)]
+    for spd in cases:
+        back = pickle.loads(pickle.dumps(spd))
+        assert back.pattern == spd.pattern
+        for got, want in ((back.values, spd.values), (back.chol_lower, spd.chol_lower)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 9.0
+        assert back.logdet() == spd.logdet()
+
+
 def test_spd_matrix_solve_logdet_inv_match_numpy():
     rng = np.random.default_rng(3)
     a = random_spd(rng, 4)

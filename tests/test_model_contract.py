@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import slice_rows
-from zeromix import _pool
+from zeromix import _pool, models
 from zeromix.covariance import SpdMatrix, ZeroPattern
 from zeromix.exceptions import DomainError
 from zeromix.inference import fisher_se, loglik_is
@@ -171,3 +171,36 @@ def test_every_density_call_on_latent_draws_comes_from_draws_score(monkeypatch):
     res = fisher_se(model, data, m, sigma, 0.5, ZeroPattern([], dim=2), n_samples=200, seed=1)
     points = 1 + 2 * len(res.labels) + len(res.labels) * (len(res.labels) - 1)
     assert callers == scored(25 * 200) * points
+
+
+def test_each_density_call_receives_its_slice_rows_observation_major(monkeypatch):
+    # ys.T C-contiguous: the density subtracts its (n_obs, rows) mean
+    # block from contiguous observation rows, not a strided transpose
+    model = CortisolModel()
+    calls = []
+    density = CortisolModel.log_cond_density_pairs
+
+    def recording(self, ys, xs, theta):
+        calls.append((ys.copy(), ys.T.flags.c_contiguous, xs.copy()))
+        return density(self, ys, xs, theta)
+
+    monkeypatch.setattr(CortisolModel, "log_cond_density_pairs", recording)
+    m = np.array([50.0, 70.0, 1.2, 0.1])
+    chol = np.diag([5.0, 7.0, 0.2, 0.01])
+    rng = np.random.default_rng(5)
+    big = model.mean(m) * (1.0 + 0.05 * rng.standard_normal((18, 7)))
+    # C rows, a strided view and a Fortran-ordered array
+    for ys, unit in ((big, 301), (big[::2], 7), (np.asfortranarray(big[:5]), 1000)):
+        rows = len(ys) * unit
+        draws = models.Draws(rows, model.q)
+        draws.draw(list(range(len(ys))), unit)
+        calls.clear()
+        x, _, _ = draws.score(model, ys, unit, m, chol, 0.02)
+        assert [len(y) for y, _, _ in calls] == slice_rows(rows)
+        start = 0
+        for y, contiguous, xs in calls:
+            stop = start + len(y)
+            assert contiguous
+            assert y.tobytes() == ys[np.arange(start, stop) // unit].tobytes()
+            assert xs.tobytes() == x[start:stop].tobytes()
+            start = stop

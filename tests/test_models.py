@@ -145,9 +145,53 @@ def test_paired_density_agrees_with_one_row_calls(n_doses):
             assert logp[i] == -np.inf and logp_i[0] == -np.inf
 
 
+@pytest.mark.parametrize("doses", [DEFAULT_DOSES, (0.02, 0.3, 1.0, 5.0, 40.0)],
+                         ids=["default", "five"])
+def test_block_mean_matches_the_scalar_mean(doses):
+    # the density's mean block (exp form) against ``mean`` (power form):
+    # observing each row's own mean makes the theta statistic the sum of
+    # squared relative differences, so every one is within 1e-13
+    model = CortisolModel(doses)
+    rng = np.random.default_rng(11)
+    xs = np.column_stack([rng.normal(50, 5, 400), rng.normal(70, 5, 400),
+                          rng.uniform(0.2, 4.0, 400), rng.lognormal(np.log(0.1), 1.0, 400)])
+    ys = np.array([model.mean(x) for x in xs])
+    logp, stat = model.log_cond_density_pairs(ys, xs, 0.03)
+    assert np.all(np.isfinite(logp))
+    assert np.all(stat <= 1e-26)
+
+
+def test_an_overflowing_power_scores_its_finite_limit():
+    # d^400 overflows at d = 2 and 10; the mean is x1 below x4 and
+    # x1 + x2 above it, to the last bit
+    model = CortisolModel()
+    x = np.array([50.0, 70.0, 400.0, 0.3])
+    with pytest.raises(DomainError):
+        model.mean(x)
+    ys = np.array([[52.0, 49.0, 51.0, 118.0, 125.0, 119.0, 122.0]])
+    logp, stat = model.log_cond_density_pairs(ys, x[None, :], 0.03)
+    f = np.where(model.design < 0.3, 50.0, 120.0)
+    r = (ys[0] - f) / f
+    assert stat[0] == pytest.approx(float(r @ r), rel=1e-14)
+    expected = multivariate_normal(mean=f, cov=0.03 * np.diag(f * f)).logpdf(ys[0])
+    assert logp[0] == pytest.approx(expected, abs=1e-10)
+
+
+def test_a_half_effect_dose_that_is_not_positive_and_finite_reads_minus_inf():
+    # log x4 is -inf at 0 and NaN below it; at 0 the exp form alone would
+    # give the finite mean x1 + x2
+    model = CortisolModel()
+    x4 = np.array([0.1, 0.0, -0.0, -0.5, -np.inf, np.inf, np.nan])
+    xs = np.column_stack([np.full(7, 50.0), np.full(7, 70.0), np.full(7, 1.2), x4])
+    ys = np.tile(model.mean(xs[0]), (7, 1))
+    logp, stat = model.log_cond_density_pairs(ys, xs, 0.03)
+    assert np.isfinite(logp[0]) and np.isfinite(stat[0])
+    assert np.all(logp[1:] == -np.inf)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_density_leaves_its_inputs_unchanged(order):
-    # off-domain, zero-mean and overflowing rows take every in-place branch
+    # off-domain, zero-mean and huge-shape (x3 = 900) rows
     model = CortisolModel()
     rng = np.random.default_rng(8)
     xs = np.column_stack([rng.normal(50, 5, 40), rng.normal(70, 5, 40),

@@ -31,15 +31,18 @@ checks and its ``errstate`` context.  Where ``potrf`` fails, the gufunc
 fills its output with NaN and sets the floating-point invalid flag,
 from which the wrapper raises ``LinAlgError``; a factor's upper
 triangle is otherwise zero, so ``_chol`` returns None when its
-top-right entry is NaN.  Callers hold ``np.errstate(invalid="ignore")``,
+top-right entry is NaN.  Callers hold ``np.errstate(all="ignore")``,
 once per solve on the solver's path, so a failed factorization raises
 the package's own error, or makes the Newton step fall back to a sweep,
-and never a RuntimeWarning.  Every solve against a
-factor is one direct LAPACK ``potrs`` call (``_cho_solve``), bitwise
-equal to scipy's ``cho_solve`` without its per-call finiteness scan.
-The Newton step inverts a factor by one LAPACK ``trtri`` call and takes
-eigenvalues by ``eigvalsh_lo``, the gufunc inside ``np.linalg.eigvalsh``
-(same bits; where it fails, its NaN output rejects the step).
+and never a RuntimeWarning.  The factorization decides positive
+definiteness; every solve is one call of ``solve`` or ``solve1``, and
+every inverse one call of ``inv``, the LU gufuncs (LAPACK ``gesv``)
+inside ``np.linalg.solve`` and ``np.linalg.inv``, with the same bits.
+These gufuncs, ``cholesky_lo`` and ``eigvalsh_lo`` (inside
+``np.linalg.eigvalsh``) are all the linear algebra the package needs,
+so numpy is its only runtime dependency.  The column update solves
+against its block rather than inverting it: an explicit inverse there
+loses enough accuracy on ridged problems to miss their KKT bound.
 Finiteness is checked where data enters instead: SufficientStats and
 SpdMatrix reject non-finite entries, and a NaN arising inside a sweep
 fails the column update's Schur test.
@@ -52,8 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
-from scipy.linalg.lapack import dpotrs as _dpotrs
-from scipy.linalg.lapack import dtrtri as _dtrtri
+from numpy.linalg._umath_linalg import inv as _inv
+from numpy.linalg._umath_linalg import solve as _solve
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .exceptions import (
     DiagonalZeroError,
@@ -91,10 +95,13 @@ class ZeroPattern:
     [1, dim] and not a repeat of an earlier pair.  Whatever takes a
     pattern checks only that its order matches the matrix's.
 
-    The layout is built once, here: a read-only (dim, dim) boolean mask,
-    True at constrained positions (``mask()`` returns copies), and
-    ``free_entries``, read-only 0-based (rows, cols) index arrays of the
-    free lower-triangle entries, diagonal included, in row-major order.
+    The layout is built once, here, all of it read-only: a (dim, dim)
+    boolean mask, True at constrained positions (``mask()`` returns
+    copies); ``free_entries``, 0-based (rows, cols) index arrays of the
+    free lower-triangle entries, diagonal included, in row-major order;
+    each column's pivot index sets (``_pivot_layout``) and the Newton
+    step's gathers and weights (``_newton_layout``), which the solver
+    reads instead of rebuilding them per solve.
 
     Parameters
     ----------
@@ -142,8 +149,10 @@ class ZeroPattern:
                 raise DuplicatePairError("pair (%d, %d) appears more than once" % (i, j))
             mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
         self._mask, self.free_entries = mask, np.nonzero(np.tri(q, dtype=bool) & ~mask)
-        for a in (mask, *self.free_entries):
+        self._newton = _newton_layout(q, *self.free_entries)
+        for a in (mask, *self.free_entries, *self._newton):
             a.setflags(write=False)
+        self._pivots = _pivot_layout(mask)
 
     def __len__(self):
         return len(self.pairs)
@@ -275,10 +284,12 @@ class SpdMatrix:
             raise ValueError(
                 "right-hand side of shape %r does not fit order %d" % (rhs.shape, self.dim)
             )
-        return _cho_solve(self._chol, rhs)
+        with np.errstate(all="ignore"):
+            return (_solve1 if rhs.ndim == 1 else _solve)(self._m, rhs)
 
     def inv(self):
-        return self.solve(np.eye(self.dim))
+        with np.errstate(all="ignore"):
+            return _inv(self._m)
 
     def __repr__(self):
         return "SpdMatrix(dim=%d, pattern=%r)" % (self.dim, self.pattern)
@@ -335,22 +346,13 @@ class IcfDiagnostics:
 
 def _chol(a):
     # np.linalg.cholesky(a) of a float64 square array, or None where that
-    # raises; call under np.errstate(invalid="ignore") (see the module
+    # raises; call with the invalid flag ignored (see the module
     # docstring).  At order 1 the top-right entry is the factor itself,
     # so there a NaN input also reads as failure
     chol = _cholesky_lo(a, signature="d->d")
     if chol.shape[0] and chol[0, -1] != chol[0, -1]:
         return None
     return chol
-
-
-def _cho_solve(chol_lower, rhs):
-    # Solve L L' x = rhs for a lower Cholesky factor L by one potrs call,
-    # bitwise equal to scipy.linalg.cho_solve((L, True), rhs); no
-    # finiteness or shape check (see the module docstring)
-    if not chol_lower.shape[0]:
-        return np.array(rhs, dtype=float)  # LAPACK rejects order 0
-    return _dpotrs(chol_lower, rhs, lower=1)[0]
 
 
 def _as_array(sigma):
@@ -395,12 +397,7 @@ def objective(sigma, stats):
     """Evaluate tr(X-tilde Sigma^-1) + log det Sigma."""
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
-    return _objective(sigma.chol_lower, stats.xtilde)
-
-
-def _objective(chol, xt):
-    # the objective at L L' for a lower Cholesky factor L
-    return float(_cho_solve(chol, xt).trace()) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return float(sigma.solve(stats.xtilde).trace()) + sigma.logdet()
 
 
 def kkt_residual(sigma, stats, pattern):
@@ -418,45 +415,58 @@ def kkt_residual(sigma, stats, pattern):
     return float(np.max(np.abs(grad[~pattern._mask])))
 
 
+def _pivot_layout(mask):
+    """The read-only index sets of every pivot column j of a pattern with
+    the given mask: j, flat ``take``/``put`` indices of a q x q array (of
+    the (q-1) x (q-1) block for the free block) and the free coordinates
+    of the column, built for all columns at once."""
+    q = mask.shape[0]
+    jj, t = np.arange(q), np.arange(q - 1)
+    rest = t + (t >= jj[:, None])  # row jj: the indices other than jj
+    block_col = rest[:, :, None] * q + np.concatenate([rest, jj[:, None]], axis=1)[:, None, :]
+    block = block_col[:, :, :-1].copy()  # [block | column] without the column
+    col, row = rest * q + jj[:, None], jj[:, None] * q + rest
+    free = [np.flatnonzero(f) for f in ~mask[rest, jj[:, None]]]
+    free_block = [f[:, None] * (q - 1) + f for f in free]
+    for a in (block_col, block, col, row, *free, *free_block):
+        a.setflags(write=False)
+    return tuple(zip(range(1, q + 1), block, free, free_block, col, row, block_col))
+
+
 def _pivot(xt, pattern, j):
-    """Flat ``take``/``put`` indices (of a q x q array; of the (q-1) x (q-1)
-    block for the free block) and X-tilde blocks of pivot column j."""
-    q = xt.shape[0]
-    jj = j - 1
-    rest = np.array([t for t in range(q) if t != jj], dtype=np.intp)
-    free = np.flatnonzero(~pattern._mask[rest, jj])  # the column's free coordinates
-    block, col = rest[:, None] * q + rest, rest * q + jj
-    return (j, block, free, free[:, None] * (q - 1) + free, col, jj * q + rest,
-            xt.take(block), xt.take(col), float(xt[jj, jj]))
+    """The pattern's index sets of pivot column j and the X-tilde blocks
+    [M_uu | h_vu] and v_vv that the column update reads."""
+    *indices, block_col = pattern._pivots[j - 1]
+    return (*indices, xt.take(block_col), float(xt[j - 1, j - 1]))
 
 
 def _update_column(cur, pivot):
     # in place on the plain symmetric array ``cur``, under
-    # np.errstate(invalid="ignore"); see icf_column_update
-    j, block, free, free_block, col, row, m_uu, h_vu, v_vv = pivot
-    chol_a = _chol(cur.take(block))
-    if chol_a is None:
+    # np.errstate(all="ignore"); see icf_column_update
+    j, block, free, free_block, col, row, mh, v_vv = pivot
+    a = cur.take(block)
+    if _chol(a) is None:
         raise NotPositiveDefiniteError(
             "complementary block at pivot %d is not positive definite" % j
         )
+    m_uu, h_vu = mh[:, :-1], mh[:, -1]
 
     b_opt = np.zeros(len(col))
     if len(free):
         # normal equations in the free coordinates, with A^-1 folded in:
         # [P' A^-1 M A^-1 P] b = P' A^-1 h   (sample count cancels)
-        ainv_m = _cho_solve(chol_a, m_uu)
-        g_full = _cho_solve(chol_a, ainv_m.T)
+        ainv_mh = _solve(a, mh)
+        g_full = _solve(a, ainv_mh[:, :-1].T)
         g_full = 0.5 * (g_full + g_full.T)
-        h_full = _cho_solve(chol_a, h_vu)
-        chol_g = _chol(g_full.take(free_block))
-        if chol_g is None:
+        g = g_full.take(free_block)
+        if _chol(g) is None:
             raise SingularNormalEquationsError(
                 "free-coordinate Gram matrix at pivot %d is singular; "
                 "the moment matrix is degenerate" % j
             )
-        b_opt.put(free, _cho_solve(chol_g, h_full.take(free)))
+        b_opt.put(free, _solve1(g, ainv_mh[:, -1].take(free)))
 
-    beta = _cho_solve(chol_a, b_opt)  # A^-1 b_opt
+    beta = _solve1(a, b_opt)  # A^-1 b_opt
     s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
     # s_opt is the new Schur complement: A being PD, so is the update iff s_opt > 0
     if not s_opt > 0.0:
@@ -507,7 +517,7 @@ def icf_column_update(sigma, stats, j, pattern):
     q = cur.shape[0]
     if not (1 <= j <= q):
         raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         _update_column(cur, _pivot(stats.xtilde, pattern, j))
     return SpdMatrix(cur, pattern=pattern)
 
@@ -536,33 +546,33 @@ def solved_xtilde(xtilde):
     return (xtilde + _RIDGE * level if ridged else xtilde), ridged
 
 
-def _newton_layout(pattern):
+def _newton_layout(q, r, c):
     """Flat ``take``/``put`` indices of the free lower-triangle entries
-    (r, c), r >= c, diagonal included: the entries themselves, their
-    transposes, the four gathers of the Hessian, and the weights of the
-    gradient and the Hessian (see ``_newton_system``)."""
-    q = pattern.dim
-    r, c = pattern.free_entries
+    (r, c), r >= c, diagonal included, of a q x q array: the entries
+    themselves, their transposes, the four gathers of the Hessian, and
+    the weights of the gradient and the Hessian (see ``_newton_system``)."""
     w = np.where(r == c, 0.5, 1.0)
     return (r * q + c, c * q + r,
             r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,
             2.0 * w, np.outer(w, w))
 
 
-def _newton_system(chol, xt, layout):
+def _newton_system(linv, xt, layout):
     """S X-tilde, and the gradient and Hessian of the objective over the
-    free entries, at L L' for a lower Cholesky factor L.
+    free entries, at L L' for the inverse linv of a lower Cholesky
+    factor L.
 
-    With S = Sigma^-1 and P = S X-tilde S, the gradient at a = (i, j) is
-    (2 - delta_ij) (S - P)_ij, and the Hessian at a, b = (k, l) is
-    w_a w_b t(S, 2P - S)_ab, where t(A, B)_ab = A_jk B_li + A_jl B_ki
-    + A_ik B_lj + A_il B_kj and w is 1/2 on the diagonal, 1 elsewhere:
-    the objective's second differential is tr(dSigma S dSigma (2P - S)).
+    With S = Sigma^-1 = linv' linv and P = S X-tilde S, the gradient at
+    a = (i, j) is (2 - delta_ij) (S - P)_ij, and the Hessian at a, b =
+    (k, l) is w_a w_b t(S, 2P - S)_ab, where t(A, B)_ab = A_jk B_li + A_jl
+    B_ki + A_ik B_lj + A_il B_kj and w is 1/2 on the diagonal, 1
+    elsewhere: the objective's second differential is tr(dSigma S dSigma
+    (2P - S)).
     """
     lo, _, rr, rc, cr, cc, w_grad, w_hess = layout
-    inv = _cho_solve(chol, np.eye(chol.shape[0]))
-    sx = _cho_solve(chol, xt)
-    p = _cho_solve(chol, sx.T)
+    inv = linv.T @ linv
+    sx = inv @ xt
+    p = sx @ inv
     grad = w_grad * (inv - p).take(lo)
     b = 2.0 * p - inv
     hess = w_hess * (inv.take(cr) * b.take(rc) + inv.take(cc) * b.take(rr)
@@ -570,15 +580,15 @@ def _newton_system(chol, xt, layout):
     return sx, grad, hess
 
 
-def _objective_change(linv, sx, chol_c, delta):
+def _objective_change(linv, sx, cand, delta):
     # objective(Sigma + delta) - objective(Sigma) for Sigma = L L' with
-    # linv = L^-1 and sx = Sigma^-1 X-tilde, and Sigma + delta = L_c L_c',
+    # linv = L^-1 and sx = Sigma^-1 X-tilde, and cand = Sigma + delta,
     # as the sum of -tr(Sigma^-1 X-tilde (Sigma + delta)^-1 delta) and
     # sum(log1p(eig(L^-1 delta L^-T))).  Near the optimum the change is
     # second order in delta, below the rounding of the objective itself,
     # while these terms are first order and round only relative to
     # delta, so the sign of the change does not depend on the scale
-    trace = -float(np.sum(sx * _cho_solve(chol_c, delta).T))
+    trace = -float(np.sum(sx * _solve(cand, delta).T))
     eig = _eigvalsh_lo(linv @ delta @ linv.T, signature="d->d")
     return trace + float(np.sum(np.log1p(eig)))
 
@@ -596,20 +606,18 @@ def _newton_step(cur, xt, layout):
     chol = _chol(s)
     if chol is None:
         return None
-    sx, grad, hess = _newton_system(chol, np.ldexp(xt, e), layout)
-    chol_h = _chol(hess)
-    if chol_h is None:
+    linv = _inv(chol)
+    sx, grad, hess = _newton_system(linv, np.ldexp(xt, e), layout)
+    if _chol(hess) is None:
         return None
-    step = _cho_solve(chol_h, -grad)
-    linv = _dtrtri(chol, lower=1)[0]
+    step = _solve1(hess, -grad)
     lo, up = layout[0], layout[1]
     delta = np.zeros_like(s)
     for _ in range(_HALVINGS + 1):
         delta.put(lo, step)
         delta.put(up, step)
         cand = s + delta
-        chol_c = _chol(cand)
-        if chol_c is not None and _objective_change(linv, sx, chol_c, delta) < 0.0:
+        if _chol(cand) is not None and _objective_change(linv, sx, cand, delta) < 0.0:
             return np.ldexp(cand, -e)
         step *= 0.5
     return None
@@ -682,14 +690,13 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
         init = np.diag(np.diag(xt))
     cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
     pivots = [_pivot(xt, pattern, j) for j in range(1, q + 1)]
-    layout = _newton_layout(pattern)
 
     sweeps = newton_steps = 0
     converged = False
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         while sweeps + newton_steps < max_sweeps:
             prev = cur
-            cur = _newton_step(prev, xt, layout) if sweeps >= 2 else None
+            cur = _newton_step(prev, xt, pattern._newton) if sweeps >= 2 else None
             if cur is None:
                 cur = prev.copy()
                 for p in pivots:

@@ -18,20 +18,20 @@ dataset (common random numbers).  All stencil points are scored in
 contiguous shares on every usable CPU (``_pool.run_tasks``), each
 share drawing those numbers once.  The prescribed zero pattern is
 tested by a chi-square likelihood ratio with one degree of freedom per
-constrained pair; its tail is ``scipy.special.chdtrc``, the function
-``scipy.stats.chi2.sf`` calls, so the package never imports
-``scipy.stats``.  This module alone lays out the free parameter vector
-that the standard errors, the study table and the trace share: m,
-Sigma's entries in ``ZeroPattern.free_entries`` order, theta.
+constrained pair; its tail is the closed form for an integer number
+of degrees of freedom (``_chi2_sf``), which needs no special function
+beyond ``math.erfc``.  This module alone lays out the free parameter
+vector that the standard errors, the study table and the trace share:
+m, Sigma's entries in ``ZeroPattern.free_entries`` order, theta.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import _pool
 from .covariance import SpdMatrix
@@ -320,6 +320,40 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     return FisherResult(se=se_map, labels=labels, flagged=flagged)
 
 
+def _chi2_sf(x, df):
+    """P(X > x) for X chi-square with an integer df >= 1, x >= 0.
+
+    With h = x/2, the tail is the finite sum exp(-h) sum_{k<df/2} h^k/k!
+    for even df and erfc(sqrt(h)) plus the same sum over half-integer k
+    for odd df (k = 1/2, 3/2, ...).  Each term is exp(k log h - h -
+    lgamma(k + 1)): a product recurrence underflows to 0 long before the
+    tail does (at df 24, x = 1491 the tail is about 1.7e-300).  Where
+    more than one term sums to nearly 1 (h < df/2, df >= 3), their
+    rounding would let the tail rise with x by an ulp, so there it is 1
+    minus the lower tail, summed from its power series
+    sum_{n>=0} exp((df/2 + n) log h - h - lgamma(df/2 + n + 1)).
+    """
+    h, a = 0.5 * x, 0.5 * df
+    if not h > 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+
+    def term(k):
+        return math.exp(k * log_h - h - math.lgamma(k + 1.0))
+
+    if df > 2 and h < a:
+        # each term is at most h/(a + 1) < 1 times the one before
+        lower = [term(a)]
+        while lower[-1] > 2.0 ** -60 * lower[0]:
+            lower.append(term(a + len(lower)))
+        return 1.0 - math.fsum(lower)
+    if df % 2:
+        return math.fsum([math.erfc(math.sqrt(h)), *(term(k + 0.5) for k in range(df // 2))])
+    return math.fsum(term(k) for k in range(df // 2))
+
+
 def lr_test(loglik_h0, loglik_h1, pattern):
     """Likelihood ratio test of the constrained model against the free one.
 
@@ -336,8 +370,5 @@ def lr_test(loglik_h0, loglik_h1, pattern):
         )
     stat = max(0.0, 2.0 * (float(loglik_h1) - float(loglik_h0)))
     df = len(pattern)
-    if df == 0:
-        p = 1.0
-    else:
-        p = float(chdtrc(df, stat))
+    p = _chi2_sf(stat, df) if df else 1.0
     return LrTestResult(stat=stat, df=df, p_value=p)

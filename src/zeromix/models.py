@@ -217,10 +217,13 @@ class CortisolModel(NlmeModel):
     per model: one ``exp`` per observation in place of two powers (on a
     2-core Xeon VM, one BLAS thread, a 2048-row call took about 165 us
     against 214 us).  Where d^x3 overflows, that form reaches its finite
-    limit (x1 below x4, x1 + x2 above it).  ``mean`` (one row, used by
-    simulation) keeps the power form on scalars, so simulated datasets,
-    the bundled example among them, keep their bits; the two forms agree
-    to a few units in the last place on in-domain rows.
+    limit (x1 below x4, x1 + x2 above it, x1 + x2/2 at d = x4).  ``mean``
+    (one row, used by simulation) keeps the power form on scalars, so
+    simulated datasets, the bundled example among them, keep their bits;
+    the two forms agree to a few units in the last place on in-domain
+    rows.  Where the power form is not finite, ``mean`` takes the exp
+    form's value, bit for bit, so ``draw_ok`` and simulation accept the
+    rows that the density scores.
     """
 
     name = "cortisol"
@@ -240,11 +243,15 @@ class CortisolModel(NlmeModel):
             raise DomainError("half-effect dose x4 must be positive, got %r" % (x[3],))
         # the power form on scalars: the density block's exp form differs
         # from it in the last bits, and simulated datasets (the bundled
-        # example among them) keep the bits of this one
+        # example among them) keep the bits of this one.  Where d^x3 or
+        # x4^x3 over- or underflows, the exp form, in the density's order
         x1, x2, x3, x4 = x
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             da = self.design ** x3
             f = x1 + x2 * da / (x4 ** x3 + da)
+            bad = ~np.isfinite(f)
+            if bad.any():
+                f[bad] = x1 + x2 / (np.exp((np.log(x4) - self._log_design[bad]) * x3) + 1.0)
         if not np.all(np.isfinite(f)):
             raise DomainError("mean response overflowed at x = %r" % (x,))
         return f

@@ -15,8 +15,6 @@ free entries itself (``free_positions``).
 import concurrent.futures
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 
 from zeromix import models
@@ -161,27 +159,29 @@ def oracle_starts(xtilde, pattern):
 def reference_column_update(sigma, xtilde, j, pattern):
     """One ICF column update by the original call sequence.
 
-    Factors with ``np.linalg.cholesky`` and solves with scipy's checked
-    ``cho_solve``, in the order the package's kernel solves, so a kernel
-    whose arithmetic drifts by one bit no longer replays through it.
-    Returns the updated plain array.
+    Factors with ``np.linalg.cholesky`` and solves with the checked
+    ``np.linalg.solve``, in the order the package's kernel solves and on
+    the same blocks (A, and [M_uu | h_vu] against it), so a kernel whose
+    arithmetic drifts by one bit no longer replays through it.  Returns
+    the updated plain array.
     """
     cur = np.array(sigma, dtype=float)
     jj = j - 1
     rest = [t for t in range(cur.shape[0]) if t != jj]
     free = [t for t, r in enumerate(rest) if (r + 1, j) not in pattern]
-    ix = np.ix_(rest, rest)
-    m_uu, h_vu, v_vv = xtilde[ix], xtilde[rest, jj], float(xtilde[jj, jj])
-    chol_a = np.linalg.cholesky(cur[ix])
+    a = cur[np.ix_(rest, rest)]
+    mh = xtilde[np.ix_(rest, rest + [jj])]
+    m_uu, h_vu, v_vv = mh[:, :-1], mh[:, -1], float(xtilde[jj, jj])
+    np.linalg.cholesky(a)
     b_opt = np.zeros(len(rest))
     if free:
-        ainv_m = cho_solve((chol_a, True), m_uu)
-        g_full = cho_solve((chol_a, True), ainv_m.T)
+        ainv_mh = np.linalg.solve(a, mh)
+        g_full = np.linalg.solve(a, ainv_mh[:, :-1].T)
         g_full = 0.5 * (g_full + g_full.T)
-        h_full = cho_solve((chol_a, True), h_vu)
-        chol_g = np.linalg.cholesky(g_full[np.ix_(free, free)])
-        b_opt[free] = cho_solve((chol_g, True), h_full[free])
-    beta = cho_solve((chol_a, True), b_opt)
+        g = g_full[np.ix_(free, free)]
+        np.linalg.cholesky(g)
+        b_opt[free] = np.linalg.solve(g, ainv_mh[free, -1])
+    beta = np.linalg.solve(a, b_opt)
     s_opt = v_vv - 2.0 * float(beta @ h_vu) + float(beta @ m_uu @ beta)
     cur[rest, jj] = b_opt
     cur[jj, rest] = b_opt
@@ -206,11 +206,12 @@ def reference_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500):
 
 def reference_newton_step(sigma, xtilde, pattern):
     """One damped Newton step of the solve on the free lower-triangle
-    entries, by numpy's factor and scipy's ``cho_solve``;
+    entries, by numpy's factor, ``np.linalg.inv`` and ``np.linalg.solve``;
     returns the plain array, or None where the step fails.
 
     In the frame scaled by 2^e, with max|Sigma| in [2^(e-1), 2^e),
-    S = Sigma^-1 and B = 2 S X-tilde S - S, the gradient at a free entry
+    S = Sigma^-1 = L^-T L^-1 (Sigma = L L', L^-1 by ``np.linalg.inv``)
+    and B = 2 S X-tilde S - S, the gradient at a free entry
     a = (i, j) is (2 - delta_ij)(S - S X-tilde S)_ij and the Hessian at
     a, b = (k, l) is w_a w_b (S_jk B_li + S_jl B_ki + S_ik B_lj + S_il B_kj),
     w = 1/2 on the diagonal and 1 elsewhere.  S and B are symmetric; their
@@ -219,7 +220,7 @@ def reference_newton_step(sigma, xtilde, pattern):
     H d = -g and is halved at most four times; a candidate is taken when
     it factors and its objective change, -tr(Sigma^-1 X-tilde
     (Sigma + D)^-1 D) plus the sum of log1p of the eigenvalues of
-    L^-1 D L^-T (Sigma = L L', L^-1 by LAPACK ``trtri``), is negative,
+    L^-1 D L^-T, is negative,
     summed in the package's order: where a step barely changes the
     objective, the sign of that sum is the rounding of its terms.
     """
@@ -230,9 +231,10 @@ def reference_newton_step(sigma, xtilde, pattern):
     except np.linalg.LinAlgError:
         return None
     rows, cols = free_positions(pattern)
-    inv = cho_solve((chol, True), np.eye(pattern.dim))
-    sx = cho_solve((chol, True), xts)
-    p = cho_solve((chol, True), sx.T)
+    linv = np.linalg.inv(chol)
+    inv = linv.T @ linv
+    sx = inv @ xts
+    p = sx @ inv
     grad = np.where(rows == cols, 1.0, 2.0) * (inv - p)[rows, cols]
     b = 2.0 * p - inv
     w = np.where(rows == cols, 0.5, 1.0)
@@ -240,23 +242,22 @@ def reference_newton_step(sigma, xtilde, pattern):
     hess = np.outer(w, w) * (inv[c, rows] * b[r, cols] + inv[c, cols] * b[r, rows]
                              + inv[r, rows] * b[c, cols] + inv[r, cols] * b[c, rows])
     try:
-        chol_h = np.linalg.cholesky(hess)
+        np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return None
-    step = cho_solve((chol_h, True), -grad)
-    linv = dtrtri(chol, lower=1)[0]
+    step = np.linalg.solve(hess, -grad)
     for _ in range(5):
         delta = np.zeros_like(s)
         delta[rows, cols] = step
         delta[cols, rows] = step
         cand = s + delta
         try:
-            chol_c = np.linalg.cholesky(cand)
+            np.linalg.cholesky(cand)
         except np.linalg.LinAlgError:
             step = step * 0.5
             continue
         half = linv @ delta @ linv.T
-        change = (-float(np.sum(sx * cho_solve((chol_c, True), delta).T))
+        change = (-float(np.sum(sx * np.linalg.solve(cand, delta).T))
                   + float(np.sum(np.log1p(np.linalg.eigvalsh(half)))))
         if change < 0.0:
             return np.ldexp(cand, e)

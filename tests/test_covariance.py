@@ -110,6 +110,13 @@ def test_pattern_layout_matches_the_independent_free_positions():
             assert len(got) == 2
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b) and not a.flags.writeable
+        # the solver's pivot index sets and Newton layout, built once
+        solver_layout = [(pat._newton, back._newton),
+                         *((p[1:], b[1:]) for p, b in zip(pat._pivots, back._pivots))]
+        assert len(solver_layout) == q + 1
+        for ours, theirs in solver_layout:
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a, b) and not a.flags.writeable and not b.flags.writeable
         mask = pat.mask()
         assert mask.dtype == bool and mask.flags.writeable
         assert np.array_equal(mask, mask.T) and int(mask.sum()) == 2 * len(pat)

@@ -8,9 +8,10 @@ the solve must reach a scale-free stationary point when it reports
 convergence, and equal, bit for bit and in both counts, a replay of its
 iterations through the public single-column update.  It must also
 equal, bit for bit and in both counts, the reference solve of
-helpers.py run on the reference update (numpy factors, scipy's
-``cho_solve``), and the factorization's solves must equal ``cho_solve``
-bitwise: faster kernels may not drift.  The Newton step's gradient and
+helpers.py run on the reference update (numpy factors, numpy's
+checked ``solve`` and ``inv``), and ``SpdMatrix``'s solves must equal
+``np.linalg.solve`` bitwise, and scipy's ``cho_solve`` to rounding:
+faster kernels may not drift.  The Newton step's gradient and
 Hessian must match central differences of the objective.  Against the
 plain-sweep oracle of helpers.py, the solve must reach an objective no
 higher and, over a seeded battery, take at most 0.6 times its sweeps
@@ -44,7 +45,6 @@ from zeromix.covariance import (  # noqa: E402
     SufficientStats,
     ZeroPattern,
     _chol,
-    _newton_layout,
     _newton_system,
     icf_column_update,
     icf_solve,
@@ -139,7 +139,8 @@ def test_newton_gradient_and_hessian_match_central_differences():
             xt = random_spd(rng, q)
             sigma = min_eig_repair(zero_forced(random_spd(rng, q) + np.eye(q), pat), 10).values
             rows, cols = free_positions(pat)
-            _, grad, hess = _newton_system(np.linalg.cholesky(sigma), xt, _newton_layout(pat))
+            linv = np.linalg.inv(np.linalg.cholesky(sigma))
+            _, grad, hess = _newton_system(linv, xt, pat._newton)
             x = sigma[rows, cols]
             fd_grad, fd_hess = np.zeros(len(x)), np.zeros((len(x), len(x)))
             for a in range(len(x)):
@@ -180,7 +181,7 @@ def test_icf_solve_matches_plain_sweeps_in_fewer_sweeps():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_spd_solve_and_inv_equal_cho_solve_bitwise(q, k, seed):
+def test_spd_solve_and_inv_equal_numpy_solve_bitwise(q, k, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((q + 2, q))
     spd = SpdMatrix(g.T @ g)
@@ -188,9 +189,13 @@ def test_spd_solve_and_inv_equal_cho_solve_bitwise(q, k, seed):
     # a vector, a matrix, and a Fortran-ordered matrix of right-hand sides
     for rhs in (rng.standard_normal(q), rng.standard_normal((q, k)),
                 rng.standard_normal((k, q)).T):
-        x, want = spd.solve(rhs), cho_solve(factor, rhs)
+        x, want = spd.solve(rhs), np.linalg.solve(spd.values, rhs)
         assert x.shape == want.shape and x.tobytes() == want.tobytes()
-    assert spd.inv().tobytes() == cho_solve(factor, np.eye(q)).tobytes()
+        assert np.allclose(x, cho_solve(factor, rhs), rtol=1e-10, atol=0.0)
+    inv = spd.inv()
+    assert inv.tobytes() == np.linalg.inv(spd.values).tobytes()
+    assert inv.tobytes() == np.linalg.solve(spd.values, np.eye(q)).tobytes()
+    assert np.allclose(inv, cho_solve(factor, np.eye(q)), rtol=1e-10, atol=0.0)
 
 
 @st.composite

@@ -2,9 +2,10 @@
 likelihood, finite-difference standard errors, likelihood ratio test.
 
 The importance sampler is checked against the closed-form marginal of
-the linear reference model; the ratio test against analytic chi-square
-tail formulas (exp(-s/2) at two constraints, erfc at one) and, bit for
-bit, against ``scipy.stats.chi2.sf``.
+the linear reference model; the ratio test's chi-square tail against
+exact identities (erfc at one constraint, exp(-s/2) at two, 1 at zero,
+never rising with the statistic) and, to 1e-12 relative, against
+``scipy.stats.chi2.sf`` as an oracle.
 """
 
 import itertools
@@ -25,8 +26,8 @@ from zeromix.covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forc
 from zeromix.exceptions import (DegenerateWeightError, InputMismatchError,
                                 ValueOutOfRangeError)
 from zeromix.harness import cortisol_example
-from zeromix.inference import (_logsumexp_rows, _unpack_params, fisher_se, free_param_labels,
-                               loglik_is, lr_test, pack_params)
+from zeromix.inference import (_chi2_sf, _logsumexp_rows, _unpack_params, fisher_se,
+                               free_param_labels, loglik_is, lr_test, pack_params)
 from zeromix.mcem import fit
 from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, simulate_dataset
 
@@ -582,13 +583,38 @@ def test_lr_without_constraints_is_vacuous():
     assert res.p_value == 1.0
 
 
-@pytest.mark.parametrize("df", range(1, 13))
-def test_lr_pvalue_bits_equal_scipy_stats(df):
-    pat = ZeroPattern(list(itertools.combinations(range(1, 7), 2))[:df], dim=6)
-    for stat in (0.0, 1e-300, 1e-12, 0.5, 1.0, float(df), 5.0 * df, 50.0, 700.0, 1e4):
+# statistics 0..3000: a grid, finer below 50 where the tails of df <= 40
+# fall from near 1, geometric below that where terms sum to nearly 1
+_CHI2_GRID = np.unique(np.concatenate([np.linspace(0.0, 3000.0, 12001),
+                                       np.linspace(0.0, 50.0, 10001),
+                                       np.geomspace(1e-12, 3000.0, 4000),
+                                       [1e-300, 1e-12, 0.5, 1.0, 50.0, 700.0, 1491.0]]))
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_lr_pvalue_matches_scipy_stats_within_1e12(df):
+    # scipy's chi-square tail as an oracle, wherever it is at least 1e-300
+    got = np.array([_chi2_sf(float(x), df) for x in _CHI2_GRID])
+    want = chi2.sf(_CHI2_GRID, df)
+    keep = want >= 1e-300
+    assert keep.sum() > 1000
+    assert np.max(np.abs(got[keep] - want[keep]) / want[keep]) <= 1e-12
+    # the tail never rises with the statistic, down to 0 past 1e-300
+    assert got[0] == 1.0 and np.all(np.diff(got) <= 0.0) and 0.0 <= got[-1] < 1e-300
+    pat = ZeroPattern(list(itertools.combinations(range(1, 11), 2))[:df], dim=10)
+    for stat in (0.0, 1e-300, 1.0, float(df), 5.0 * df, 1e4, math.inf):
         res = lr_test(0.0, stat / 2.0, pat)
         assert (res.stat, res.df) == (stat, df)
-        assert res.p_value.hex() == float(chi2.sf(stat, df)).hex(), stat
+        assert res.p_value == _chi2_sf(stat, df)
+
+
+def test_chi2_tail_meets_its_exact_identities():
+    # one degree of freedom is the erfc tail, two the exponential, bit
+    # for bit; every tail is 1 at 0
+    for x in (1e-300, 1e-12, 1e-5, 0.3, 1.0, 2.0, 7.5, 100.0, 1400.0, 1600.0):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+    assert all(_chi2_sf(0.0, df) == 1.0 for df in range(1, 41))
 
 
 def test_lr_clips_small_negative_statistics_with_a_warning():

@@ -58,8 +58,10 @@ def test_mean_rejects_off_domain_points():
     with pytest.raises(DomainError):
         model.mean(np.array([np.nan, 70.0, 1.0, 0.1]))
     with pytest.raises(DomainError):
-        # 10^x3 overflows against x4^x3 ~ inf/inf
-        model.mean(np.array([50.0, 70.0, 1e300, 2.0]))
+        # a mean beyond the largest float in either form
+        model.mean(np.array([1e308, 1e308, 1.0, 0.1]))
+    # 10^x3 overflows against x4^x3 ~ inf/inf: the exp form's finite limit
+    assert model.mean(np.array([50.0, 70.0, 1e300, 2.0])).tolist() == [50.0] * 5 + [85.0, 120.0]
 
 
 def test_scale_is_proportional_to_the_mean():
@@ -163,14 +165,21 @@ def test_block_mean_matches_the_scalar_mean(doses):
 
 def test_an_overflowing_power_scores_its_finite_limit():
     # d^400 overflows at d = 2 and 10; the mean is x1 below x4 and
-    # x1 + x2 above it, to the last bit
+    # x1 + x2 above it, to the last bit, in ``mean`` as in the density,
+    # so simulation accepts the row.  With x4 at a dose, d^400 and x4^400
+    # overflow together there, and the mean is x1 + x2/2
     model = CortisolModel()
     x = np.array([50.0, 70.0, 400.0, 0.3])
-    with pytest.raises(DomainError):
-        model.mean(x)
+    f = np.where(model.design < 0.3, 50.0, 120.0)
+    assert model.mean(x).tobytes() == f.tobytes() and model.draw_ok(x)
+    at_dose = np.array([50.0, 70.0, 400.0, 1.0])
+    assert model.mean(at_dose).tolist() == [50.0, 50.0, 50.0, 50.0, 85.0, 120.0, 120.0]
+    for row in (x, at_dose, np.array([50.0, 70.0, -400.0, 0.3])):
+        # a row observed at its own mean has relative residuals of 0
+        _, own = model.log_cond_density_pairs(model.mean(row)[None, :], row[None, :], 0.03)
+        assert own[0] == 0.0
     ys = np.array([[52.0, 49.0, 51.0, 118.0, 125.0, 119.0, 122.0]])
     logp, stat = model.log_cond_density_pairs(ys, x[None, :], 0.03)
-    f = np.where(model.design < 0.3, 50.0, 120.0)
     r = (ys[0] - f) / f
     assert stat[0] == pytest.approx(float(r @ r), rel=1e-14)
     expected = multivariate_normal(mean=f, cov=0.03 * np.diag(f * f)).logpdf(ys[0])

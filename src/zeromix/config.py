@@ -19,10 +19,8 @@ all the keys each section accepts:
     rows), and ``theta``.  The covariance must be positive definite.
 
 ``[mcem]``
-    Optional fit settings, read as the keywords of
-    :class:`zeromix.mcem.FitConfig` of the same names: ``chain_length``,
-    ``burn_in``, the damping gain's ``gamma_a``, ``gamma_b`` and
-    ``warmup``, ``outer_tol``, ``max_outer`` and ``seed``; unset keys
+    Optional fit settings: the keys are the fields of
+    :class:`zeromix.mcem.FitConfig`, read as its keywords; unset keys
     keep their defaults.
 
 ``[study]``
@@ -44,7 +42,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -127,8 +125,8 @@ _SECTIONS = {
     "pattern": {"pairs": _parse_pairs},
     "init": {"m": _parse_floats, "sigma_diag": _parse_floats, "sigma": _parse_matrix,
              "theta": _FLOAT},
-    "mcem": {"chain_length": _INT, "burn_in": _INT, "gamma_a": _FLOAT, "gamma_b": _FLOAT,
-             "warmup": _INT, "outer_tol": _FLOAT, "max_outer": _INT, "seed": _INT},
+    "mcem": {f.name: _FLOAT if isinstance(f.default, float) else _INT
+             for f in fields(FitConfig)},
     "study": {"replicates": _INT, "individuals": _INT, "master_seed": _INT,
               "truth_m": _parse_floats, "truth_sigma": _parse_matrix, "truth_theta": _FLOAT},
 }

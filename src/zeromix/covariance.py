@@ -51,6 +51,7 @@ fails the column update's Schur test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
@@ -63,6 +64,7 @@ from .exceptions import (
     DiagonalZeroError,
     DuplicatePairError,
     IndexOutOfRangeError,
+    InputMismatchError,
     NotPositiveDefiniteError,
     PatternViolationError,
     SingularNormalEquationsError,
@@ -83,6 +85,8 @@ __all__ = [
     "kkt_residual",
 ]
 
+_NOT_PD = "symmetric factorization failed: matrix is not positive definite"
+
 
 class ZeroPattern:
     """A set of off-diagonal index pairs constrained to exact zero.
@@ -95,13 +99,13 @@ class ZeroPattern:
     [1, dim] and not a repeat of an earlier pair.  Whatever takes a
     pattern checks only that its order matches the matrix's.
 
-    The layout is built once, here, all of it read-only: a (dim, dim)
-    boolean mask, True at constrained positions (``mask()`` returns
-    copies); ``free_entries``, 0-based (rows, cols) index arrays of the
-    free lower-triangle entries, diagonal included, in row-major order;
-    each column's pivot index sets (``_pivot_layout``) and the Newton
-    step's gathers and weights (``_newton_layout``), which the solver
-    reads instead of rebuilding them per solve.
+    The layout is read-only: a (dim, dim) boolean mask, True at
+    constrained positions (``mask()`` returns copies), and
+    ``free_entries``, 0-based (rows, cols) index arrays of the free
+    lower-triangle entries, diagonal included, in row-major order, built
+    here; each column's pivot index sets (``_pivots``) and the Newton
+    step's gathers and weights (``_newton``), built by the first solve
+    that reads them, so only a solved pattern pays for them.
 
     Parameters
     ----------
@@ -149,10 +153,42 @@ class ZeroPattern:
                 raise DuplicatePairError("pair (%d, %d) appears more than once" % (i, j))
             mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
         self._mask, self.free_entries = mask, np.nonzero(np.tri(q, dtype=bool) & ~mask)
-        self._newton = _newton_layout(q, *self.free_entries)
-        for a in (mask, *self.free_entries, *self._newton):
+        for a in (mask, *self.free_entries):
             a.setflags(write=False)
-        self._pivots = _pivot_layout(mask)
+
+    @cached_property
+    def _pivots(self):
+        """The read-only index sets of every pivot column j: j, flat
+        ``take``/``put`` indices of a q x q array (of the (q-1) x (q-1)
+        block for the free block) and the free coordinates of the column,
+        built for all columns at once."""
+        q, mask = self.dim, self._mask
+        jj, t = np.arange(q), np.arange(q - 1)
+        rest = t + (t >= jj[:, None])  # row jj: the indices other than jj
+        block_col = rest[:, :, None] * q + np.concatenate([rest, jj[:, None]], axis=1)[:, None, :]
+        block = block_col[:, :, :-1].copy()  # [block | column] without the column
+        col, row = rest * q + jj[:, None], jj[:, None] * q + rest
+        free = [np.flatnonzero(f) for f in ~mask[rest, jj[:, None]]]
+        free_block = [f[:, None] * (q - 1) + f for f in free]
+        for a in (block_col, block, col, row, *free, *free_block):
+            a.setflags(write=False)
+        return tuple(zip(range(1, q + 1), block, free, free_block, col, row, block_col))
+
+    @cached_property
+    def _newton(self):
+        """Read-only flat ``take``/``put`` indices of the free lower-triangle
+        entries (r, c), r >= c, diagonal included, of a q x q array: the
+        entries themselves, their transposes, the four gathers of the
+        Hessian, and the weights of the gradient and the Hessian (see
+        ``_newton_system``)."""
+        q, (r, c) = self.dim, self.free_entries
+        w = np.where(r == c, 0.5, 1.0)
+        layout = (r * q + c, c * q + r,
+                  r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,
+                  2.0 * w, np.outer(w, w))
+        for a in layout:
+            a.setflags(write=False)
+        return layout
 
     def __len__(self):
         return len(self.pairs)
@@ -192,7 +228,7 @@ class ZeroPattern:
 def _require_order(pattern, q):
     # a pattern built for one order must not be applied to another
     if pattern.dim != q:
-        raise ValueError(
+        raise InputMismatchError(
             "pattern is declared for order %d but the matrix has order %d"
             % (pattern.dim, q)
         )
@@ -216,7 +252,7 @@ class SpdMatrix:
 
     Raises
     ------
-    ValueError
+    InputMismatchError
         If ``entries`` is not square, or ``pattern`` is declared for
         another order.
     NotPositiveDefiniteError
@@ -228,7 +264,7 @@ class SpdMatrix:
     def __init__(self, entries, pattern=None):
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix, got shape %r" % (m.shape,))
+            raise InputMismatchError("entries must be a square matrix, got shape %r" % (m.shape,))
         # bitwise symmetry: upper triangle is a copy of the lower
         m = np.tril(m) + np.tril(m, -1).T
         if not np.all(np.isfinite(m)):
@@ -243,9 +279,7 @@ class SpdMatrix:
         with np.errstate(invalid="ignore"):
             chol = _chol(m)
         if chol is None:
-            raise NotPositiveDefiniteError(
-                "symmetric factorization failed: matrix is not positive definite"
-            )
+            raise NotPositiveDefiniteError(_NOT_PD)
         m.setflags(write=False)
         chol.setflags(write=False)
         self._m = m
@@ -281,7 +315,7 @@ class SpdMatrix:
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
-            raise ValueError(
+            raise InputMismatchError(
                 "right-hand side of shape %r does not fit order %d" % (rhs.shape, self.dim)
             )
         with np.errstate(all="ignore"):
@@ -312,9 +346,9 @@ class SufficientStats:
     def __init__(self, xtilde, n):
         m = np.array(xtilde, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("xtilde must be square, got shape %r" % (m.shape,))
+            raise InputMismatchError("xtilde must be square, got shape %r" % (m.shape,))
         if not np.all(np.isfinite(m)):
-            raise ValueError("xtilde has non-finite entries")
+            raise ValueOutOfRangeError("xtilde has non-finite entries")
         # bitwise symmetry, same convention as SpdMatrix
         m = np.tril(m) + np.tril(m, -1).T
         m.setflags(write=False)
@@ -387,7 +421,7 @@ def min_eig_repair(sigma_zf, n):
     """
     a = np.asarray(_as_array(sigma_zf), dtype=float)
     if n < 1:
-        raise ValueError("sample size must be >= 1, got %r" % (n,))
+        raise ValueOutOfRangeError("sample size must be >= 1, got %r" % (n,))
     lam_min = float(np.linalg.eigvalsh(a)[0])
     shift = max(-lam_min, 0.0) + 1.0 / float(n) ** 2
     return SpdMatrix(a + shift * np.eye(a.shape[0]))
@@ -413,24 +447,6 @@ def kkt_residual(sigma, stats, pattern):
     inv = sigma.inv()
     grad = inv - inv @ stats.xtilde @ inv
     return float(np.max(np.abs(grad[~pattern._mask])))
-
-
-def _pivot_layout(mask):
-    """The read-only index sets of every pivot column j of a pattern with
-    the given mask: j, flat ``take``/``put`` indices of a q x q array (of
-    the (q-1) x (q-1) block for the free block) and the free coordinates
-    of the column, built for all columns at once."""
-    q = mask.shape[0]
-    jj, t = np.arange(q), np.arange(q - 1)
-    rest = t + (t >= jj[:, None])  # row jj: the indices other than jj
-    block_col = rest[:, :, None] * q + np.concatenate([rest, jj[:, None]], axis=1)[:, None, :]
-    block = block_col[:, :, :-1].copy()  # [block | column] without the column
-    col, row = rest * q + jj[:, None], jj[:, None] * q + rest
-    free = [np.flatnonzero(f) for f in ~mask[rest, jj[:, None]]]
-    free_block = [f[:, None] * (q - 1) + f for f in free]
-    for a in (block_col, block, col, row, *free, *free_block):
-        a.setflags(write=False)
-    return tuple(zip(range(1, q + 1), block, free, free_block, col, row, block_col))
 
 
 def _pivot(xt, pattern, j):
@@ -544,17 +560,6 @@ def solved_xtilde(xtilde):
     with np.errstate(invalid="ignore"):
         ridged = _chol(xtilde - _SINGULAR * level) is None
     return (xtilde + _RIDGE * level if ridged else xtilde), ridged
-
-
-def _newton_layout(q, r, c):
-    """Flat ``take``/``put`` indices of the free lower-triangle entries
-    (r, c), r >= c, diagonal included, of a q x q array: the entries
-    themselves, their transposes, the four gathers of the Hessian, and
-    the weights of the gradient and the Hessian (see ``_newton_system``)."""
-    w = np.where(r == c, 0.5, 1.0)
-    return (r * q + c, c * q + r,
-            r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,
-            2.0 * w, np.outer(w, w))
 
 
 def _newton_system(linv, xt, layout):
@@ -687,8 +692,12 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
                                              ridged=ridged)
 
     if init is None:
-        init = np.diag(np.diag(xt))
-    cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
+        diag = np.diag(xt)  # conforms to any pattern; PD iff all entries are > 0
+        if not np.all(diag > 0.0):
+            raise NotPositiveDefiniteError(_NOT_PD)
+        cur = np.diag(diag)
+    else:
+        cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
     pivots = [_pivot(xt, pattern, j) for j in range(1, q + 1)]
 
     sweeps = newton_steps = 0

@@ -367,7 +367,7 @@ def write_json(obj, path):
 def write_trace_csv(result, path):
     """Iteration trace: state coordinates plus sampler summaries."""
     if not result.trace:
-        raise ValueError("fit result carries no trace")
+        raise ValueOutOfRangeError("fit result carries no trace")
     free = ZeroPattern([], dim=len(result.trace[0].m))
     header = ["k", *free_param_labels(free), "accept_rate", "delta"]
     with open(path, "w", encoding="utf-8", newline="") as fh:

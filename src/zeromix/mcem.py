@@ -8,7 +8,7 @@ the closed-form mean and residual variance updates and the
 zero-constrained covariance solve.  Damped (stochastic approximation)
 updates stabilize the iteration: full replacement during the first
 ``warmup`` iterations, then the decaying gain
-``gamma_a / (k - warmup)^gamma_b`` of ``FitConfig.gamma``.
+``1 / (k - warmup)^0.8`` of ``FitConfig.gamma``.
 
 Chains are pre-generated: every proposal of an iteration is drawn up
 front and scored through ``models.Draws``, the draw-and-score path the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import DegenerateDrawError, ValueOutOfRangeError
+from .exceptions import DegenerateDrawError, InputMismatchError, ValueOutOfRangeError
 from .models import Draws, NlmeModel
 
 __all__ = [
@@ -53,20 +53,20 @@ _WINDOW = 10
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Outer-loop configuration for ``fit``; each field is named as
-    its ``[mcem]`` INI key.
+    """Outer-loop configuration for ``fit``: its fields are the keys
+    the ``[mcem]`` INI section accepts, of the same names and types.
 
-    The stopping tolerance is matched to the damping gain: with gamma
-    decaying like (k - warmup)^-0.8 and chains of a few hundred draws,
-    per-iteration relative changes settle near 1e-3, so a much tighter
-    tolerance would never be reached.  The M-step runs ``icf_solve`` at
-    its own tolerance and iteration cap.
+    The damping gain decays like (k - warmup)^-0.8, whose sum diverges
+    and whose squares sum, as stochastic-approximation EM needs (Delyon,
+    Lavielle & Moulines 1999).  The stopping tolerance is matched to it:
+    with chains of a few hundred draws, per-iteration relative changes
+    settle near 1e-3, so a much tighter tolerance would never be
+    reached.  The M-step runs ``icf_solve`` at its own tolerance and
+    iteration cap.
     """
 
     chain_length: int = 500
     burn_in: int = 100
-    gamma_a: float = 1.0
-    gamma_b: float = 0.8
     warmup: int = 50
     outer_tol: float = 2e-3
     max_outer: int = 400
@@ -77,10 +77,6 @@ class FitConfig:
             raise ValueOutOfRangeError("chain_length must be >= 1, got %r" % (self.chain_length,))
         if self.burn_in < 0:
             raise ValueOutOfRangeError("burn_in must be >= 0, got %r" % (self.burn_in,))
-        if not (np.isfinite(self.gamma_a) and self.gamma_a > 0.0):
-            raise ValueOutOfRangeError("gamma_a must be finite and > 0, got %r" % (self.gamma_a,))
-        if not (0.0 < self.gamma_b <= 1.0):
-            raise ValueOutOfRangeError("gamma_b must lie in (0, 1], got %r" % (self.gamma_b,))
         if self.warmup < 0:
             raise ValueOutOfRangeError("warmup must be >= 0, got %r" % (self.warmup,))
         if not (np.isfinite(self.outer_tol) and self.outer_tol > 0.0):
@@ -93,10 +89,10 @@ class FitConfig:
 
     def gamma(self, k):
         """Damping gain of outer iteration ``k``: 1 through ``warmup``,
-        then min(1, gamma_a / (k - warmup)^gamma_b)."""
+        then 1 / (k - warmup)^0.8."""
         if k <= self.warmup:
             return 1.0
-        return min(1.0, self.gamma_a / float(k - self.warmup) ** self.gamma_b)
+        return 1.0 / float(k - self.warmup) ** 0.8
 
 
 @dataclass
@@ -111,9 +107,9 @@ class FitState:
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
         if self.m.ndim != 1:
-            raise ValueError("m must be a vector")
+            raise InputMismatchError("m must be a vector")
         if self.m.shape[0] != self.sigma.dim:
-            raise ValueError("m and sigma dimensions differ")
+            raise InputMismatchError("m and sigma dimensions differ")
         if not np.isfinite(self.m).all():
             raise ValueOutOfRangeError("m must be finite, got %r" % (self.m,))
         if not (math.isfinite(self.theta) and self.theta > 0.0):
@@ -357,7 +353,6 @@ def fit(model, data, pattern, init, config=None):
     state = FitState(m=init.m.copy(), sigma=sigma0, theta=init.theta, k=0)
 
     trace = []
-    deltas = []
     x_last = None
     t_total = config.burn_in + config.chain_length
     draws = Draws(data.n * (t_total + 1), model.q, uniforms=(data.n, t_total))
@@ -381,10 +376,7 @@ def fit(model, data, pattern, init, config=None):
         icf_unconverged += not icf.converged
         icf_ridged += icf.ridged
 
-        new_state = saem_damp(state, (m_next, sigma_next, theta_next), config.gamma(k))
-        delta = _relative_delta(state, new_state)
-        state = new_state
-        deltas.append(delta)
+        prev, state = state, saem_damp(state, (m_next, sigma_next, theta_next), config.gamma(k))
         accept_mean = float(np.mean(estep.accept_rate))
         rejects_total += int(np.sum(estep.domain_rejects))
         trace.append(
@@ -394,10 +386,10 @@ def fit(model, data, pattern, init, config=None):
                 sigma=np.array(state.sigma.values),
                 theta=state.theta,
                 accept_rate=accept_mean,
-                delta=delta,
+                delta=_relative_delta(prev, state),
             )
         )
-        if len(deltas) >= _WINDOW and max(deltas[-_WINDOW:]) < config.outer_tol:
+        if len(trace) >= _WINDOW and max(row.delta for row in trace[-_WINDOW:]) < config.outer_tol:
             converged = True
             break
 

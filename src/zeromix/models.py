@@ -142,7 +142,7 @@ class NlmeModel:
         self.design = np.asarray(design, dtype=float)
         self.design.setflags(write=False)
         if self.design.shape != (self.n_obs,):
-            raise ValueError("design must have shape (n_obs,)")
+            raise InputMismatchError("design must have shape (n_obs,)")
 
     def mean(self, x):
         """Mean response F(x) at every design point.
@@ -449,13 +449,13 @@ class Dataset:
         self.y = np.array(y, dtype=float)
         self.design = np.array(design, dtype=float)
         if self.y.ndim != 2:
-            raise ValueError("y must be 2-d, got shape %r" % (self.y.shape,))
+            raise InputMismatchError("y must be 2-d, got shape %r" % (self.y.shape,))
         if len(self.ids) != self.y.shape[0]:
-            raise ValueError("ids and y row count differ")
+            raise InputMismatchError("ids and y row count differ")
         if len(set(self.ids)) != len(self.ids):
-            raise ValueError("ids must be unique")
+            raise InputMismatchError("ids must be unique")
         if self.design.shape != (self.y.shape[1],):
-            raise ValueError("design length must match observation count")
+            raise InputMismatchError("design length must match observation count")
         self.y.setflags(write=False)
         self.design.setflags(write=False)
 

@@ -330,8 +330,6 @@ NOT_PD = "symmetric factorization failed"
     ("fit", "name = cortisol", "name = cortisol\ndoses = 0.02, 0.05, 0.2, 1, 3, 8, 20",
      "dataset design grid differs from the model design"),
     ("fit", "outer_tol = 1e-12", "outer_tol = nan", "outer_tol: expected a finite number"),
-    ("fit", "warmup = 5", "warmup = 5\ngamma_a = nan", "gamma_a: expected a finite number"),
-    ("fit", "warmup = 5", "warmup = 5\ngamma_b = 2", "gamma_b must lie in (0, 1], got 2.0"),
     ("fit", "theta = 0.04", "theta = nan", "theta: expected a finite number"),
     ("fit", "m = 50,", "m = nan,", "m: expected finite numbers"),
     ("fit", "0.25, 0.0016", "0.25, inf", "sigma_diag: expected finite numbers"),

@@ -29,8 +29,6 @@ theta = 0.04
 [mcem]
 chain_length = 300
 burn_in = 50
-gamma_a = 1.0
-gamma_b = 0.9
 warmup = 80
 outer_tol = 1e-3
 max_outer = 200
@@ -61,7 +59,6 @@ def test_full_config_parses_every_section(tmp_path):
                           [25.0, 49.0, 0.01, 0.0001])
     assert cfg.init.theta == 0.04
     assert cfg.fit.chain_length == 300
-    assert cfg.fit.gamma_b == 0.9
     assert cfg.fit.warmup == 80
     assert cfg.fit.seed == 7
     # [study] values are keyed by the SimStudyConfig fields they set
@@ -148,6 +145,8 @@ MINIMAL = ("[model]\nname = cortisol\n"
     pytest.param("[mcme]\nchain_length = 50\n", "[mcme]", None, id="misspelt-section"),
     pytest.param("[mcem]\nwindow = 5\n", "[mcem]", "window", id="window"),
     pytest.param("[mcem]\nicf_tol = 1e-6\n", "[mcem]", "icf_tol", id="icf_tol"),
+    pytest.param("[mcem]\ngamma_a = 1.0\n", "[mcem]", "gamma_a", id="gamma_a"),
+    pytest.param("[mcem]\ngamma_b = 0.8\n", "[mcem]", "gamma_b", id="gamma_b"),
     pytest.param("[mcem]\nicf_max_sweeps = 9\n", "[mcem]", "icf_max_sweeps",
                  id="icf_max_sweeps"),
     pytest.param("[pattern]\npair = (1,2)\n", "[pattern]", "pair", id="pattern-key"),

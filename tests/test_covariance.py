@@ -98,6 +98,16 @@ def _layout_cases():
         yield random_pattern(rng, q, max_pairs=q * (q - 1) // 2)
 
 
+def test_only_a_solved_pattern_builds_the_solver_layouts():
+    pat, stats = ZeroPattern([(1, 3)], dim=3), SufficientStats(XT3, n=10)
+    assert "_pivots" not in vars(pat) and "_newton" not in vars(pat)
+    first = icf_solve(stats, pat)[0].values.tobytes()
+    pivots, newton = pat._pivots, pat._newton
+    assert icf_solve(stats, pat)[0].values.tobytes() == first
+    assert pat._pivots is pivots and pat._newton is newton
+    assert "_pivots" not in vars(pickle.loads(pickle.dumps(pat)))
+
+
 def test_pattern_layout_matches_the_independent_free_positions():
     cases = list(_layout_cases())
     assert len(cases) == 1 + 2 + 8 + 64 + 200

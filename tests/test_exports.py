@@ -1,7 +1,8 @@
 """Export consistency: every public name resolves, the package's
-re-exports are the covariance module's own objects, and the package runs
-on numpy alone: importing the command line loads no ``scipy`` module,
-and its commands run where every ``scipy`` import fails."""
+re-exports are the covariance module's own objects, bad input raises a
+package error, and the package runs on numpy alone: importing the
+command line loads no ``scipy`` module, and its commands run where every
+``scipy`` import fails."""
 
 import configparser
 import importlib
@@ -10,11 +11,16 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zeromix
 import zeromix.harness
 from zeromix import covariance
+from zeromix.covariance import SpdMatrix, SufficientStats, ZeroPattern
+from zeromix.exceptions import InputMismatchError, ValueOutOfRangeError, ZeromixError
+from zeromix.mcem import FitResult, FitState
+from zeromix.models import Dataset, NlmeModel
 
 # the package and every submodule that declares an __all__
 MODULES = [name for name in ["zeromix", *("zeromix." + info.name
@@ -37,6 +43,53 @@ def test_package_reexports_are_the_covariance_objects():
     for n in reexported:
         assert getattr(zeromix, n) is getattr(covariance, n), n
         assert n in covariance.__all__, n
+
+
+def _no_trace(path):
+    state = FitState(m=np.zeros(2), sigma=SpdMatrix(np.eye(2)), theta=1.0)
+    result = FitResult(state=state, converged=False, iterations=0, trace=[], accept_rate=1.0,
+                       domain_rejects=0, icf_sweeps=0, icf_newton_steps=0, icf_unconverged=0,
+                       icf_ridged=0)
+    zeromix.harness.write_trace_csv(result, path)
+
+
+@pytest.mark.parametrize("error,message,call", [
+    (InputMismatchError, "pattern is declared for order 4",
+     lambda _: covariance.zero_forced(np.eye(3), ZeroPattern([], dim=4))),
+    (InputMismatchError, "entries must be a square matrix",
+     lambda _: SpdMatrix(np.ones((2, 3)))),
+    (InputMismatchError, "right-hand side of shape (3,) does not fit order 2",
+     lambda _: SpdMatrix(np.eye(2)).solve(np.ones(3))),
+    (InputMismatchError, "xtilde must be square",
+     lambda _: SufficientStats(np.ones((2, 3)), n=1)),
+    (ValueOutOfRangeError, "xtilde has non-finite entries",
+     lambda _: SufficientStats(np.array([[np.nan]]), n=1)),
+    (ValueOutOfRangeError, "sample size must be >= 1, got 0",
+     lambda _: covariance.min_eig_repair(np.eye(2), 0)),
+    (InputMismatchError, "m must be a vector",
+     lambda _: FitState(m=np.zeros((2, 1)), sigma=SpdMatrix(np.eye(2)), theta=1.0)),
+    (InputMismatchError, "m and sigma dimensions differ",
+     lambda _: FitState(m=np.zeros(3), sigma=SpdMatrix(np.eye(2)), theta=1.0)),
+    (InputMismatchError, "design must have shape (n_obs,)",
+     lambda _: NlmeModel(q=2, n_obs=3, design=[1.0, 2.0])),
+    (InputMismatchError, "y must be 2-d", lambda _: Dataset(["a"], np.ones(3), [1.0, 2.0, 3.0])),
+    (InputMismatchError, "ids and y row count differ",
+     lambda _: Dataset(["a"], np.ones((2, 3)), [1.0, 2.0, 3.0])),
+    (InputMismatchError, "ids must be unique",
+     lambda _: Dataset(["a", "a"], np.ones((2, 3)), [1.0, 2.0, 3.0])),
+    (InputMismatchError, "design length must match observation count",
+     lambda _: Dataset(["a"], np.ones((1, 3)), [1.0, 2.0])),
+    (ValueOutOfRangeError, "fit result carries no trace",
+     lambda tmp_path: _no_trace(tmp_path / "trace.csv")),
+], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
+        "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
+        "dataset-ids", "dataset-design", "empty-trace"])
+def test_bad_input_raises_a_package_error(tmp_path, error, message, call):
+    # a ValueError for callers that catch that, a ZeromixError for the CLI
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert message in str(info.value)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, ZeromixError)
 
 
 def _fresh_python(*args):

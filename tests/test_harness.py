@@ -165,11 +165,10 @@ def test_retries_and_exclusions_are_kept_in_replicate_order(monkeypatch):
 
 def test_pooled_study_matches_the_in_process_study(monkeypatch):
     # Short chains and a cap near the iteration counts these datasets
-    # need: replicate 0 is excluded, replicate 1 kept on its retry and
-    # replicate 2 kept at once, so every kind of record crosses the
+    # need: replicate 0 is kept at once, replicate 1 kept on its retry
+    # and replicate 2 excluded, so every kind of record crosses the
     # process boundary.  Three replicates on two workers load them unevenly.
-    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=17, outer_tol=0.05,
-                        warmup=3, gamma_b=1.0)
+    fit_cfg = FitConfig(chain_length=40, burn_in=10, max_outer=16, outer_tol=0.08, warmup=3)
     cfg = SimStudyConfig(n_replicates=3, n_individuals=8, master_seed=0, fit=fit_cfg)
     pools = record_pools(monkeypatch)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
@@ -179,9 +178,9 @@ def test_pooled_study_matches_the_in_process_study(monkeypatch):
     pooled = run_simulation_study(cfg)
     assert pools == [2]
 
-    assert [x["replicate"] for x in serial.excluded] == [0]
+    assert [x["replicate"] for x in serial.excluded] == [2]
     assert [x["replicate"] for x in serial.retried] == [1]
-    assert [(rec["replicate"], rec["attempt"]) for rec in serial.records] == [(1, 1), (2, 0)]
+    assert [(rec["replicate"], rec["attempt"]) for rec in serial.records] == [(0, 0), (1, 1)]
     as_bytes = [json.dumps(rep.to_dict(), indent=2, sort_keys=True).encode()
                 for rep in (serial, pooled)]
     assert as_bytes[0] == as_bytes[1]

@@ -299,3 +299,8 @@ def test_failed_factorizations_raise_package_errors_without_warnings():
         NotPositiveDefiniteError,
         "symmetric factorization failed: matrix is not positive definite",
         lambda: SpdMatrix(indefinite))
+    # the default start, the diagonal of X-tilde, has a negative entry
+    _raises_without_warning(
+        NotPositiveDefiniteError,
+        "symmetric factorization failed: matrix is not positive definite",
+        lambda: icf_solve(SufficientStats(np.diag([-1.0, 5.0, 3.0]), n=5), pat13))

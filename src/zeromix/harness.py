@@ -32,7 +32,7 @@ from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError
 from .inference import free_param_labels, loglik_is, lr_test, pack_params
-from .mcem import FitConfig, FitState, fit
+from .mcem import FitConfig, FitState, _check_count, fit
 from .models import CortisolModel, NlmeModel, load_dataset, save_dataset, simulate_dataset
 
 ESTIMATOR_NAMES = ("em", "em_icf", "zero_forced")
@@ -68,7 +68,8 @@ class SimStudyConfig:
     :class:`zeromix.config.RunConfig`.  Both estimators start from
     ``init`` (each fit tags its covariance with the fit's pattern) and
     run with ``fit``, whose ``seed`` is ignored: per-replicate seeds
-    are derived from ``master_seed``.  The truth must be finite, with
+    are derived from ``master_seed``.  The two counts and ``master_seed``
+    must be integers (``int`` or numpy).  The truth must be finite, with
     ``truth_theta >= 0``, have the model's order and conform to
     ``pattern``, which must hold at least one zero.
     """
@@ -85,15 +86,8 @@ class SimStudyConfig:
     fit: FitConfig = FitConfig()
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ValueOutOfRangeError("n_replicates must be >= 1, got %r"
-                                       % (self.n_replicates,))
-        if self.n_individuals < 1:
-            raise ValueOutOfRangeError("n_individuals must be >= 1, got %r"
-                                       % (self.n_individuals,))
-        if self.master_seed < 0:
-            raise ValueOutOfRangeError("master_seed must be >= 0, got %r"
-                                       % (self.master_seed,))
+        for name, least in (("n_replicates", 1), ("n_individuals", 1), ("master_seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if not all(map(math.isfinite, self.truth_m)):
             raise ValueOutOfRangeError("truth_m must be finite, got %r" % (self.truth_m,))
         if not (math.isfinite(self.truth_theta) and self.truth_theta >= 0):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
 from .exceptions import DegenerateDrawError, InputMismatchError, ValueOutOfRangeError
-from .models import Draws, NlmeModel
+from .models import Draws, NlmeModel, _check_order
 
 __all__ = [
     "FitConfig",
@@ -51,10 +51,21 @@ __all__ = [
 _WINDOW = 10
 
 
+def _check_count(name, value, least):
+    """Raise ValueOutOfRangeError naming ``name`` unless ``value`` is an
+    integer (``int`` or a numpy integer) >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueOutOfRangeError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueOutOfRangeError("%s must be >= %d, got %r" % (name, least, value))
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Outer-loop configuration for ``fit``: its fields are the keys
-    the ``[mcem]`` INI section accepts, of the same names and types.
+    the ``[mcem]`` INI section accepts, of the same names and types; the
+    ``int`` fields reject any value that is not an ``int`` or a numpy
+    integer.
 
     The damping gain decays like (k - warmup)^-0.8, whose sum diverges
     and whose squares sum, as stochastic-approximation EM needs (Delyon,
@@ -73,19 +84,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.chain_length < 1:
-            raise ValueOutOfRangeError("chain_length must be >= 1, got %r" % (self.chain_length,))
-        if self.burn_in < 0:
-            raise ValueOutOfRangeError("burn_in must be >= 0, got %r" % (self.burn_in,))
-        if self.warmup < 0:
-            raise ValueOutOfRangeError("warmup must be >= 0, got %r" % (self.warmup,))
+        for name, least in (("chain_length", 1), ("burn_in", 0), ("warmup", 0),
+                            ("max_outer", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if not (np.isfinite(self.outer_tol) and self.outer_tol > 0.0):
             raise ValueOutOfRangeError("outer_tol must be finite and > 0, got %r"
                                        % (self.outer_tol,))
-        if self.max_outer < 1:
-            raise ValueOutOfRangeError("max_outer must be >= 1, got %r" % (self.max_outer,))
-        if self.seed < 0:
-            raise ValueOutOfRangeError("seed must be >= 0, got %r" % (self.seed,))
 
     def gamma(self, k):
         """Damping gain of outer iteration ``k``: 1 through ``warmup``,
@@ -315,7 +319,8 @@ def _relative_delta(prev, new):
 def fit(model, data, pattern, init, config=None):
     """Maximum-likelihood fit by stochastic EM with a constrained covariance.
 
-    The dataset is checked and put in id order by ``Dataset.for_model``.
+    The start must be of the model's order, and the dataset is checked
+    and put in id order by ``Dataset.for_model``.
     One outer iteration runs the E-step at the current state, then the
     mean update, the residual variance update, the conditional
     variance matrix, the zero-constrained covariance solve (seeded
@@ -345,6 +350,7 @@ def fit(model, data, pattern, init, config=None):
         config = FitConfig()
     if not isinstance(model, NlmeModel):
         raise TypeError("model must be an NlmeModel")
+    _check_order(model, init.m, init.sigma)
     data = data.for_model(model)
 
     sigma0 = init.sigma

@@ -16,7 +16,8 @@ hands each call its observation rows as the transpose of a C-contiguous
 Two concrete models ship with the package: a sigmoid Emax
 dose-response model with constant-coefficient-of-variation residuals
 (latent effects: basal level, maximal increase, shape, half-effect
-dose), and a linear-Gaussian model whose closed-form posterior and
+dose), whose mean one block computes for simulation and densities
+alike, and a linear-Gaussian model whose closed-form posterior and
 marginal make it a validation target for the stochastic machinery.
 """
 
@@ -198,32 +199,25 @@ def _column_sums(a):
 class CortisolModel(NlmeModel):
     """Sigmoid Emax dose-response with multiplicative residual noise.
 
-    The mean at dose d is F(x) = x1 + x2 * d^x3 / (x4^x3 + d^x3): basal
-    response x1, maximal increase x2, shape x3, half-effect dose x4.
-    Residuals scale with the mean, g(x, sigma2) = sigma * F(x),
-    so theta = sigma2 is the squared per-observation coefficient of
-    variation, and the theta statistic is the sum of squared relative
-    residuals (y - F(x)) / F(x).
+    The mean at dose d is F(x) = x1 + x2 / (1 + exp(x3 (log x4 - log d))),
+    that is x1 + x2 * d^x3 / (x4^x3 + d^x3): basal response x1, maximal
+    increase x2, shape x3, half-effect dose x4.  Residuals scale with the
+    mean, g(x, sigma2) = sigma * F(x), so theta = sigma2 is the squared
+    per-observation coefficient of variation, and the theta statistic is
+    the sum of squared relative residuals (y - F(x)) / F(x).
 
     The domain requires x4 > 0 (the half-effect dose enters through
-    x4^x3) and, for densities and simulation, F(x) bounded away from
+    log x4) and, for densities and simulation, F(x) bounded away from
     zero so the residual scale stays positive.
 
-    ``log_cond_density_pairs`` works observation-major: the latent rows
-    are transposed to (q, n), and means, residuals and log scales are
-    (n_obs, n) blocks, so each per-row sum over the observations is a
-    chain of n_obs - 1 vector adds, for any n.  Its block writes the Emax
-    term as x2 / (1 + exp(x3 (log x4 - log d))), with log d computed once
-    per model: one ``exp`` per observation in place of two powers (on a
-    2-core Xeon VM, one BLAS thread, a 2048-row call took about 165 us
-    against 214 us).  Where d^x3 overflows, that form reaches its finite
-    limit (x1 below x4, x1 + x2 above it, x1 + x2/2 at d = x4).  ``mean``
-    (one row, used by simulation) keeps the power form on scalars, so
-    simulated datasets, the bundled example among them, keep their bits;
-    the two forms agree to a few units in the last place on in-domain
-    rows.  Where the power form is not finite, ``mean`` takes the exp
-    form's value, bit for bit, so ``draw_ok`` and simulation accept the
-    rows that the density scores.
+    ``_mean_block`` computes F, one ``exp`` per observation with log d
+    computed once per model, for ``mean`` (one column) and the density
+    alike, so simulation and estimation share its bits and domain; where
+    d^x3 would overflow, F reaches its finite limit (x1 below x4, x1 + x2
+    above it, x1 + x2/2 at d = x4).  The density works observation-major:
+    the latent rows are transposed to (q, n), and means, residuals and
+    log scales are (n_obs, n) blocks, so each per-row sum over the
+    observations is a chain of n_obs - 1 vector adds, for any n.
     """
 
     name = "cortisol"
@@ -235,23 +229,29 @@ class CortisolModel(NlmeModel):
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
         self._log_design = np.log(self.design)
 
+    def _mean_block(self, xt, out):
+        """F of latent columns ``xt`` (q, n) into ``out`` (n_obs, n), in place.
+
+        ``out`` holds x3 (log x4 - log d), then its exp, then the mean;
+        the caller sets the floating-point error state.
+        """
+        x1, x2, x3, x4 = xt
+        np.subtract(np.log(x4), self._log_design[:, None], out=out)
+        out *= x3
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(x2, out, out=out)
+        out += x1
+        return out
+
     def mean(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (4,) or not np.all(np.isfinite(x)):
             raise DomainError("latent vector must be a finite 4-vector")
         if x[3] <= 0.0:
             raise DomainError("half-effect dose x4 must be positive, got %r" % (x[3],))
-        # the power form on scalars: the density block's exp form differs
-        # from it in the last bits, and simulated datasets (the bundled
-        # example among them) keep the bits of this one.  Where d^x3 or
-        # x4^x3 over- or underflows, the exp form, in the density's order
-        x1, x2, x3, x4 = x
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            da = self.design ** x3
-            f = x1 + x2 * da / (x4 ** x3 + da)
-            bad = ~np.isfinite(f)
-            if bad.any():
-                f[bad] = x1 + x2 / (np.exp((np.log(x4) - self._log_design[bad]) * x3) + 1.0)
+        with np.errstate(over="ignore"):
+            f = self._mean_block(x[:, None], np.empty((self.n_obs, 1)))[:, 0]
         if not np.all(np.isfinite(f)):
             raise DomainError("mean response overflowed at x = %r" % (x,))
         return f
@@ -267,19 +267,14 @@ class CortisolModel(NlmeModel):
 
     def log_cond_density_pairs(self, ys, xs, theta):
         # the mean, then the Gaussian log density, written in place into
-        # two (n_obs, n) blocks: ``f`` holds x3 (log x4 - log d), its exp,
-        # then the mean, then its log; ``r`` the squared relative residuals
+        # two (n_obs, n) blocks: ``f`` holds the mean, then its log; ``r``
+        # the squared relative residuals
         xt = np.ascontiguousarray(np.asarray(xs, dtype=float).T)
-        x1, x2, x3, x4 = xt
+        x4 = xt[3]
         f = np.empty((self.n_obs, xt.shape[1]))
         r = np.empty_like(f)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            np.subtract(np.log(x4), self._log_design[:, None], out=f)
-            f *= x3
-            np.exp(f, out=f)
-            f += 1.0
-            np.divide(x2, f, out=f)
-            f += x1
+            self._mean_block(xt, f)
             # a non-finite or zero mean makes logp non-finite, which the
             # last test catches
             ok = np.all(np.isfinite(xt), axis=0) & (x4 > 0.0)
@@ -402,6 +397,15 @@ def simulate_individual(model, m, sigma, theta, rng_seed):
     return x, y
 
 
+def _check_order(model, m, sigma):
+    """Raise InputMismatchError unless ``m`` is a q-vector and ``sigma``
+    (an SpdMatrix or array-like) q x q, for the model's order q."""
+    shapes = np.shape(m), np.shape(sigma.values if isinstance(sigma, SpdMatrix) else sigma)
+    if shapes != ((model.q,), (model.q, model.q)):
+        raise InputMismatchError("m of shape %r and Sigma of shape %r do not fit the %s model's "
+                                 "order %d" % (*shapes, model.name, model.q))
+
+
 def simulate_dataset(model, m, sigma, theta, n, seed):
     """Simulate a balanced dataset of ``n`` individuals.
 
@@ -412,11 +416,14 @@ def simulate_dataset(model, m, sigma, theta, n, seed):
     Returns
     -------
     (Dataset, ndarray) : the dataset and the (n, q) matrix of latent draws.
+
+    Raises InputMismatchError if m or Sigma is not of the model's order.
     """
     if n < 1:
         raise ValueOutOfRangeError("n must be >= 1, got %r" % (n,))
     if seed < 0:
         raise ValueOutOfRangeError("seed must be >= 0, got %r" % (seed,))
+    _check_order(model, m, sigma)
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)  # factored once, not once per individual
     children = np.random.SeedSequence(seed).spawn(n)

@@ -16,11 +16,11 @@ import pytest
 
 import zeromix
 import zeromix.harness
-from zeromix import covariance
+from zeromix import covariance, inference, mcem
 from zeromix.covariance import SpdMatrix, SufficientStats, ZeroPattern
 from zeromix.exceptions import InputMismatchError, ValueOutOfRangeError, ZeromixError
 from zeromix.mcem import FitResult, FitState
-from zeromix.models import Dataset, NlmeModel
+from zeromix.models import CortisolModel, Dataset, NlmeModel, simulate_dataset
 
 # the package and every submodule that declares an __all__
 MODULES = [name for name in ["zeromix", *("zeromix." + info.name
@@ -53,6 +53,16 @@ def _no_trace(path):
     zeromix.harness.write_trace_csv(result, path)
 
 
+# a start or point of order 3 on the order-4 cortisol model
+_ORDER_3 = "m of shape (3,) and Sigma of shape (3, 3) do not fit the cortisol model's order 4"
+
+
+def _cortisol_data():
+    data, _ = simulate_dataset(CortisolModel(), np.array([50.0, 70.0, 1.0, 0.1]),
+                               np.diag([25.0, 49.0, 0.01, 1e-4]), 0.04, 2, 0)
+    return data
+
+
 @pytest.mark.parametrize("error,message,call", [
     (InputMismatchError, "pattern is declared for order 4",
      lambda _: covariance.zero_forced(np.eye(3), ZeroPattern([], dim=4))),
@@ -81,9 +91,20 @@ def _no_trace(path):
      lambda _: Dataset(["a"], np.ones((1, 3)), [1.0, 2.0])),
     (ValueOutOfRangeError, "fit result carries no trace",
      lambda tmp_path: _no_trace(tmp_path / "trace.csv")),
+    (InputMismatchError, _ORDER_3, lambda _: mcem.fit(
+        CortisolModel(), _cortisol_data(), ZeroPattern([], dim=3),
+        FitState(m=np.ones(3), sigma=SpdMatrix(np.eye(3)), theta=0.04))),
+    (InputMismatchError, _ORDER_3, lambda _: inference.loglik_is(
+        CortisolModel(), _cortisol_data(), np.ones(3), np.eye(3), 0.04, n_samples=10)),
+    (InputMismatchError, _ORDER_3, lambda _: inference.fisher_se(
+        CortisolModel(), _cortisol_data(), np.ones(3), np.eye(3), 0.04, ZeroPattern([], dim=3),
+        n_samples=10)),
+    (InputMismatchError, _ORDER_3,
+     lambda _: simulate_dataset(CortisolModel(), np.ones(3), np.eye(3), 0.04, 2, 0)),
 ], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
         "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
-        "dataset-ids", "dataset-design", "empty-trace"])
+        "dataset-ids", "dataset-design", "empty-trace", "fit-order", "loglik-order",
+        "fisher-order", "simulate-order"])
 def test_bad_input_raises_a_package_error(tmp_path, error, message, call):
     # a ValueError for callers that catch that, a ZeromixError for the CLI
     with pytest.raises(error) as info:

@@ -78,6 +78,11 @@ def test_aggregate_single_replicate_has_zero_spread():
 def test_study_config_validation():
     with pytest.raises(ValueOutOfRangeError):
         SimStudyConfig(n_replicates=0)
+    for name in ("n_replicates", "n_individuals", "master_seed"):
+        for value in (4.5, 4.0, "4"):
+            with pytest.raises(ValueOutOfRangeError, match="%s must be an integer" % name):
+                SimStudyConfig(**{name: value})
+    assert SimStudyConfig(n_replicates=np.int64(2), master_seed=np.uint8(3)).master_seed == 3
     with pytest.raises(Exception):
         # truth with a nonzero entry at a constrained position
         SimStudyConfig(truth_sigma=(

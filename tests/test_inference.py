@@ -5,7 +5,8 @@ The importance sampler is checked against the closed-form marginal of
 the linear reference model; the ratio test's chi-square tail against
 exact identities (erfc at one constraint, exp(-s/2) at two, 1 at zero,
 never rising with the statistic) and, to 1e-12 relative, against
-``scipy.stats.chi2.sf`` as an oracle.
+``scipy.stats.chi2.sf`` as an oracle; the row log-sum-exp against
+``scipy.special.logsumexp`` to 4 ulps.
 """
 
 import itertools
@@ -134,13 +135,19 @@ def _lse_case(rng):
     return a
 
 
-def test_row_logsumexp_equals_scipy_bit_for_bit():
+def test_row_logsumexp_matches_scipy_within_4_ulps():
+    # finite rows within 4 ulps of max(1, |scipy|), non-finite exactly
+    # where scipy's are, and the input keeps its bytes
     rng = np.random.default_rng(20071)
     for _ in range(3000):
         a = _lse_case(rng)
         before = a.tobytes()
-        assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+        got, want = _logsumexp_rows(a), logsumexp(a, axis=1)
         assert a.tobytes() == before
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        ulp = np.spacing(np.maximum(1.0, np.abs(want[finite])))
+        assert np.all(np.abs(got[finite] - want[finite]) <= 4 * ulp)
 
 
 class DeadRows(LinearGaussianModel):

@@ -363,6 +363,12 @@ def test_fit_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="outer_tol must be finite and > 0"):
             FitConfig(outer_tol=tol)
+    # counts and the seed are integers: a float would fail later or be truncated
+    for name in ("chain_length", "burn_in", "warmup", "max_outer", "seed"):
+        for value in (20.5, 2.0, "3"):
+            with pytest.raises(ValueOutOfRangeError, match="%s must be an integer" % name):
+                FitConfig(**{name: value})
+    assert FitConfig(chain_length=np.int64(20), seed=np.uint32(1)).seed == 1
 
 
 _FIT_SCRIPT = """

@@ -58,9 +58,10 @@ def test_mean_rejects_off_domain_points():
     with pytest.raises(DomainError):
         model.mean(np.array([np.nan, 70.0, 1.0, 0.1]))
     with pytest.raises(DomainError):
-        # a mean beyond the largest float in either form
+        # a mean beyond the largest float
         model.mean(np.array([1e308, 1e308, 1.0, 0.1]))
-    # 10^x3 overflows against x4^x3 ~ inf/inf: the exp form's finite limit
+    # 10^x3 and x4^x3 would both overflow; exp(x3 (log x4 - log d)) reaches
+    # its finite limit
     assert model.mean(np.array([50.0, 70.0, 1e300, 2.0])).tolist() == [50.0] * 5 + [85.0, 120.0]
 
 
@@ -150,9 +151,8 @@ def test_paired_density_agrees_with_one_row_calls(n_doses):
 @pytest.mark.parametrize("doses", [DEFAULT_DOSES, (0.02, 0.3, 1.0, 5.0, 40.0)],
                          ids=["default", "five"])
 def test_block_mean_matches_the_scalar_mean(doses):
-    # the density's mean block (exp form) against ``mean`` (power form):
-    # observing each row's own mean makes the theta statistic the sum of
-    # squared relative differences, so every one is within 1e-13
+    # ``mean`` is one column of the density's mean block, so a row
+    # observed at its own mean has relative residuals of exactly 0
     model = CortisolModel(doses)
     rng = np.random.default_rng(11)
     xs = np.column_stack([rng.normal(50, 5, 400), rng.normal(70, 5, 400),
@@ -160,14 +160,14 @@ def test_block_mean_matches_the_scalar_mean(doses):
     ys = np.array([model.mean(x) for x in xs])
     logp, stat = model.log_cond_density_pairs(ys, xs, 0.03)
     assert np.all(np.isfinite(logp))
-    assert np.all(stat <= 1e-26)
+    assert np.all(stat == 0.0)
 
 
 def test_an_overflowing_power_scores_its_finite_limit():
-    # d^400 overflows at d = 2 and 10; the mean is x1 below x4 and
+    # d^400 would overflow at d = 2 and 10; the mean is x1 below x4 and
     # x1 + x2 above it, to the last bit, in ``mean`` as in the density,
-    # so simulation accepts the row.  With x4 at a dose, d^400 and x4^400
-    # overflow together there, and the mean is x1 + x2/2
+    # so simulation accepts the row.  With x4 at a dose, the mean there
+    # is x1 + x2/2
     model = CortisolModel()
     x = np.array([50.0, 70.0, 400.0, 0.3])
     f = np.where(model.design < 0.3, 50.0, 120.0)

@@ -13,15 +13,17 @@ is a least-squares solve in which the zero-constrained coordinates are
 dropped, and positive definiteness is preserved through the Schur
 complement of the fixed block, which each column update checks.  A
 sweep is one such update of every column, a monotone map that
-converges linearly.  After two sweeps, each iteration first tries one
-damped Newton step on the free lower-triangle entries, whose gradient
-and Hessian have closed forms, so the solve ends quadratically; the
-step is computed in a frame scaled by a power of two and taken only
-when the Hessian and the stepped matrix factor and the objective
-strictly falls, and the iteration is a sweep where it is not.  Neither
-writes a constrained entry, so the pattern's zeros stay exact: both
-take their free coordinates from ``ZeroPattern``'s layout, built once
-per pattern.  The iterations run on one plain array; the solver
+converges linearly.  A solve without a starting point starts at X-tilde
+with the pattern's entries set to zero where that factors.  After one
+sweep from there, or two from any other start, each iteration first
+tries one damped Newton step on the free lower-triangle entries, whose
+gradient and Hessian have closed forms, so the solve ends
+quadratically; the step is computed in a frame scaled by a power of
+two and taken only when the Hessian and the stepped matrix factor and
+the objective strictly falls, and the iteration is a sweep where it is
+not.  Neither writes a constrained entry, so the pattern's zeros stay
+exact: both take their free coordinates from ``ZeroPattern``'s layout,
+built once per pattern.  The iterations run on one plain array; the solver
 validates its inputs once and its result once, as an SpdMatrix.
 
 Every factorization is one call of ``cholesky_lo``, the gufunc inside
@@ -50,6 +52,7 @@ fails the column update's Schur test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +72,8 @@ from .exceptions import (
     PatternViolationError,
     SingularNormalEquationsError,
     ValueOutOfRangeError,
+    _check_count,
+    _is_integer,
 )
 
 __all__ = [
@@ -121,16 +126,20 @@ class ZeroPattern:
     DiagonalZeroError
         If a pair constrains a diagonal entry (i == j).
     IndexOutOfRangeError
-        If an index falls outside [1, dim].
+        If an index is not an integer (``int`` or a numpy integer) or
+        falls outside [1, dim].
     DuplicatePairError
         If the same unordered pair appears more than once.
     """
 
     def __init__(self, pairs, dim):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not _is_integer(dim) or dim < 1:
             raise ValueOutOfRangeError("pattern order must be an integer >= 1, got %r" % (dim,))
         canon = []
         for pair in pairs:
+            if not (_is_integer(pair[0]) and _is_integer(pair[1])):
+                raise IndexOutOfRangeError("pair %r has an index that is not an integer"
+                                           % (tuple(pair),))
             i, j = int(pair[0]), int(pair[1])
             if i > j:
                 i, j = j, i
@@ -178,13 +187,14 @@ class ZeroPattern:
     def _newton(self):
         """Read-only flat ``take``/``put`` indices of the free lower-triangle
         entries (r, c), r >= c, diagonal included, of a q x q array: the
-        entries themselves, their transposes, the four gathers of the
-        Hessian, and the weights of the gradient and the Hessian (see
-        ``_newton_system``)."""
+        entries themselves, their transposes, the Hessian's four gathers
+        of S and the four of B stacked on an outer axis, and the weights
+        of the gradient and the Hessian (see ``_newton_system``)."""
         q, (r, c) = self.dim, self.free_entries
         w = np.where(r == c, 0.5, 1.0)
-        layout = (r * q + c, c * q + r,
-                  r[:, None] * q + r, r[:, None] * q + c, c[:, None] * q + r, c[:, None] * q + c,
+        rr, rc = r[:, None] * q + r, r[:, None] * q + c
+        cr, cc = c[:, None] * q + r, c[:, None] * q + c
+        layout = (r * q + c, c * q + r, np.stack([cr, cc, rr, rc]), np.stack([rc, rr, cc, cr]),
                   2.0 * w, np.outer(w, w))
         for a in layout:
             a.setflags(write=False)
@@ -574,14 +584,14 @@ def _newton_system(linv, xt, layout):
     elsewhere: the objective's second differential is tr(dSigma S dSigma
     (2P - S)).
     """
-    lo, _, rr, rc, cr, cc, w_grad, w_hess = layout
+    lo, _, at_inv, at_b, w_grad, w_hess = layout
     inv = linv.T @ linv
     sx = inv @ xt
     p = sx @ inv
     grad = w_grad * (inv - p).take(lo)
     b = 2.0 * p - inv
-    hess = w_hess * (inv.take(cr) * b.take(rc) + inv.take(cc) * b.take(rr)
-                     + inv.take(rr) * b.take(cc) + inv.take(rc) * b.take(cr))
+    t = inv.take(at_inv) * b.take(at_b)
+    hess = w_hess * (t[0] + t[1] + t[2] + t[3])
     return sx, grad, hess
 
 
@@ -593,9 +603,9 @@ def _objective_change(linv, sx, cand, delta):
     # second order in delta, below the rounding of the objective itself,
     # while these terms are first order and round only relative to
     # delta, so the sign of the change does not depend on the scale
-    trace = -float(np.sum(sx * _solve(cand, delta).T))
+    trace = -float((sx * _solve(cand, delta).T).sum())
     eig = _eigvalsh_lo(linv @ delta @ linv.T, signature="d->d")
-    return trace + float(np.sum(np.log1p(eig)))
+    return trace + float(np.log1p(eig).sum())
 
 
 # Step halvings a Newton step may take before the iteration falls back
@@ -603,46 +613,70 @@ def _objective_change(linv, sx, cand, delta):
 _HALVINGS = 4
 
 
-def _newton_step(cur, xt, layout):
-    # the damped Newton step from cur (see icf_solve): the new iterate,
-    # or None where the step fails
-    e = -int(np.frexp(np.max(np.abs(cur)))[1])
-    s = np.ldexp(cur, e)
+def _newton_step(s, xt, layout, delta):
+    # the damped Newton step from the scaled iterate s, with X-tilde in
+    # the same frame (see icf_solve): the new scaled iterate, or None
+    # where the step fails.  ``delta`` is a zero-patterned work array:
+    # every step writes all its free entries, so its zeros stay
     chol = _chol(s)
     if chol is None:
         return None
     linv = _inv(chol)
-    sx, grad, hess = _newton_system(linv, np.ldexp(xt, e), layout)
+    sx, grad, hess = _newton_system(linv, xt, layout)
     if _chol(hess) is None:
         return None
     step = _solve1(hess, -grad)
     lo, up = layout[0], layout[1]
-    delta = np.zeros_like(s)
     for _ in range(_HALVINGS + 1):
         delta.put(lo, step)
         delta.put(up, step)
         cand = s + delta
         if _chol(cand) is not None and _objective_change(linv, sx, cand, delta) < 0.0:
-            return np.ldexp(cand, -e)
+            return cand
         step *= 0.5
     return None
+
+
+def _cold_start(xt, pattern):
+    # the start of a solve without ``init`` and the sweeps it takes before
+    # its first Newton step.  X-tilde with the pattern's entries set to
+    # +0.0 keeps every free entry's information; it is taken where it
+    # factors, checked in the frame scaled by 2^-e, max|entry| in
+    # [2^(e-1), 2^e), so the choice does not depend on the scale, and one
+    # sweep brings it close enough for Newton steps (two sweeps took 7%
+    # longer over 96 sample covariances of 30 draws at q = 4 and 8).
+    # Otherwise the start is the diagonal, which conforms to any pattern
+    # and is PD iff all its entries are > 0, followed by two sweeps
+    zf = zero_forced(xt, pattern)
+    if _chol(np.ldexp(zf, -math.frexp(np.abs(zf).max())[1])) is not None:
+        return zf, 1
+    diag = np.diag(xt)
+    if not np.all(diag > 0.0):
+        raise NotPositiveDefiniteError(_NOT_PD)
+    return np.diag(diag), 2
 
 
 def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     """Constrained maximum-likelihood covariance by cyclic column updates,
     finished by safeguarded Newton steps.
 
-    A sweep updates pivots 1..q once each.  The first two iterations are
-    sweeps; every later one first tries one damped Newton step on the
-    free lower-triangle entries, diagonal included, in the frame scaled
-    by 2^-e, e from the largest absolute entry of the iterate.  With
-    S = Sigma^-1 and P = S X-tilde S, the gradient of the objective at a
-    free entry (i, j) is (2 - delta_ij) (S - P)_ij, and its Hessian is
-    the closed form of ``_newton_system`` (as in scoring for linear
-    covariance structures, Anderson 1973, Ann. Statist. 1:135).  The
-    step is taken when the Hessian factors and, at the full step or
-    after at most four halvings, the stepped matrix factors and its
-    objective is strictly below the iterate's; the change is summed
+    Without ``init``, the solve starts at X-tilde with the pattern's
+    entries set to +0.0 where that matrix factors (checked in the frame
+    scaled by a power of two, so the choice does not depend on the
+    scale of X-tilde), and at the diagonal of X-tilde otherwise.
+
+    A sweep updates pivots 1..q once each.  The first iteration from the
+    zero-forced start, and the first two from the diagonal or from
+    ``init``, are sweeps; every later one first tries one damped Newton
+    step on the free lower-triangle entries, diagonal included, in the
+    frame scaled by 2^-e, e from the largest absolute entry of the
+    iterate.  With S = Sigma^-1 and P = S X-tilde S, the gradient of the
+    objective at a free entry (i, j) is (2 - delta_ij) (S - P)_ij, and
+    its Hessian is the closed form of ``_newton_system`` (as in scoring
+    for linear covariance structures, Anderson 1973, Ann. Statist.
+    1:135).  The step is taken when the Hessian factors and, at the full
+    step or after at most four halvings, the stepped matrix factors and
+    its objective is strictly below the iterate's; the change is summed
     from first-order terms, so its sign does not depend on the scale of
     X-tilde.  Where the step fails, the iteration is a sweep.  So every
     iterate is positive definite, the objective never rises, pattern
@@ -653,8 +687,9 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     ``sweeps`` in the diagnostics counts the sweeps and ``newton_steps``
     the Newton steps taken, and ``max_sweeps`` caps their sum exactly:
     the solve returns the cap's iterate, flagged as not converged, not
-    raised.  Under a cap of one or two, no Newton step runs.  The empty
-    pattern needs no iteration and returns X-tilde itself.
+    raised.  Under a cap of one, or of two from the diagonal or from
+    ``init``, no Newton step runs.  The empty pattern needs no iteration
+    and returns X-tilde itself.
 
     Inputs are validated once, here.  The iterations update one plain
     array, each column update checking that its new Schur complement
@@ -668,11 +703,13 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     stats : SufficientStats
     pattern : ZeroPattern
     init : SpdMatrix, optional
-        Starting point; defaults to the diagonal of X-tilde.
+        Starting point; defaults to the zero-forced X-tilde, or its
+        diagonal where that does not factor.
     tol : float
         Relative Frobenius change threshold of an iteration; finite and > 0.
     max_sweeps : int
-        Cap on the iterations, sweeps plus Newton steps; at least 1.
+        Cap on the iterations, sweeps plus Newton steps; an integer
+        (not a bool), at least 1.
 
     Returns
     -------
@@ -680,8 +717,7 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueOutOfRangeError("tol must be finite and > 0, got %r" % (tol,))
-    if max_sweeps < 1:
-        raise ValueOutOfRangeError("max_sweeps must be >= 1, got %r" % (max_sweeps,))
+    _check_count("max_sweeps", max_sweeps, 1)
     q = stats.dim
     _require_order(pattern, q)
 
@@ -691,34 +727,36 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
         return SpdMatrix(xt), IcfDiagnostics(sweeps=0, newton_steps=0, converged=True,
                                              ridged=ridged)
 
-    if init is None:
-        diag = np.diag(xt)  # conforms to any pattern; PD iff all entries are > 0
-        if not np.all(diag > 0.0):
-            raise NotPositiveDefiniteError(_NOT_PD)
-        cur = np.diag(diag)
-    else:
-        cur = np.array(SpdMatrix(_as_array(init), pattern=pattern).values)
     pivots = [_pivot(xt, pattern, j) for j in range(1, q + 1)]
-
+    layout, delta = pattern._newton, np.zeros((q, q))
     sweeps = newton_steps = 0
     converged = False
     with np.errstate(all="ignore"):
+        if init is None:
+            cur, first_newton = _cold_start(xt, pattern)
+        else:
+            cur, first_newton = np.array(SpdMatrix(_as_array(init), pattern=pattern).values), 2
         while sweeps + newton_steps < max_sweeps:
             prev = cur
-            cur = _newton_step(prev, xt, pattern._newton) if sweeps >= 2 else None
+            # the Newton step and both norms work in one frame, scaled by
+            # 2^-e with max|prev| in [2^(e-1), 2^e): exact, so the norms'
+            # ratio is the plain one wherever that is finite, and nothing
+            # over- or underflows at extreme scales.  The norms are
+            # np.linalg.norm's: the square root of a ddot of the raveled array
+            e = math.frexp(np.abs(prev).max())[1]
+            s = np.ldexp(prev, -e)
+            cur = (_newton_step(s, np.ldexp(xt, -e), layout, delta)
+                   if sweeps >= first_newton else None)
             if cur is None:
                 cur = prev.copy()
                 for p in pivots:
                     _update_column(cur, p)
                 sweeps += 1
             else:
+                cur = np.ldexp(cur, e)
                 newton_steps += 1
-            # both norms scaled by one power of two, 2^-e with max|prev| in
-            # [2^(e-1), 2^e): exact, so the ratio is the plain one wherever
-            # that is finite, and nothing over- or underflows at extreme scales
-            e = int(np.frexp(np.max(np.abs(prev)))[1])
-            change = float(np.linalg.norm(np.ldexp(cur - prev, -e)))
-            if change / float(np.linalg.norm(np.ldexp(prev, -e))) < tol:
+            d, s = np.ldexp(cur - prev, -e).ravel(), s.ravel()
+            if math.sqrt(d.dot(d)) / math.sqrt(s.dot(s)) < tol:
                 converged = True
                 break
     return (SpdMatrix(cur, pattern=pattern),

@@ -3,8 +3,11 @@
 Errors split into two families: usage errors (bad patterns, bad config,
 malformed data files) and numerical errors (failed factorizations,
 degenerate samplers).  The CLI maps the former to exit code 1 and the
-latter to exit code 2.
+latter to exit code 2.  ``_check_count`` is the one integer check of
+the package's entry points.
 """
+
+import numpy as np
 
 
 class ZeromixError(Exception):
@@ -28,7 +31,7 @@ class DiagonalZeroError(PatternError):
 
 
 class IndexOutOfRangeError(PatternError):
-    """A pattern index falls outside [1, q]."""
+    """A pattern index is not an integer or falls outside [1, q]."""
 
 
 class DuplicatePairError(PatternError):
@@ -75,3 +78,17 @@ class DataFormatError(UsageError):
 
 class ConfigError(UsageError):
     """A run configuration file is missing keys or holds invalid values."""
+
+
+def _is_integer(value):
+    """True for an ``int`` or a numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name, value, least):
+    """Raise ValueOutOfRangeError naming ``name`` unless ``value`` is an
+    integer (``int`` or a numpy integer, not a bool) >= ``least``."""
+    if not _is_integer(value):
+        raise ValueOutOfRangeError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueOutOfRangeError("%s must be >= %d, got %r" % (name, least, value))

@@ -30,9 +30,9 @@ import numpy as np
 
 from ._pool import run_tasks
 from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
-from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError
+from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError, _check_count
 from .inference import free_param_labels, loglik_is, lr_test, pack_params
-from .mcem import FitConfig, FitState, _check_count, fit
+from .mcem import FitConfig, FitState, fit
 from .models import CortisolModel, NlmeModel, load_dataset, save_dataset, simulate_dataset
 
 ESTIMATOR_NAMES = ("em", "em_icf", "zero_forced")

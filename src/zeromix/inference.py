@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _pool
 from .covariance import SpdMatrix
-from .exceptions import DegenerateWeightError, NumericalError, ValueOutOfRangeError
+from .exceptions import DegenerateWeightError, NumericalError, _check_count
 from .models import Draws, _check_order
 
 __all__ = [
@@ -117,11 +117,6 @@ def _log_mean_weights(logw, ids, variance=True):
     return log_mean, np.maximum(ratio - 1.0, 0.0) / (n_samples - 1)
 
 
-def _check_samples(n_samples):
-    if n_samples < 1:
-        raise ValueOutOfRangeError("n_samples must be >= 1, got %r" % (n_samples,))
-
-
 def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     """Observed-data log likelihood by prior-proposal importance sampling.
 
@@ -139,6 +134,9 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
 
     Raises
     ------
+    ValueOutOfRangeError
+        If ``n_samples`` is not an integer >= 1 or ``seed`` not an
+        integer >= 0.
     InputMismatchError
         If m, Sigma or the dataset does not fit the model (see
         ``Dataset.for_model``).
@@ -148,7 +146,8 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     _check_order(model, m, sigma)
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
-    _check_samples(n_samples)
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     data = data.for_model(model)
     seeds = data.seeds(seed)
     log_mean, var = np.empty(data.n), np.empty(data.n)
@@ -234,13 +233,15 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     depend on the process count.  The model and data are pickled to
     the workers, so the model must be picklable (a module-level class).
 
-    A NumericalError at the centre is raised.  When another point's
+    ``n_samples`` and ``seed`` are checked as by ``loglik_is``.  A
+    NumericalError at the centre is raised.  When another point's
     evaluation raises one (a step that leaves Sigma indefinite, say) or
     the Hessian is not positive definite, coordinates that cannot be
     covered by a positive definite principal submatrix are reported
     absent and the result is flagged.
     """
-    _check_samples(n_samples)
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     _check_order(model, m, sigma)
     data = data.for_model(model)
     v0 = pack_params(m, sigma, theta, pattern)

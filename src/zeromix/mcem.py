@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpdMatrix, SufficientStats, icf_solve
-from .exceptions import DegenerateDrawError, InputMismatchError, ValueOutOfRangeError
+from .exceptions import (DegenerateDrawError, InputMismatchError, ValueOutOfRangeError,
+                         _check_count)
 from .models import Draws, NlmeModel, _check_order
 
 __all__ = [
@@ -49,15 +50,6 @@ __all__ = [
 # Trailing outer iterations whose relative changes must all stay below
 # ``FitConfig.outer_tol`` before ``fit`` stops.
 _WINDOW = 10
-
-
-def _check_count(name, value, least):
-    """Raise ValueOutOfRangeError naming ``name`` unless ``value`` is an
-    integer (``int`` or a numpy integer) >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueOutOfRangeError("%s must be an integer, got %r" % (name, value))
-    if value < least:
-        raise ValueOutOfRangeError("%s must be >= %d, got %r" % (name, least, value))
 
 
 @dataclass(frozen=True)

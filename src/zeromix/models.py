@@ -36,6 +36,7 @@ from .exceptions import (
     DomainError,
     InputMismatchError,
     ValueOutOfRangeError,
+    _check_count,
 )
 
 __all__ = [
@@ -417,12 +418,12 @@ def simulate_dataset(model, m, sigma, theta, n, seed):
     -------
     (Dataset, ndarray) : the dataset and the (n, q) matrix of latent draws.
 
-    Raises InputMismatchError if m or Sigma is not of the model's order.
+    Raises ValueOutOfRangeError if ``n`` is not an integer >= 1 or
+    ``seed`` not an integer >= 0, and InputMismatchError if m or Sigma
+    is not of the model's order.
     """
-    if n < 1:
-        raise ValueOutOfRangeError("n must be >= 1, got %r" % (n,))
-    if seed < 0:
-        raise ValueOutOfRangeError("seed must be >= 0, got %r" % (seed,))
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     _check_order(model, m, sigma)
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)  # factored once, not once per individual

@@ -1,9 +1,10 @@
 """Shared test utilities: random problem generators, an independent
 brute-force oracle for the constrained covariance solve, a reference
 column update with plain-sweep and Newton-finished reference solves
-built on it, process-pool and density-call recorders, the row counts of the
-density calls one ``Draws.score`` makes and the inputs that vary them,
-and the exact E-step of models with closed-form posterior moments.
+built on it (the latter from the solver's cold start), process-pool
+and density-call recorders, the row counts of the density calls one
+``Draws.score`` makes and the inputs that vary them, and the exact
+E-step of models with closed-form posterior moments.
 
 The oracle minimizes the Gaussian negative log-likelihood objective
 logdet(Sigma) + tr(Sigma^{-1} Xtilde) over the free entries directly
@@ -265,12 +266,30 @@ def reference_newton_step(sigma, xtilde, pattern):
     return None
 
 
+def reference_cold_start(xtilde, pattern):
+    """The solve's cold start and the sweeps it takes before its first
+    Newton step: X-tilde with the pattern's entries set to 0.0 and one
+    sweep where that matrix, scaled by 2^-e with its max|entry| in
+    [2^(e-1), 2^e), passes ``np.linalg.cholesky``; the diagonal of
+    X-tilde and two sweeps otherwise.
+    """
+    zf = np.array(xtilde, dtype=float)
+    for i, j in pattern.pairs:
+        zf[i - 1, j - 1] = zf[j - 1, i - 1] = 0.0
+    try:
+        np.linalg.cholesky(np.ldexp(zf, -np.frexp(np.abs(zf).max())[1]))
+    except np.linalg.LinAlgError:
+        return np.diag(np.diag(xtilde)), 2
+    return zf, 1
+
+
 def reference_newton_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500,
                                update=reference_column_update):
     """Cold-start solve by ``update`` sweeps finished by Newton steps;
     returns the plain array, the sweep count and the Newton step count.
 
-    The first two iterations are sweeps; each later one is a
+    The solve starts at ``reference_cold_start``.  Its first one or two
+    iterations, as that says, are sweeps; each later one is a
     ``reference_newton_step``, or a sweep where that fails.  The solve
     stops at the first iteration whose relative Frobenius change, scaled
     by 2^-e with max|previous iterate| in [2^(e-1), 2^e), drops below
@@ -278,11 +297,11 @@ def reference_newton_icf_solve(xtilde, pattern, tol=1e-8, max_sweeps=500,
     ``update(sigma, xtilde, j, pattern)`` returns the plain array after
     one column update.
     """
-    cur = np.diag(np.diag(xtilde))
+    cur, first_newton = reference_cold_start(xtilde, pattern)
     sweeps = newton_steps = 0
     while sweeps + newton_steps < max_sweeps:
         prev = cur
-        cur = reference_newton_step(prev, xtilde, pattern) if sweeps >= 2 else None
+        cur = reference_newton_step(prev, xtilde, pattern) if sweeps >= first_newton else None
         if cur is None:
             cur = prev
             for j in range(1, pattern.dim + 1):

@@ -78,11 +78,19 @@ def test_pattern_validation_errors():
         ZeroPattern([(1, 3), (3, 1)], dim=3)
 
 
-@pytest.mark.parametrize("dim", [0, -1, 2.7, "3", None])
+@pytest.mark.parametrize("dim", [0, -1, 2.7, "3", None, True])
 def test_pattern_rejects_an_order_that_is_not_a_positive_integer(dim):
     with pytest.raises(ValueOutOfRangeError, match="integer >= 1"):
         ZeroPattern([], dim=dim)
     assert ZeroPattern([(1, 2)], dim=np.int64(2)).dim == 2
+
+
+@pytest.mark.parametrize("pair", [(1.5, 3), (1, 3.0), (True, 3), ("1", 3)])
+def test_pattern_rejects_an_index_that_is_not_an_integer(pair):
+    # int() would read (1.5, 3) as (1, 3) and (True, 3) as (1, 3)
+    with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+        ZeroPattern([pair], dim=4)
+    assert ZeroPattern([(np.int64(1), np.int32(3))], dim=4).pairs == ((1, 3),)
 
 
 def _layout_cases():
@@ -405,15 +413,15 @@ def test_solve_is_equivariant_under_extreme_scales(scale):
 @pytest.mark.parametrize("max_sweeps", range(1, 7))
 def test_sweep_cap_is_exact_and_keeps_zeros_positive(max_sweeps):
     # the cap counts sweeps and Newton steps together.  This problem
-    # takes 2 sweeps, 3 Newton steps, 3 sweeps where the Newton step
-    # fails, then 6 Newton steps, so every cap from 1 to 6 stops the
-    # solve: on a sweep before any Newton step, on a Newton step, or on
-    # a sweep taken in place of one
+    # starts at its zero-forced X-tilde and takes 1 sweep, 1 Newton step,
+    # 2 sweeps where the Newton step fails, then 6 Newton steps, so every
+    # cap from 1 to 6 stops the solve: on a sweep before any Newton step,
+    # on a Newton step, or on a sweep taken in place of one
     pat = ZeroPattern([(1, 3), (2, 4), (1, 5)], dim=5)
-    stats = SufficientStats(random_spd(np.random.default_rng(27), 5, dof_extra=5), n=10)
+    stats = SufficientStats(random_spd(np.random.default_rng(127), 5, dof_extra=5), n=10)
     sol, diag = icf_solve(stats, pat, max_sweeps=max_sweeps)
     assert diag.sweeps + diag.newton_steps == max_sweeps and not diag.converged
-    assert diag.newton_steps == [0, 0, 1, 2, 3, 3][max_sweeps - 1]
+    assert diag.newton_steps == [0, 1, 1, 1, 2, 3][max_sweeps - 1]
     ref, sweeps, newton_steps = reference_newton_icf_solve(stats.xtilde, pat,
                                                            max_sweeps=max_sweeps)
     assert (sweeps, newton_steps) == (diag.sweeps, diag.newton_steps)
@@ -458,6 +466,7 @@ def test_solve_rejects_pattern_of_wrong_order():
 
 @pytest.mark.parametrize("setting", [
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan}, {"tol": np.inf}, {"max_sweeps": 0},
+    {"max_sweeps": 2.5}, {"max_sweeps": True}, {"max_sweeps": 3.0},
 ])
 def test_solve_rejects_out_of_range_settings(setting):
     with pytest.raises(ValueOutOfRangeError):

@@ -57,10 +57,21 @@ def _no_trace(path):
 _ORDER_3 = "m of shape (3,) and Sigma of shape (3, 3) do not fit the cortisol model's order 4"
 
 
+_CORTISOL_TRUTH = (np.array([50.0, 70.0, 1.0, 0.1]), np.diag([25.0, 49.0, 0.01, 1e-4]), 0.04)
+
+
 def _cortisol_data():
-    data, _ = simulate_dataset(CortisolModel(), np.array([50.0, 70.0, 1.0, 0.1]),
-                               np.diag([25.0, 49.0, 0.01, 1e-4]), 0.04, 2, 0)
+    data, _ = simulate_dataset(CortisolModel(), *_CORTISOL_TRUTH, 2, 0)
     return data
+
+
+def _cortisol_loglik(**counts):
+    return inference.loglik_is(CortisolModel(), _cortisol_data(), *_CORTISOL_TRUTH, **counts)
+
+
+def _cortisol_fisher(**counts):
+    return inference.fisher_se(CortisolModel(), _cortisol_data(), *_CORTISOL_TRUTH,
+                               ZeroPattern([], dim=4), **counts)
 
 
 @pytest.mark.parametrize("error,message,call", [
@@ -101,10 +112,24 @@ def _cortisol_data():
         n_samples=10)),
     (InputMismatchError, _ORDER_3,
      lambda _: simulate_dataset(CortisolModel(), np.ones(3), np.eye(3), 0.04, 2, 0)),
+    # counts and seeds are integers: int() would run seed 1.5 as stream 1
+    (ValueOutOfRangeError, "n_samples must be an integer, got 10.5",
+     lambda _: _cortisol_loglik(n_samples=10.5)),
+    (ValueOutOfRangeError, "seed must be an integer, got 1.5",
+     lambda _: _cortisol_loglik(seed=1.5)),
+    (ValueOutOfRangeError, "n_samples must be an integer, got 10.5",
+     lambda _: _cortisol_fisher(n_samples=10.5)),
+    (ValueOutOfRangeError, "seed must be an integer, got 1.5",
+     lambda _: _cortisol_fisher(seed=1.5)),
+    (ValueOutOfRangeError, "n must be an integer, got 2.0",
+     lambda _: simulate_dataset(CortisolModel(), *_CORTISOL_TRUTH, 2.0, 0)),
+    (ValueOutOfRangeError, "seed must be an integer, got 1.5",
+     lambda _: simulate_dataset(CortisolModel(), *_CORTISOL_TRUTH, 2, 1.5)),
 ], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
         "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
         "dataset-ids", "dataset-design", "empty-trace", "fit-order", "loglik-order",
-        "fisher-order", "simulate-order"])
+        "fisher-order", "simulate-order", "loglik-samples", "loglik-seed", "fisher-samples",
+        "fisher-seed", "simulate-count", "simulate-seed"])
 def test_bad_input_raises_a_package_error(tmp_path, error, message, call):
     # a ValueError for callers that catch that, a ZeromixError for the CLI
     with pytest.raises(error) as info:

@@ -15,11 +15,13 @@ faster kernels may not drift.  The Newton step's gradient and
 Hessian must match central differences of the objective.  Against the
 plain-sweep oracle of helpers.py, the solve must reach an objective no
 higher and, over a seeded battery, take at most 0.6 times its sweeps
-in sweeps and Newton steps together.  The factorization helper must
-equal ``np.linalg.cholesky`` bitwise and fail exactly where it raises,
-and every failed factorization must surface as the package's own
-error, never as a RuntimeWarning: any warning the kernel leaks fails
-here.
+in sweeps and Newton steps together.  From its default start, the
+zero-forced X-tilde where that factors, the solve must reach the
+objective of the solve started at the diagonal.  The factorization
+helper must equal ``np.linalg.cholesky`` bitwise and fail exactly
+where it raises, and every failed factorization must surface as the
+package's own error, never as a RuntimeWarning: any warning the kernel
+leaks fails here.
 """
 
 import warnings
@@ -37,6 +39,7 @@ from helpers import (  # noqa: E402
     free_positions,
     random_pattern,
     random_spd,
+    reference_cold_start,
     reference_icf_solve,
     reference_newton_icf_solve,
 )
@@ -89,8 +92,9 @@ def test_icf_solve_properties(problem):
     if diag.converged:
         assert _scale_free_kkt(sol.values, stats.xtilde, pat) <= 1e-5
 
-    start = objective(SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pat), stats)
-    assert objective(sol, stats) <= start
+    diag_start = objective(SpdMatrix(np.diag(np.diag(stats.xtilde)), pattern=pat), stats)
+    start = objective(SpdMatrix(reference_cold_start(stats.xtilde, pat)[0], pattern=pat), stats)
+    assert objective(sol, stats) <= min(start, diag_start)
 
     # the solve capped at k iterations returns its k-th iterate, so every
     # iteration, sweep or Newton step, is checked here; the objective may
@@ -125,6 +129,32 @@ def test_icf_solve_replays_bitwise_through_the_reference_update(problem):
     ref, sweeps, newton_steps = reference_newton_icf_solve(stats.xtilde, pat)
     assert (diag.sweeps, diag.newton_steps) == (sweeps, newton_steps)
     assert sol.values.tobytes() == ref.tobytes()
+
+
+def test_cold_start_reaches_the_diagonal_starts_optimum():
+    # the default start is the zero-forced X-tilde where that factors;
+    # from either start the solve keeps its zeros exact and its result
+    # PD, and it reaches the optimum of the solve started at the
+    # diagonal: the same objective to 1e-12 relative, a stationary point
+    rng = np.random.default_rng(34)
+    starts = {1: 0, 2: 0}
+    for q in range(3, 9):
+        for _ in range(20):
+            pat = random_pattern(rng, q, max_pairs=q * (q - 1) // 2)
+            stats = SufficientStats(random_spd(rng, q, dof_extra=int(rng.integers(1, 9))),
+                                    n=30)
+            starts[reference_cold_start(stats.xtilde, pat)[1]] += 1
+            sol, diag = icf_solve(stats, pat)
+            ref, ref_diag = icf_solve(stats, pat, init=SpdMatrix(
+                np.diag(np.diag(stats.xtilde)), pattern=pat))
+            assert diag.converged and ref_diag.converged
+            zeros = sol.values[pat.mask()]
+            assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+            np.linalg.cholesky(sol.values)
+            obj, ref_obj = objective(sol, stats), objective(ref, stats)
+            assert abs(obj - ref_obj) <= 1e-12 * max(1.0, abs(ref_obj))
+            assert _scale_free_kkt(sol.values, stats.xtilde, pat) <= 1e-5
+    assert starts[1] > 0 and starts[2] > 0
 
 
 def test_newton_gradient_and_hessian_match_central_differences():

@@ -14,17 +14,18 @@ dropped, and positive definiteness is preserved through the Schur
 complement of the fixed block, which each column update checks.  A
 sweep is one such update of every column, a monotone map that
 converges linearly.  A solve without a starting point starts at X-tilde
-with the pattern's entries set to zero where that factors.  After one
-sweep from there, or two from any other start, each iteration first
-tries one damped Newton step on the free lower-triangle entries, whose
-gradient and Hessian have closed forms, so the solve ends
-quadratically; the step is computed in a frame scaled by a power of
-two and taken only when the Hessian and the stepped matrix factor and
-the objective strictly falls, and the iteration is a sweep where it is
-not.  Neither writes a constrained entry, so the pattern's zeros stay
-exact: both take their free coordinates from ``ZeroPattern``'s layout,
-built once per pattern.  The iterations run on one plain array; the solver
-validates its inputs once and its result once, as an SpdMatrix.
+with the pattern's entries set to zero where that factors, and at its
+diagonal otherwise.  After two sweeps from a diagonal start, or one from
+any other, each iteration first tries one damped Newton step on the free
+lower-triangle entries, whose gradient and Hessian have closed forms, so
+the solve ends quadratically; the step is computed in a frame scaled by
+a power of two and taken only when the Hessian and the stepped matrix
+factor and the objective strictly falls, and the iteration is a sweep
+where it is not.  Neither writes a constrained entry, so the pattern's
+zeros stay exact: both take their free coordinates from
+``ZeroPattern``'s layout, built once per pattern.  The iterations run on
+one plain array; the solver validates its inputs once and its result
+once, as an SpdMatrix.
 
 Every factorization is one call of ``cholesky_lo``, the gufunc inside
 ``np.linalg.cholesky`` (``_chol``): the same LAPACK ``potrf`` on the
@@ -363,9 +364,8 @@ class SufficientStats:
         m = np.tril(m) + np.tril(m, -1).T
         m.setflags(write=False)
         self.xtilde = m
+        _check_count("sample count", n, 1)
         self.n = int(n)
-        if self.n < 1:
-            raise ValueOutOfRangeError("sample count must be >= 1, got %d" % self.n)
 
     @property
     def dim(self):
@@ -430,8 +430,7 @@ def min_eig_repair(sigma_zf, n):
         Sample size behind the estimate; controls the 1/n^2 cushion.
     """
     a = np.asarray(_as_array(sigma_zf), dtype=float)
-    if n < 1:
-        raise ValueOutOfRangeError("sample size must be >= 1, got %r" % (n,))
+    _check_count("sample size", n, 1)
     lam_min = float(np.linalg.eigvalsh(a)[0])
     shift = max(-lam_min, 0.0) + 1.0 / float(n) ** 2
     return SpdMatrix(a + shift * np.eye(a.shape[0]))
@@ -638,22 +637,19 @@ def _newton_step(s, xt, layout, delta):
 
 
 def _cold_start(xt, pattern):
-    # the start of a solve without ``init`` and the sweeps it takes before
-    # its first Newton step.  X-tilde with the pattern's entries set to
-    # +0.0 keeps every free entry's information; it is taken where it
-    # factors, checked in the frame scaled by 2^-e, max|entry| in
-    # [2^(e-1), 2^e), so the choice does not depend on the scale, and one
-    # sweep brings it close enough for Newton steps (two sweeps took 7%
-    # longer over 96 sample covariances of 30 draws at q = 4 and 8).
-    # Otherwise the start is the diagonal, which conforms to any pattern
-    # and is PD iff all its entries are > 0, followed by two sweeps
+    # the start of a solve without ``init``.  X-tilde with the pattern's
+    # entries set to +0.0 keeps every free entry's information; it is
+    # taken where it factors, checked in the frame scaled by 2^-e,
+    # max|entry| in [2^(e-1), 2^e), so the choice does not depend on the
+    # scale.  Otherwise the start is the diagonal, which conforms to any
+    # pattern and is PD iff all its entries are > 0
     zf = zero_forced(xt, pattern)
     if _chol(np.ldexp(zf, -math.frexp(np.abs(zf).max())[1])) is not None:
-        return zf, 1
+        return zf
     diag = np.diag(xt)
     if not np.all(diag > 0.0):
         raise NotPositiveDefiniteError(_NOT_PD)
-    return np.diag(diag), 2
+    return np.diag(diag)
 
 
 def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
@@ -665,19 +661,19 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     scaled by a power of two, so the choice does not depend on the
     scale of X-tilde), and at the diagonal of X-tilde otherwise.
 
-    A sweep updates pivots 1..q once each.  The first iteration from the
-    zero-forced start, and the first two from the diagonal or from
-    ``init``, are sweeps; every later one first tries one damped Newton
-    step on the free lower-triangle entries, diagonal included, in the
-    frame scaled by 2^-e, e from the largest absolute entry of the
-    iterate.  With S = Sigma^-1 and P = S X-tilde S, the gradient of the
-    objective at a free entry (i, j) is (2 - delta_ij) (S - P)_ij, and
-    its Hessian is the closed form of ``_newton_system`` (as in scoring
-    for linear covariance structures, Anderson 1973, Ann. Statist.
-    1:135).  The step is taken when the Hessian factors and, at the full
-    step or after at most four halvings, the stepped matrix factors and
-    its objective is strictly below the iterate's; the change is summed
-    from first-order terms, so its sign does not depend on the scale of
+    A sweep updates pivots 1..q once each.  The first two iterations
+    from a diagonal start, and the first from any other, are sweeps;
+    every later one first tries one damped Newton step on the free
+    lower-triangle entries, diagonal included, in the frame scaled by
+    2^-e, e from the largest absolute entry of the iterate.  With S =
+    Sigma^-1 and P = S X-tilde S, the gradient of the objective at a
+    free entry (i, j) is (2 - delta_ij) (S - P)_ij, and its Hessian is
+    the closed form of ``_newton_system`` (as in scoring for linear
+    covariance structures, Anderson 1973, Ann. Statist. 1:135).  The
+    step is taken when the Hessian factors and, at the full step or
+    after at most four halvings, the stepped matrix factors and its
+    objective is strictly below the iterate's; the change is summed from
+    first-order terms, so its sign does not depend on the scale of
     X-tilde.  Where the step fails, the iteration is a sweep.  So every
     iterate is positive definite, the objective never rises, pattern
     zeros are never written and stay +0.0, and the solve scales with
@@ -687,9 +683,9 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     ``sweeps`` in the diagnostics counts the sweeps and ``newton_steps``
     the Newton steps taken, and ``max_sweeps`` caps their sum exactly:
     the solve returns the cap's iterate, flagged as not converged, not
-    raised.  Under a cap of one, or of two from the diagonal or from
-    ``init``, no Newton step runs.  The empty pattern needs no iteration
-    and returns X-tilde itself.
+    raised.  Under a cap of one, or of two from a diagonal start, no
+    Newton step runs.  The empty pattern needs no iteration and returns
+    X-tilde itself.
 
     Inputs are validated once, here.  The iterations update one plain
     array, each column update checking that its new Schur complement
@@ -702,9 +698,10 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     ----------
     stats : SufficientStats
     pattern : ZeroPattern
-    init : SpdMatrix, optional
-        Starting point; defaults to the zero-forced X-tilde, or its
-        diagonal where that does not factor.
+    init : SpdMatrix or array_like, optional
+        Starting point, validated as ``SpdMatrix(init, pattern)``;
+        defaults to the zero-forced X-tilde, or its diagonal where that
+        does not factor.
     tol : float
         Relative Frobenius change threshold of an iteration; finite and > 0.
     max_sweeps : int
@@ -732,10 +729,12 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     sweeps = newton_steps = 0
     converged = False
     with np.errstate(all="ignore"):
-        if init is None:
-            cur, first_newton = _cold_start(xt, pattern)
-        else:
-            cur, first_newton = np.array(SpdMatrix(_as_array(init), pattern=pattern).values), 2
+        cur = (_cold_start(xt, pattern) if init is None
+               else np.array(SpdMatrix(_as_array(init), pattern=pattern).values))
+        # one sweep before the first Newton step, or two from a diagonal
+        # start (a PD start with q nonzero entries), from which one can lead
+        # Newton to another local minimum
+        first_newton = 2 if np.count_nonzero(cur) == q else 1
         while sweeps + newton_steps < max_sweeps:
             prev = cur
             # the Newton step and both norms work in one frame, scaled by

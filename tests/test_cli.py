@@ -429,7 +429,7 @@ def test_fit_short_run_writes_report_and_trace(tmp_path, capsys):
     assert report["lr"] is not None and report["lr"]["df"] == 2
     assert report["se"] is None
     assert (report["domain_rejects"], report["icf_sweeps"], report["icf_newton_steps"],
-            report["icf_unconverged"], report["icf_ridged"]) == (34, 24, 35, 0, 0)
+            report["icf_unconverged"], report["icf_ridged"]) == (34, 13, 44, 0, 0)
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + 12
     header = trace[0].split(",")

@@ -34,6 +34,7 @@ from zeromix.exceptions import (
     PatternViolationError,
     ValueOutOfRangeError,
 )
+from zeromix.harness import SimStudyConfig
 
 # Running example: a 3x3 scatter matrix whose zero-forced version is
 # indefinite, so the constrained solve and the naive repair genuinely
@@ -428,6 +429,42 @@ def test_sweep_cap_is_exact_and_keeps_zeros_positive(max_sweeps):
     assert sol.values.tobytes() == ref.tobytes()
     zeros = sol.values[pat.mask()]
     assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+
+
+def test_newton_steps_start_after_one_sweep_from_any_start_but_a_diagonal_one():
+    # a start with off-diagonal entries, here the tridiagonal matrix with
+    # 1 on the diagonal and -0.5 beside it (a plain list, validated as
+    # an SpdMatrix), takes one sweep and then a Newton step, which the cap
+    # of two lets run; its diagonal, the identity, takes two sweeps first
+    tridiagonal = [[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, 1.0]]
+    stats = SufficientStats(XT3, n=10)
+    _, diag = icf_solve(stats, PAT13, init=tridiagonal, max_sweeps=2)
+    assert (diag.sweeps, diag.newton_steps) == (1, 1)
+    _, diag = icf_solve(stats, PAT13, init=SpdMatrix(np.eye(3), pattern=PAT13), max_sweeps=2)
+    assert (diag.sweeps, diag.newton_steps) == (2, 0)
+
+
+def test_warm_started_chains_reach_the_cold_solves_objective():
+    # as in the M-steps of a fit: sample covariances of sliding 30-draw
+    # windows of the study truth (q = 4) and of its block extension
+    # (q = 8), each with the pattern of its zeros, each solve started at
+    # the previous window's solution
+    t4 = np.asarray(SimStudyConfig().truth_sigma, dtype=float)
+    rng = np.random.default_rng(35)
+    for truth in (t4, np.kron([[1.0, 0.5], [0.5, 1.0]], t4)):
+        q = truth.shape[0]
+        pat = ZeroPattern([(i + 1, j + 1) for i, j in zip(*np.nonzero(np.triu(truth == 0.0)))],
+                          dim=q)
+        draws = rng.standard_normal((89, q)) @ np.linalg.cholesky(truth).T
+        windows = [SufficientStats(np.cov(draws[k:k + 30], rowvar=False, bias=True), n=30)
+                   for k in range(60)]
+        warm, _ = icf_solve(windows[0], pat)
+        for k, stats in enumerate(windows[1:], 1):
+            cold, cold_diag = icf_solve(stats, pat)
+            warm, diag = icf_solve(stats, pat, init=warm)
+            assert cold_diag.converged and diag.converged, (q, k)
+            obj, cold_obj = objective(warm, stats), objective(cold, stats)
+            assert abs(obj - cold_obj) <= 1e-12 * abs(cold_obj), (q, k)
 
 
 def test_column_update_validates_array_input():

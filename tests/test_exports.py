@@ -125,11 +125,20 @@ def _cortisol_fisher(**counts):
      lambda _: simulate_dataset(CortisolModel(), *_CORTISOL_TRUTH, 2.0, 0)),
     (ValueOutOfRangeError, "seed must be an integer, got 1.5",
      lambda _: simulate_dataset(CortisolModel(), *_CORTISOL_TRUTH, 2, 1.5)),
+    (ValueOutOfRangeError, "sample count must be an integer, got 1.5",
+     lambda _: SufficientStats(np.eye(2), n=1.5)),
+    (ValueOutOfRangeError, "sample count must be an integer, got True",
+     lambda _: SufficientStats(np.eye(2), n=True)),
+    (ValueOutOfRangeError, "sample size must be an integer, got 1.5",
+     lambda _: covariance.min_eig_repair(np.eye(2), 1.5)),
+    (ValueOutOfRangeError, "sample size must be an integer, got True",
+     lambda _: covariance.min_eig_repair(np.eye(2), True)),
 ], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
         "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
         "dataset-ids", "dataset-design", "empty-trace", "fit-order", "loglik-order",
         "fisher-order", "simulate-order", "loglik-samples", "loglik-seed", "fisher-samples",
-        "fisher-seed", "simulate-count", "simulate-seed"])
+        "fisher-seed", "simulate-count", "simulate-seed", "stats-count-float",
+        "stats-count-bool", "repair-count-float", "repair-count-bool"])
 def test_bad_input_raises_a_package_error(tmp_path, error, message, call):
     # a ValueError for callers that catch that, a ZeromixError for the CLI
     with pytest.raises(error) as info:

@@ -289,7 +289,7 @@ def test_fit_keeps_pattern_zeros_through_every_iteration():
     res = fit(model, data, pat, init, cfg)
     assert res.iterations == 12 and not res.converged
     assert (res.icf_sweeps, res.icf_newton_steps, res.icf_unconverged,
-            res.icf_ridged) == (24, 27, 0, 0)
+            res.icf_ridged) == (13, 40, 0, 0)
     assert res.domain_rejects == 0
     assert len(res.trace) == 12
     for row in res.trace:
@@ -313,8 +313,8 @@ def test_fit_counts_unconverged_and_ridged_m_steps(monkeypatch):
     monkeypatch.setattr(mcem, "icf_solve", flagged_solve)
     res = fit(*_short_constrained_fit_args())
     assert len(seen) == 12
-    assert res.icf_sweeps == sum(d.sweeps for d in seen) == 24
-    assert res.icf_newton_steps == sum(d.newton_steps for d in seen) == 27
+    assert res.icf_sweeps == sum(d.sweeps for d in seen) == 13
+    assert res.icf_newton_steps == sum(d.newton_steps for d in seen) == 40
     assert res.icf_unconverged == 6 and res.icf_ridged == 4
 
 

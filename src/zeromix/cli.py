@@ -29,7 +29,7 @@ import numpy as np
 from .config import _parse_pairs, load_config
 from .covariance import (SufficientStats, ZeroPattern, icf_solve, kkt_residual, objective,
                          solved_xtilde)
-from .exceptions import NumericalError, UsageError, ValueOutOfRangeError
+from .exceptions import NumericalError, UsageError, _check_count
 from .harness import (SimStudyConfig, fit_and_test, fit_report, qq_data,
                       run_simulation_study, write_json, write_qq_csv,
                       write_table_csv, write_trace_csv)
@@ -42,10 +42,8 @@ def _derived_seed(base, tag):
 
 
 def _cmd_fit(args):
-    for flag, value in (("--loglik-samples", args.loglik_samples),
-                        ("--se-samples", args.se_samples)):
-        if value < 1:
-            raise ValueOutOfRangeError(f"{flag} must be >= 1, got {value}")
+    _check_count("--loglik-samples", args.loglik_samples, 1)
+    _check_count("--se-samples", args.se_samples, 1)
     cfg = load_config(args.config)
     data = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -358,48 +358,36 @@ def write_json(obj, path):
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as comma-joined, LF-terminated lines: a
+    string cell as it is, None as an empty cell, a number as its float's repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for cells in (header, *rows):
+            fh.write(",".join(c if isinstance(c, str) else "" if c is None else repr(float(c))
+                              for c in cells) + "\n")
+
+
 def write_trace_csv(result, path):
     """Iteration trace: state coordinates plus sampler summaries."""
     if not result.trace:
         raise ValueOutOfRangeError("fit result carries no trace")
     free = ZeroPattern([], dim=len(result.trace[0].m))
-    header = ["k", *free_param_labels(free), "accept_rate", "delta"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in result.trace:
-            vec = pack_params(row.m, row.sigma, row.theta, free)
-            cells = [str(row.k), *(repr(float(v)) for v in vec),
-                     repr(float(row.accept_rate)), repr(float(row.delta))]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, ["k", *free_param_labels(free), "accept_rate", "delta"],
+               ([str(row.k), *pack_params(row.m, row.sigma, row.theta, free), row.accept_rate,
+                 row.delta] for row in result.trace))
 
 
 def write_table_csv(report, path):
     """Table-1-style CSV: q + q(q+1)/2 + 1 parameter rows (means,
     covariance entries, residual parameter) plus a log-likelihood row."""
-    header = ["param", "true", "em_mean", "em_se", "em_rmqe",
-              "icf_mean", "icf_se", "icf_rmqe"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in report.rows:
-            cells = [row["param"], repr(row["true"])]
-            for pfx in ("em", "icf"):
-                for stat in ("mean", "se", "rmqe"):
-                    cells.append(repr(row[f"{pfx}_{stat}"]))
-            fh.write(",".join(cells) + "\n")
-        cells = ["loglik", ""]
-        for pfx in ("em", "icf"):
-            for stat in ("mean", "se", "rmqe"):
-                key = f"{pfx}_{stat}"
-                val = report.loglik_row.get(key)
-                cells.append(repr(val) if val is not None else "")
-        fh.write(",".join(cells) + "\n")
+    stats = [f"{pfx}_{stat}" for pfx in ("em", "icf") for stat in ("mean", "se", "rmqe")]
+    rows = [[row["param"], row["true"], *(row[key] for key in stats)] for row in report.rows]
+    rows.append(["loglik", None, *(report.loglik_row.get(key) for key in stats)])
+    _write_csv(path, ["param", "true", *stats], rows)
 
 
 def write_qq_csv(pairs, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("u,p\n")
-        for u, p in pairs:
-            fh.write(f"{u!r},{p!r}\n")
+    _write_csv(path, ["u", "p"], pairs)
 
 
 # Generating parameters of the bundled synthetic assay: a constrained

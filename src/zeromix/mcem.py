@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpdMatrix, SufficientStats, icf_solve
+from .covariance import IcfDiagnostics, SpdMatrix, SufficientStats, icf_solve
 from .exceptions import (DegenerateDrawError, InputMismatchError, ValueOutOfRangeError,
                          _check_count)
 from .models import Draws, NlmeModel, _check_order
@@ -115,7 +115,9 @@ class FitState:
 
 @dataclass
 class TraceRow:
-    """Per-iteration record: damped state plus sampler summary."""
+    """Per-iteration record: the damped state, the E-step's mean accept
+    rate and count of off-domain proposals ``domain_rejects``, the
+    relative change ``delta`` and ``icf``, the M-step's IcfDiagnostics."""
 
     k: int
     m: np.ndarray
@@ -123,16 +125,19 @@ class TraceRow:
     theta: float
     accept_rate: float
     delta: float
+    domain_rejects: int
+    icf: IcfDiagnostics
 
 
 @dataclass
 class FitResult:
     """Final state with convergence flag and full iteration trace.
 
-    ``domain_rejects`` totals the E-steps' off-domain proposals;
-    ``icf_sweeps`` and ``icf_newton_steps`` total the M-steps' ICF
-    column sweeps and Newton steps, and ``icf_unconverged`` and
-    ``icf_ridged`` count the M-steps that stopped at the solver's
+    ``accept_rate`` is the last iteration's mean accept rate; the other
+    totals are sums over ``trace``: ``domain_rejects`` of the E-steps'
+    off-domain proposals, ``icf_sweeps`` and ``icf_newton_steps`` of the
+    M-steps' ICF column sweeps and Newton steps, and ``icf_unconverged``
+    and ``icf_ridged`` count the M-steps that stopped at the solver's
     iteration cap and those whose X-tilde was ridged.
     """
 
@@ -355,9 +360,6 @@ def fit(model, data, pattern, init, config=None):
     t_total = config.burn_in + config.chain_length
     draws = Draws(data.n * (t_total + 1), model.q, uniforms=(data.n, t_total))
     converged = False
-    accept_mean = 1.0
-    rejects_total = 0
-    icf_sweeps = icf_newton_steps = icf_unconverged = icf_ridged = 0
 
     for k in range(1, config.max_outer + 1):
         estep = run_estep(model, data.y, data.ids, state.m, state.sigma, state.theta,
@@ -369,22 +371,18 @@ def fit(model, data, pattern, init, config=None):
         theta_next = float(estep.tstat.mean()) / model.n_obs
         stats = xtilde_update(estep, m_next)
         sigma_next, icf = icf_solve(stats, pattern, init=state.sigma)
-        icf_sweeps += icf.sweeps
-        icf_newton_steps += icf.newton_steps
-        icf_unconverged += not icf.converged
-        icf_ridged += icf.ridged
 
         prev, state = state, saem_damp(state, (m_next, sigma_next, theta_next), config.gamma(k))
-        accept_mean = float(np.mean(estep.accept_rate))
-        rejects_total += int(np.sum(estep.domain_rejects))
         trace.append(
             TraceRow(
                 k=k,
                 m=state.m.copy(),
                 sigma=np.array(state.sigma.values),
                 theta=state.theta,
-                accept_rate=accept_mean,
+                accept_rate=float(np.mean(estep.accept_rate)),
                 delta=_relative_delta(prev, state),
+                domain_rejects=int(np.sum(estep.domain_rejects)),
+                icf=icf,
             )
         )
         if len(trace) >= _WINDOW and max(row.delta for row in trace[-_WINDOW:]) < config.outer_tol:
@@ -396,10 +394,10 @@ def fit(model, data, pattern, init, config=None):
         converged=converged,
         iterations=state.k,
         trace=trace,
-        accept_rate=accept_mean,
-        domain_rejects=rejects_total,
-        icf_sweeps=icf_sweeps,
-        icf_newton_steps=icf_newton_steps,
-        icf_unconverged=icf_unconverged,
-        icf_ridged=icf_ridged,
+        accept_rate=trace[-1].accept_rate,
+        domain_rejects=sum(row.domain_rejects for row in trace),
+        icf_sweeps=sum(row.icf.sweeps for row in trace),
+        icf_newton_steps=sum(row.icf.newton_steps for row in trace),
+        icf_unconverged=sum(not row.icf.converged for row in trace),
+        icf_ridged=sum(row.icf.ridged for row in trace),
     )

@@ -225,7 +225,7 @@ class CortisolModel(NlmeModel):
 
     def __init__(self, doses=DEFAULT_DOSES):
         doses = np.asarray(doses, dtype=float)
-        if doses.ndim != 1 or doses.size == 0 or np.any(doses <= 0.0):
+        if doses.ndim != 1 or doses.size == 0 or not np.all(np.isfinite(doses) & (doses > 0.0)):
             raise ValueOutOfRangeError("doses must be positive numbers, at least one")
         super().__init__(q=4, n_obs=doses.shape[0], design=doses)
         self._log_design = np.log(self.design)
@@ -306,8 +306,7 @@ class LinearGaussianModel(NlmeModel):
     name = "linear_gaussian"
 
     def __init__(self, q):
-        if q < 1:
-            raise ValueOutOfRangeError("q must be >= 1, got %r" % (q,))
+        _check_count("q", q, 1)
         super().__init__(q=q, n_obs=q, design=np.arange(1, q + 1, dtype=float))
 
     def mean(self, x):
@@ -447,9 +446,13 @@ class Dataset:
     ids : sequence of str
         Individual identifiers, unique.
     y : array_like, shape (n, n_obs)
-        Observation rows, one per individual.
+        Observation rows, one per individual, finite.
     design : array_like, shape (n_obs,)
-        Design value per observation slot, common to all individuals.
+        Design value per observation slot, common to all individuals,
+        finite.
+
+    Raises InputMismatchError on mismatched shapes or repeated ids, and
+    ValueOutOfRangeError on a non-finite design value or observation.
     """
 
     def __init__(self, ids, y, design):
@@ -464,6 +467,12 @@ class Dataset:
             raise InputMismatchError("ids must be unique")
         if self.design.shape != (self.y.shape[1],):
             raise InputMismatchError("design length must match observation count")
+        if not np.isfinite(self.design).all():
+            raise ValueOutOfRangeError("design values must be finite")
+        finite = np.isfinite(self.y).all(axis=1)
+        if not finite.all():
+            raise ValueOutOfRangeError("observations of individual %s must be finite"
+                                       % self.ids[np.argmin(finite)])
         self.y.setflags(write=False)
         self.design.setflags(write=False)
 

@@ -20,7 +20,7 @@ from zeromix import covariance, inference, mcem
 from zeromix.covariance import SpdMatrix, SufficientStats, ZeroPattern
 from zeromix.exceptions import InputMismatchError, ValueOutOfRangeError, ZeromixError
 from zeromix.mcem import FitResult, FitState
-from zeromix.models import CortisolModel, Dataset, NlmeModel, simulate_dataset
+from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, NlmeModel, simulate_dataset
 
 # the package and every submodule that declares an __all__
 MODULES = [name for name in ["zeromix", *("zeromix." + info.name
@@ -100,6 +100,20 @@ def _cortisol_fisher(**counts):
      lambda _: Dataset(["a", "a"], np.ones((2, 3)), [1.0, 2.0, 3.0])),
     (InputMismatchError, "design length must match observation count",
      lambda _: Dataset(["a"], np.ones((1, 3)), [1.0, 2.0])),
+    # non-finite data is an input error, not a sampler's or a weight's failure
+    (ValueOutOfRangeError, "observations of individual b must be finite",
+     lambda _: Dataset(["a", "b"], [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]], [1.0, 2.0, 3.0])),
+    (ValueOutOfRangeError, "observations of individual a must be finite",
+     lambda _: Dataset(["a", "b"], [[-np.inf, 2.0, 3.0], [1.0, np.nan, 3.0]], [1.0, 2.0, 3.0])),
+    (ValueOutOfRangeError, "design values must be finite",
+     lambda _: Dataset(["a"], np.ones((1, 3)), [1.0, np.inf, 3.0])),
+    (ValueOutOfRangeError, "q must be an integer, got True", lambda _: LinearGaussianModel(True)),
+    (ValueOutOfRangeError, "q must be an integer, got 3.0", lambda _: LinearGaussianModel(3.0)),
+    (ValueOutOfRangeError, "q must be an integer, got 2.5", lambda _: LinearGaussianModel(2.5)),
+    (ValueOutOfRangeError, "doses must be positive numbers, at least one",
+     lambda _: CortisolModel(doses=[np.nan, 1.0])),
+    (ValueOutOfRangeError, "doses must be positive numbers, at least one",
+     lambda _: CortisolModel(doses=[np.inf, 1.0])),
     (ValueOutOfRangeError, "fit result carries no trace",
      lambda tmp_path: _no_trace(tmp_path / "trace.csv")),
     (InputMismatchError, _ORDER_3, lambda _: mcem.fit(
@@ -135,7 +149,9 @@ def _cortisol_fisher(**counts):
      lambda _: covariance.min_eig_repair(np.eye(2), True)),
 ], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
         "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
-        "dataset-ids", "dataset-design", "empty-trace", "fit-order", "loglik-order",
+        "dataset-ids", "dataset-design", "dataset-y-nan", "dataset-y-inf",
+        "dataset-design-finite", "q-bool", "q-float", "q-fraction", "doses-nan", "doses-inf",
+        "empty-trace", "fit-order", "loglik-order",
         "fisher-order", "simulate-order", "loglik-samples", "loglik-seed", "fisher-samples",
         "fisher-seed", "simulate-count", "simulate-seed", "stats-count-float",
         "stats-count-bool", "repair-count-float", "repair-count-bool"])

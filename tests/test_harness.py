@@ -21,7 +21,8 @@ from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
 from zeromix.mcem import FitConfig, FitResult, FitState, TraceRow
-from zeromix.covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
+from zeromix.covariance import (IcfDiagnostics, SpdMatrix, ZeroPattern, min_eig_repair,
+                                zero_forced)
 from zeromix.inference import free_param_labels
 from zeromix.models import simulate_dataset
 
@@ -272,12 +273,20 @@ def test_table_writer_emits_fifteen_rows_plus_loglik(tmp_path):
     assert len(lines) == 1 + 15 + 1
     assert lines[-1].startswith("loglik,,-800.0,3.0,,-801.0,3.1,")
     assert lines[1].split(",")[0] == "m1"
+    # the whole file: repr cells, LF endings, the loglik row's empty true and rmqe cells
+    labels = ["m1", "m2", "m3", "m4", "sigma_1_1", "sigma_2_1", "sigma_2_2", "sigma_3_1",
+              "sigma_3_2", "sigma_3_3", "sigma_4_1", "sigma_4_2", "sigma_4_3", "sigma_4_4",
+              "theta"]
+    assert path.read_bytes() == (
+        "param,true,em_mean,em_se,em_rmqe,icf_mean,icf_se,icf_rmqe\n"
+        + "".join(f"{label},{idx}.0,1.0,0.5,1.2,0.9,0.4,1.0\n" for idx, label in enumerate(labels))
+        + "loglik,,-800.0,3.0,,-801.0,3.1,\n").encode()
 
 
 def test_qq_writer_format(tmp_path):
     path = tmp_path / "qq.csv"
     write_qq_csv(qq_data([0.75, 0.25]), path)
-    assert path.read_text() == "u,p\n0.25,0.25\n0.75,0.75\n"
+    assert path.read_bytes() == b"u,p\n0.25,0.25\n0.75,0.75\n"
 
 
 def test_json_writer_is_stable_and_parseable(tmp_path):
@@ -295,7 +304,8 @@ def test_json_writer_is_stable_and_parseable(tmp_path):
 def test_trace_writer_round_trip(tmp_path):
     sigma = np.diag([1.0, 2.0])
     trace = [TraceRow(k=k, m=np.array([0.1 * k, -0.1 * k]), sigma=sigma,
-                      theta=0.5, accept_rate=0.4, delta=0.01 / (k + 1))
+                      theta=0.5, accept_rate=0.4, delta=0.01 / (k + 1), domain_rejects=k,
+                      icf=IcfDiagnostics(sweeps=1, newton_steps=k, converged=True, ridged=False))
              for k in (1, 2, 3)]
     state = FitState(m=trace[-1].m, sigma=SpdMatrix(sigma), theta=0.5)
     result = FitResult(state=state, converged=True, iterations=3, trace=trace,
@@ -307,6 +317,11 @@ def test_trace_writer_round_trip(tmp_path):
     assert lines[0].split(",")[:3] == ["k", "m1", "m2"]
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "1"
+    assert path.read_bytes() == (
+        b"k,m1,m2,sigma_1_1,sigma_2_1,sigma_2_2,theta,accept_rate,delta\n"
+        b"1,0.1,-0.1,1.0,0.0,2.0,0.5,0.4,0.005\n"
+        b"2,0.2,-0.2,1.0,0.0,2.0,0.5,0.4,0.0033333333333333335\n"
+        b"3,0.30000000000000004,-0.30000000000000004,1.0,0.0,2.0,0.5,0.4,0.0025\n")
 
 
 def test_fit_report_assembles_the_documented_shape():

@@ -318,6 +318,40 @@ def test_fit_counts_unconverged_and_ridged_m_steps(monkeypatch):
     assert res.icf_unconverged == 6 and res.icf_ridged == 4
 
 
+def test_fit_totals_are_sums_over_the_trace_rows(monkeypatch):
+    # each row holds its M-step's diagnostics and its E-step's reject
+    # count; the spy gives the E-steps nonzero counts, which the fit
+    # reads nowhere else
+    seen, rejects = [], []
+    real_solve, real_estep = mcem.icf_solve, mcem.run_estep
+
+    def spy_solve(stats, pattern, init=None):
+        sol, diag = real_solve(stats, pattern, init=init)
+        diag.converged = len(seen) % 2 == 0
+        seen.append(diag)
+        return sol, diag
+
+    def spy_estep(*args, **kwargs):
+        out = real_estep(*args, **kwargs)
+        out.domain_rejects = out.domain_rejects + len(rejects) + 1
+        rejects.append(int(np.sum(out.domain_rejects)))
+        return out
+
+    monkeypatch.setattr(mcem, "icf_solve", spy_solve)
+    monkeypatch.setattr(mcem, "run_estep", spy_estep)
+    res = fit(*_short_constrained_fit_args())
+    icfs = [row.icf for row in res.trace]
+    assert len(icfs) == len(seen) == 12
+    assert all(row_icf is diag for row_icf, diag in zip(icfs, seen))
+    assert [row.domain_rejects for row in res.trace] == rejects
+    assert res.domain_rejects == sum(row.domain_rejects for row in res.trace) == 780
+    assert res.icf_sweeps == sum(d.sweeps for d in icfs)
+    assert res.icf_newton_steps == sum(d.newton_steps for d in icfs)
+    assert res.icf_unconverged == sum(not d.converged for d in icfs) == 6
+    assert res.icf_ridged == sum(d.ridged for d in icfs)
+    assert res.accept_rate == res.trace[-1].accept_rate
+
+
 def test_fit_is_invariant_to_dataset_order():
     model = LinearGaussianModel(2)
     truth = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.8]]))

@@ -379,7 +379,7 @@ class IcfDiagnostics:
     convergence and whether X-tilde, being rank deficient, was ridged
     (see ``icf_solve``).
 
-    ``objective`` and ``kkt_residual`` evaluate the solution on demand.
+    ``covariance.objective`` and ``kkt_residual`` evaluate a solution.
     """
 
     sweeps: int
@@ -401,6 +401,19 @@ def _chol(a):
 
 def _as_array(sigma):
     return sigma.values if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
+
+
+def _as_spd(sigma, pattern=None):
+    # an SpdMatrix (tagged with the pattern, if one is given) was checked
+    # when it was built, and its values and factor are read-only
+    if isinstance(sigma, SpdMatrix) and (pattern is None or sigma.pattern == pattern):
+        return sigma
+    return SpdMatrix(_as_array(sigma), pattern=pattern)
+
+
+def _require_stats_order(stats, q):
+    if stats.dim != q:
+        raise InputMismatchError("X-tilde has order %d but Sigma has order %d" % (stats.dim, q))
 
 
 def zero_forced(sigma_uc, pattern):
@@ -438,8 +451,7 @@ def min_eig_repair(sigma_zf, n):
 
 def objective(sigma, stats):
     """Evaluate tr(X-tilde Sigma^-1) + log det Sigma."""
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
+    sigma = _as_spd(sigma)
     return float(sigma.solve(stats.xtilde).trace()) + sigma.logdet()
 
 
@@ -450,9 +462,9 @@ def kkt_residual(sigma, stats, pattern):
     Sigma^-1; it must vanish at every position not in the pattern,
     diagonal included.
     """
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
+    sigma = _as_spd(sigma)
     _require_order(pattern, sigma.dim)
+    _require_stats_order(stats, sigma.dim)
     inv = sigma.inv()
     grad = inv - inv @ stats.xtilde @ inv
     return float(np.max(np.abs(grad[~pattern._mask])))
@@ -514,7 +526,7 @@ def icf_column_update(sigma, stats, j, pattern):
     Parameters
     ----------
     sigma : SpdMatrix or array_like
-        Current iterate; validated here as ``SpdMatrix(sigma, pattern)``.
+        Current iterate, checked by ``_as_spd(sigma, pattern)``.
     stats : SufficientStats
         Moment aggregates; the sample count cancels in the solve.
     j : int
@@ -530,6 +542,8 @@ def icf_column_update(sigma, stats, j, pattern):
 
     Raises
     ------
+    InputMismatchError
+        If ``sigma``, ``stats`` and ``pattern`` are not of one order.
     NotPositiveDefiniteError
         If ``sigma`` is not positive definite or has non-finite entries,
         or the new Schur complement s_opt is not positive.
@@ -538,8 +552,9 @@ def icf_column_update(sigma, stats, j, pattern):
     SingularNormalEquationsError
         If the free-coordinate Gram matrix is singular (degenerate stats).
     """
-    cur = np.array(SpdMatrix(_as_array(sigma), pattern=pattern).values)
+    cur = np.array(_as_spd(sigma, pattern).values)
     q = cur.shape[0]
+    _require_stats_order(stats, q)
     if not (1 <= j <= q):
         raise IndexOutOfRangeError("pivot %d outside [1, %d]" % (j, q))
     with np.errstate(all="ignore"):
@@ -699,7 +714,7 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     stats : SufficientStats
     pattern : ZeroPattern
     init : SpdMatrix or array_like, optional
-        Starting point, validated as ``SpdMatrix(init, pattern)``;
+        Starting point, checked by ``_as_spd(init, pattern)``;
         defaults to the zero-forced X-tilde, or its diagonal where that
         does not factor.
     tol : float
@@ -730,7 +745,7 @@ def icf_solve(stats, pattern, init=None, tol=1e-8, max_sweeps=500):
     converged = False
     with np.errstate(all="ignore"):
         cur = (_cold_start(xt, pattern) if init is None
-               else np.array(SpdMatrix(_as_array(init), pattern=pattern).values))
+               else np.array(_as_spd(init, pattern).values))
         # one sweep before the first Newton step, or two from a diagonal
         # start (a PD start with q nonzero entries), from which one can lead
         # Newton to another local minimum

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +31,7 @@ from .covariance import SpdMatrix, ZeroPattern, min_eig_repair, zero_forced
 from .exceptions import InputMismatchError, NumericalError, ValueOutOfRangeError, _check_count
 from .inference import free_param_labels, loglik_is, lr_test, pack_params
 from .mcem import FitConfig, FitState, fit
-from .models import CortisolModel, NlmeModel, load_dataset, save_dataset, simulate_dataset
+from .models import CortisolModel, NlmeModel, load_dataset, simulate_dataset
 
 ESTIMATOR_NAMES = ("em", "em_icf", "zero_forced")
 
@@ -388,34 +386,6 @@ def write_table_csv(report, path):
 
 def write_qq_csv(pairs, path):
     _write_csv(path, ["u", "p"], pairs)
-
-
-# Generating parameters of the bundled synthetic assay: a constrained
-# fit of the washout model with zeros at (1,4) and (3,4), used here as
-# a plausible truth so the packaged example exercises realistic scales.
-_EXAMPLE_M = (48.84, 71.46, 1.47, 0.084)
-_EXAMPLE_SIGMA = (
-    (19.50, -4.66, -0.29, 0.0),
-    (-4.66, 2.33, -0.095, -0.0024),
-    (-0.29, -0.095, 0.058, 0.0),
-    (0.0, -0.0024, 0.0, 1.44e-5),
-)
-_EXAMPLE_THETA = 0.0151
-_EXAMPLE_N = 30
-_EXAMPLE_SEED = 181
-
-
-def write_example_bundle(directory):
-    """Regenerate the bundled example dataset into ``directory`` and copy its config there."""
-    model = CortisolModel()
-    data, _ = simulate_dataset(model, np.asarray(_EXAMPLE_M),
-                               np.asarray(_EXAMPLE_SIGMA), _EXAMPLE_THETA,
-                               _EXAMPLE_N, _EXAMPLE_SEED)
-    csv_path = os.path.join(str(directory), "cortisol_example.csv")
-    ini_path = os.path.join(str(directory), "cortisol_example.ini")
-    save_dataset(data, csv_path)
-    shutil.copyfile(example_paths()[1], ini_path)
-    return csv_path, ini_path
 
 
 def example_paths():

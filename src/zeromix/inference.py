@@ -36,7 +36,7 @@ import numpy as np
 from . import _pool
 from .covariance import SpdMatrix
 from .exceptions import DegenerateWeightError, NumericalError, _check_count
-from .models import Draws, _check_order
+from .models import Draws, _check_point
 
 __all__ = [
     "LikelihoodEstimate",
@@ -135,17 +135,15 @@ def loglik_is(model, data, m, sigma, theta, n_samples=10000, seed=0):
     Raises
     ------
     ValueOutOfRangeError
-        If ``n_samples`` is not an integer >= 1 or ``seed`` not an
-        integer >= 0.
+        If ``n_samples`` is not an integer >= 1, ``seed`` not an
+        integer >= 0, or m or theta is out of range (``_check_point``).
     InputMismatchError
         If m, Sigma or the dataset does not fit the model (see
         ``Dataset.for_model``).
     DegenerateWeightError
         If every weight of some individual underflows to zero.
     """
-    _check_order(model, m, sigma)
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
+    m, sigma, theta = _check_point(model, m, sigma, theta)
     _check_count("n_samples", n_samples, 1)
     _check_count("seed", seed, 0)
     data = data.for_model(model)
@@ -233,7 +231,8 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     depend on the process count.  The model and data are pickled to
     the workers, so the model must be picklable (a module-level class).
 
-    ``n_samples`` and ``seed`` are checked as by ``loglik_is``.  A
+    ``n_samples``, ``seed`` and the point are checked as by
+    ``loglik_is``, and Sigma must conform to ``pattern``.  A
     NumericalError at the centre is raised.  When another point's
     evaluation raises one (a step that leaves Sigma indefinite, say) or
     the Hessian is not positive definite, coordinates that cannot be
@@ -242,7 +241,7 @@ def fisher_se(model, data, m, sigma, theta, pattern, n_samples=1000, seed=0):
     """
     _check_count("n_samples", n_samples, 1)
     _check_count("seed", seed, 0)
-    _check_order(model, m, sigma)
+    m, sigma, theta = _check_point(model, m, sigma, theta, pattern)
     data = data.for_model(model)
     v0 = pack_params(m, sigma, theta, pattern)
     labels = free_param_labels(pattern)

@@ -34,7 +34,7 @@ import numpy as np
 from .covariance import IcfDiagnostics, SpdMatrix, SufficientStats, icf_solve
 from .exceptions import (DegenerateDrawError, InputMismatchError, ValueOutOfRangeError,
                          _check_count)
-from .models import Draws, NlmeModel, _check_order
+from .models import Draws, NlmeModel, _check_point
 
 __all__ = [
     "FitConfig",
@@ -316,8 +316,8 @@ def _relative_delta(prev, new):
 def fit(model, data, pattern, init, config=None):
     """Maximum-likelihood fit by stochastic EM with a constrained covariance.
 
-    The start must be of the model's order, and the dataset is checked
-    and put in id order by ``Dataset.for_model``.
+    The start must be a point of the model (``models._check_point``),
+    and the dataset is checked and put in id order by ``Dataset.for_model``.
     One outer iteration runs the E-step at the current state, then the
     mean update, the residual variance update, the conditional
     variance matrix, the zero-constrained covariance solve (seeded
@@ -347,13 +347,8 @@ def fit(model, data, pattern, init, config=None):
         config = FitConfig()
     if not isinstance(model, NlmeModel):
         raise TypeError("model must be an NlmeModel")
-    _check_order(model, init.m, init.sigma)
+    state = FitState(*_check_point(model, init.m, init.sigma, init.theta, pattern))
     data = data.for_model(model)
-
-    sigma0 = init.sigma
-    if sigma0.pattern != pattern:
-        sigma0 = SpdMatrix(sigma0.values, pattern=pattern)
-    state = FitState(m=init.m.copy(), sigma=sigma0, theta=init.theta, k=0)
 
     trace = []
     x_last = None

@@ -29,7 +29,7 @@ import zlib
 
 import numpy as np
 
-from .covariance import SpdMatrix
+from .covariance import SpdMatrix, _as_array, _as_spd
 from .exceptions import (
     DataFormatError,
     DegenerateDrawError,
@@ -334,25 +334,39 @@ class LinearGaussianModel(NlmeModel):
         Precision adds: V = (Sigma^-1 + I/theta)^-1, center
         V (Sigma^-1 m + y/theta).
         """
-        if not isinstance(sigma, SpdMatrix):
-            sigma = SpdMatrix(sigma)
+        m, sigma, theta = _check_point(self, m, sigma, theta)
         prec = sigma.inv() + np.eye(self.q) / theta
         cov = np.linalg.inv(prec)
         cov = 0.5 * (cov + cov.T)
-        mean = cov @ (sigma.solve(np.asarray(m, dtype=float)) + np.asarray(y, dtype=float) / theta)
+        mean = cov @ (sigma.solve(m) + np.asarray(y, dtype=float) / theta)
         return mean, cov
 
     def marginal_loglik(self, ys, m, sigma, theta):
         """Exact log likelihood of rows of ``ys`` under N(m, Sigma + theta I)."""
-        if not isinstance(sigma, SpdMatrix):
-            sigma = SpdMatrix(sigma)
+        m, sigma, theta = _check_point(self, m, sigma, theta)
         marg = SpdMatrix(sigma.values + theta * np.eye(self.q))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        z = ys - np.asarray(m, dtype=float)[None, :]
+        z = ys - m[None, :]
         quad = np.sum(z * marg.solve(z.T).T, axis=1)
         return float(
             np.sum(-0.5 * self.q * _LOG_2PI - 0.5 * marg.logdet() - 0.5 * quad)
         )
+
+
+def _check_point(model, m, sigma, theta, pattern=None):
+    """``(m, Sigma, theta)`` checked as a point of ``model``: a finite q-vector,
+    ``_as_spd(sigma, pattern)`` of order q and a float theta, finite and >= 0."""
+    m, theta = np.array(m, dtype=float), float(theta)
+    shapes = m.shape, np.shape(_as_array(sigma))
+    if shapes != ((model.q,), (model.q, model.q)):
+        raise InputMismatchError("m of shape %r and Sigma of shape %r do not fit the %s model's "
+                                 "order %d" % (*shapes, model.name, model.q))
+    if not np.isfinite(m).all():
+        raise ValueOutOfRangeError("m must be finite, got %r" % (m,))
+    if not 0.0 <= theta < np.inf:
+        raise ValueOutOfRangeError("residual variance theta must be finite and nonnegative, "
+                                   "got %r" % (theta,))
+    return m, _as_spd(sigma, pattern), theta
 
 
 _MAX_DRAWS = 100  # latent draws of simulate_individual before it gives up
@@ -371,18 +385,14 @@ def simulate_individual(model, m, sigma, theta, rng_seed):
 
     Raises
     ------
-    DomainError
-        If theta is negative.
+    InputMismatchError, ValueOutOfRangeError
+        If ``(m, sigma, theta)`` is not a point of the model (``_check_point``).
     DegenerateDrawError
         If every draw lands outside the model domain; the parameters
         are implausible for the model.
     """
-    if theta < 0.0:
-        raise DomainError("residual variance must be nonnegative")
+    m, sigma, theta = _check_point(model, m, sigma, theta)
     rng = np.random.default_rng(rng_seed)
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
-    m = np.asarray(m, dtype=float)
     chol = sigma.chol_lower
     for _ in range(_MAX_DRAWS):
         x = m + chol @ rng.standard_normal(model.q)
@@ -397,15 +407,6 @@ def simulate_individual(model, m, sigma, theta, rng_seed):
     return x, y
 
 
-def _check_order(model, m, sigma):
-    """Raise InputMismatchError unless ``m`` is a q-vector and ``sigma``
-    (an SpdMatrix or array-like) q x q, for the model's order q."""
-    shapes = np.shape(m), np.shape(sigma.values if isinstance(sigma, SpdMatrix) else sigma)
-    if shapes != ((model.q,), (model.q, model.q)):
-        raise InputMismatchError("m of shape %r and Sigma of shape %r do not fit the %s model's "
-                                 "order %d" % (*shapes, model.name, model.q))
-
-
 def simulate_dataset(model, m, sigma, theta, n, seed):
     """Simulate a balanced dataset of ``n`` individuals.
 
@@ -418,14 +419,12 @@ def simulate_dataset(model, m, sigma, theta, n, seed):
     (Dataset, ndarray) : the dataset and the (n, q) matrix of latent draws.
 
     Raises ValueOutOfRangeError if ``n`` is not an integer >= 1 or
-    ``seed`` not an integer >= 0, and InputMismatchError if m or Sigma
-    is not of the model's order.
+    ``seed`` not an integer >= 0, and the errors of ``_check_point``.
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    _check_order(model, m, sigma)
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)  # factored once, not once per individual
+    # Sigma is factored here once, not once per individual
+    m, sigma, theta = _check_point(model, m, sigma, theta)
     children = np.random.SeedSequence(seed).spawn(n)
     ids = []
     xs = np.zeros((n, model.q))

@@ -467,6 +467,22 @@ def test_warm_started_chains_reach_the_cold_solves_objective():
             assert abs(obj - cold_obj) <= 1e-12 * abs(cold_obj), (q, k)
 
 
+def test_a_tagged_start_is_not_rebuilt(monkeypatch):
+    # an SpdMatrix tagged with the pattern was checked when built: the
+    # solve builds only its result
+    init = SpdMatrix(np.diag(np.diag(XT3)), pattern=PAT13)
+    built = []
+    spd_init = SpdMatrix.__init__
+
+    def counting(self, entries, pattern=None):
+        built.append(pattern)
+        spd_init(self, entries, pattern)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counting)
+    icf_solve(SufficientStats(XT3, n=10), PAT13, init=init, max_sweeps=1)
+    assert built == [PAT13]
+
+
 def test_column_update_validates_array_input():
     stats = SufficientStats(XT3, n=10)
     for bad in (np.nan, np.inf):

@@ -18,9 +18,11 @@ import zeromix
 import zeromix.harness
 from zeromix import covariance, inference, mcem
 from zeromix.covariance import SpdMatrix, SufficientStats, ZeroPattern
-from zeromix.exceptions import InputMismatchError, ValueOutOfRangeError, ZeromixError
+from zeromix.exceptions import (InputMismatchError, PatternViolationError, ValueOutOfRangeError,
+                                ZeromixError)
 from zeromix.mcem import FitResult, FitState
-from zeromix.models import CortisolModel, Dataset, LinearGaussianModel, NlmeModel, simulate_dataset
+from zeromix.models import (CortisolModel, Dataset, LinearGaussianModel, NlmeModel,
+                            simulate_dataset, simulate_individual)
 
 # the package and every submodule that declares an __all__
 MODULES = [name for name in ["zeromix", *("zeromix." + info.name
@@ -72,6 +74,36 @@ def _cortisol_loglik(**counts):
 def _cortisol_fisher(**counts):
     return inference.fisher_se(CortisolModel(), _cortisol_data(), *_CORTISOL_TRUTH,
                                ZeroPattern([], dim=4), **counts)
+
+
+# the truth with a NaN, infinite or negative theta, or a NaN in m, at every
+# entry that takes a model point: each is an input error, not a weight's or
+# a simulated observation's failure
+_BAD_POINTS = {
+    "theta-nan": (*_CORTISOL_TRUTH[:2], np.nan),
+    "theta-inf": (*_CORTISOL_TRUTH[:2], np.inf),
+    "theta-negative": (*_CORTISOL_TRUTH[:2], -1.0),
+    "m-nan": (np.array([np.nan, 70.0, 1.0, 0.1]), *_CORTISOL_TRUTH[1:]),
+}
+_POINT_ENTRIES = {
+    "loglik": lambda point: inference.loglik_is(CortisolModel(), _cortisol_data(), *point,
+                                                n_samples=10),
+    "fisher": lambda point: inference.fisher_se(CortisolModel(), _cortisol_data(), *point,
+                                                ZeroPattern([], dim=4), n_samples=10),
+    "simulate": lambda point: simulate_dataset(CortisolModel(), *point, 2, 0),
+    "individual": lambda point: simulate_individual(CortisolModel(), *point, 0),
+}
+_POINT_CASES = [
+    ("%s-%s" % (entry, bad), (ValueOutOfRangeError,
+                             "m must be finite" if bad == "m-nan" else
+                             "theta must be finite and nonnegative",
+                             lambda _, call=call, point=point: call(point)))
+    for entry, call in _POINT_ENTRIES.items() for bad, point in _BAD_POINTS.items()
+]
+
+# X-tilde of another order than Sigma's
+_XT3, _XT4 = SufficientStats(np.eye(3) * 2, n=5), SufficientStats(np.eye(4) * 2, n=5)
+_PAT14 = ZeroPattern([(1, 4)], dim=4)
 
 
 @pytest.mark.parametrize("error,message,call", [
@@ -147,6 +179,16 @@ def _cortisol_fisher(**counts):
      lambda _: covariance.min_eig_repair(np.eye(2), 1.5)),
     (ValueOutOfRangeError, "sample size must be an integer, got True",
      lambda _: covariance.min_eig_repair(np.eye(2), True)),
+    (InputMismatchError, "pattern is declared for order 3 but the matrix has order 4",
+     lambda _: inference.fisher_se(CortisolModel(), _cortisol_data(), *_CORTISOL_TRUTH,
+                                   ZeroPattern([], dim=3), n_samples=10)),
+    (InputMismatchError, "X-tilde has order 3 but Sigma has order 4",
+     lambda _: covariance.kkt_residual(np.eye(4), _XT3, _PAT14)),
+    (InputMismatchError, "X-tilde has order 3 but Sigma has order 4",
+     lambda _: covariance.icf_column_update(np.eye(4), _XT3, 1, _PAT14)),
+    (InputMismatchError, "X-tilde has order 4 but Sigma has order 3",
+     lambda _: covariance.icf_column_update(np.eye(3), _XT4, 1, ZeroPattern([(1, 3)], dim=3))),
+    *(case for _, case in _POINT_CASES),
 ], ids=["pattern-order", "spd-square", "solve-rhs", "xtilde-square", "xtilde-finite",
         "repair-count", "m-vector", "m-order", "model-design", "dataset-2d", "dataset-rows",
         "dataset-ids", "dataset-design", "dataset-y-nan", "dataset-y-inf",
@@ -154,13 +196,25 @@ def _cortisol_fisher(**counts):
         "empty-trace", "fit-order", "loglik-order",
         "fisher-order", "simulate-order", "loglik-samples", "loglik-seed", "fisher-samples",
         "fisher-seed", "simulate-count", "simulate-seed", "stats-count-float",
-        "stats-count-bool", "repair-count-float", "repair-count-bool"])
+        "stats-count-bool", "repair-count-float", "repair-count-bool", "fisher-pattern-order",
+        "kkt-xtilde-order", "column-xtilde-smaller", "column-xtilde-larger",
+        *(name for name, _ in _POINT_CASES)])
 def test_bad_input_raises_a_package_error(tmp_path, error, message, call):
     # a ValueError for callers that catch that, a ZeromixError for the CLI
     with pytest.raises(error) as info:
         call(tmp_path)
     assert message in str(info.value)
     assert isinstance(info.value, ValueError) and isinstance(info.value, ZeromixError)
+
+
+def test_fisher_se_rejects_a_sigma_off_its_pattern():
+    # Sigma = I + 0.1 is nonzero at the example's pairs (1,4) and (3,4);
+    # PatternViolationError is a UsageError but not a ValueError, so this
+    # case is not one of test_bad_input_raises_a_package_error's
+    pattern = ZeroPattern([(1, 4), (3, 4)], dim=4)
+    with pytest.raises(PatternViolationError, match="constrained positions"):
+        inference.fisher_se(CortisolModel(), _cortisol_data(), _CORTISOL_TRUTH[0],
+                            np.eye(4) + 0.1, _CORTISOL_TRUTH[2], pattern, n_samples=10)
 
 
 def _fresh_python(*args):

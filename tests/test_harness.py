@@ -17,12 +17,12 @@ from zeromix.exceptions import DomainError, InputMismatchError, ValueOutOfRangeE
 from zeromix.harness import (ESTIMATOR_NAMES, SimStudyConfig, SimStudyReport,
                              _aggregate, _replicate_seeds, cortisol_example,
                              fit_and_test, fit_report, qq_data, run_simulation_study,
-                             write_example_bundle,
                              write_json, write_qq_csv, write_table_csv,
                              write_trace_csv, example_paths)
 from zeromix.mcem import FitConfig, FitResult, FitState, TraceRow
 from zeromix.covariance import (IcfDiagnostics, SpdMatrix, ZeroPattern, min_eig_repair,
                                 zero_forced)
+from zeromix.cli import main
 from zeromix.inference import free_param_labels
 from zeromix.models import simulate_dataset
 
@@ -351,11 +351,27 @@ def test_bundled_example_loads_with_the_documented_start_values():
     assert cfg.init.theta == 0.04
 
 
+# the truth behind the bundled dataset: a constrained fit of the washout
+# model with zeros at (1,4) and (3,4), taken as a plausible truth
+EXAMPLE_STUDY = """
+[study]
+truth_m = 48.84, 71.46, 1.47, 0.084
+truth_sigma = 19.50 -4.66 -0.29 0;
+    -4.66 2.33 -0.095 -0.0024;
+    -0.29 -0.095 0.058 0;
+    0 -0.0024 0 1.44e-5
+truth_theta = 0.0151
+individuals = 30
+master_seed = 181
+"""
+
+
 def test_bundled_example_regenerates_byte_identically(tmp_path):
-    csv_path, ini_path = write_example_bundle(tmp_path)
     bundled_csv, bundled_ini = example_paths()
-    assert open(csv_path, "rb").read() == open(bundled_csv, "rb").read()
-    assert open(ini_path, "rb").read() == open(bundled_ini, "rb").read()
+    ini, csv_path = tmp_path / "example.ini", tmp_path / "example.csv"
+    ini.write_text(Path(bundled_ini).read_text() + EXAMPLE_STUDY)
+    assert main(["simulate", "--config", str(ini), "--out", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == Path(bundled_csv).read_bytes()
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -78,7 +78,7 @@ def test_simulation_rejects_a_negative_residual_variance():
     sigma = SpdMatrix(np.eye(4))
     m = np.array([50.0, 70.0, 1.0, 0.1])
     for model in (CortisolModel(), LinearGaussianModel(4)):
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(ValueOutOfRangeError, match="nonnegative"):
             simulate_individual(model, m, sigma, -1.0, 0)
 
 
